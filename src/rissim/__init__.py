@@ -9,7 +9,6 @@ mobile users from the half-power focus region.
 
 from .errors import (
     BeamNotResolvedError,
-    ConvergenceError,
     GeometryError,
     NoPeakError,
     ValidationError,
@@ -43,7 +42,6 @@ from .optimizer import (
     OFF_STRUCTURAL,
     REFLECTIVE,
     ReflectionAlphabet,
-    brute_force_config,
     optimize_config,
     uniform_config,
 )

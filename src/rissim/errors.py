@@ -19,7 +19,3 @@ class BeamNotResolvedError(GeometryError):
 
 class NoPeakError(GeometryError):
     """Grid contains no cell above the below-floor sentinel."""
-
-
-class ConvergenceError(RuntimeError):
-    """Configuration search did not reach a stable state."""

@@ -11,7 +11,8 @@ File formats (all deterministic byte-for-byte for identical inputs):
   the values in that order, then `i,j,x,y,power_dbm` per cell (x-major),
   `-inf` for below-floor cells, 6 significant digits;
 * element layout CSV: `m,x,y,z` header plus one row per element;
-* configuration CSV: `# <alphabet>` then `m,state,magnitude,phase_deg` rows;
+* configuration CSV: `# <alphabet>` then `m,state,magnitude,phase_deg` rows,
+  m = 0, 1, 2, ... in file order;
 * update schedule CSV: `t_s,x,y,z,config_hash,rho_a,rho_r` rows per event;
 * heatmaps: binary 8-bit PGM, one pixel per cell, x left to right, y bottom
   to top, linear dB-to-intensity mapping clamped to [min_dbm, max_dbm].
@@ -29,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConvergenceError, GeometryError, ValidationError
+from .errors import GeometryError, ValidationError
 from .geom import RisLayout, SphericalCoord, Vec3, hex_layout, spherical_to_cartesian
 from .linkbudget import (
     BELOW_FLOOR_DBM,
@@ -363,6 +364,10 @@ def read_config_csv(stream) -> RisConfig:
         parts = line.split(",")
         if len(parts) != 4:
             raise ValidationError(f"configuration line {lineno}: expected 4 fields")
+        if parts[0] != str(len(coeffs)):
+            raise ValidationError(
+                f"configuration line {lineno}: element index {parts[0]!r}, expected {len(coeffs)}"
+            )
         try:
             coeffs.append(ReflectionCoefficient(float(parts[2]), float(parts[3])))
         except ValueError as exc:
@@ -589,14 +594,18 @@ def _cmd_emulate(args) -> int:
     return 0
 
 
+def _config_file_or_optimized(doc: ScenarioDoc, args, target: SphericalCoord) -> RisConfig:
+    """The --config file when given, else the configuration optimized for target."""
+    if args.config is not None:
+        return _load_config_file(doc, args.config)
+    alphabet = doc.alphabets[args.alphabet or doc.alphabet_name]
+    return optimize_config(doc.scenario, spherical_to_cartesian(target), alphabet)
+
+
 def _cmd_hpbw(args) -> int:
     doc = _load_doc(args)
     target = _parse_target(doc, args.target)
-    if args.config is not None:
-        config = _load_config_file(doc, args.config)
-    else:
-        alphabet = doc.alphabets[args.alphabet or doc.alphabet_name]
-        config = optimize_config(doc.scenario, spherical_to_cartesian(target), alphabet)
+    config = _config_file_or_optimized(doc, args, target)
     width = hpbw(doc.scenario, config, target, args.axis)
     print(f"hpbw_deg={_fmt(width)}")
     return 0
@@ -605,11 +614,7 @@ def _cmd_hpbw(args) -> int:
 def _cmd_ellipse(args) -> int:
     doc = _load_doc(args)
     target = _parse_target(doc, args.target)
-    if args.config is not None:
-        config = _load_config_file(doc, args.config)
-    else:
-        alphabet = doc.alphabets[args.alphabet or doc.alphabet_name]
-        config = optimize_config(doc.scenario, spherical_to_cartesian(target), alphabet)
+    config = _config_file_or_optimized(doc, args, target)
     ellipse = focus_ellipse(doc.scenario, config, target)
     print(f"rho_a_m={_fmt(ellipse.rho_a)}")
     print(f"rho_r_m={_fmt(ellipse.rho_r)}")
@@ -790,7 +795,7 @@ def cli_dispatch(argv: list[str]) -> int:
     except (ValidationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (GeometryError, ConvergenceError) as exc:
+    except GeometryError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

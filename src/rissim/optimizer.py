@@ -1,23 +1,20 @@
-"""Two-state configuration search maximizing power at a target position.
+"""Configuration search maximizing power at a target position.
 
 The objective is |sum_m Gamma_m g_m|^2 with g_m the propagation phasor of
-element m toward the target. optimize_config runs deterministic coordinate
-ascent from several starts: every uniform configuration plus greedy
-alignments against a sweep of reference phases (each element independently
-picks the state maximizing Re(Gamma * g_m * exp(-j phi0))). The best
-converged candidate wins; single-start ascent from the zero-phase greedy
-alignment alone gets stuck more than 0.5 dB short of the optimum on a few
-percent of instances.
+element m toward the target. At its maximum over a finite alphabet every
+element takes the state maximizing Re(Gamma g_m exp(-j phi)) for some
+direction phi (Sanchez et al., GLOBECOM 2021; Ren et al., IEEE JSTSP 2023).
+That greedy choice changes only at the tie angles arg((s_k - s_l) g_m) +- 90
+deg, so one sweep of phi around the circle, event by event, visits every
+candidate: the search is exact.
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
 from .geom import RisLayout, Vec3
 from .linkbudget import ReflectionCoefficient, RisConfig, Scenario, element_phasor_matrix
 
@@ -27,8 +24,11 @@ from .linkbudget import ReflectionCoefficient, RisConfig, Scenario, element_phas
 OFF_STRUCTURAL_MAGNITUDE = 0.157
 OFF_STRUCTURAL_PHASE_DEG = 0.0
 
-_REFERENCE_PHASES = 8
-_MAX_PASSES = 10
+# Arcs whose swept objective lies this close to the best are re-evaluated
+# exactly (the running sum carries rounding); candidates within _TIE_RTOL of
+# the best exact objective count as ties.
+_CANDIDATE_RTOL = 1e-9
+_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,154 +77,50 @@ def uniform_config(
     return RisConfig((state,) * len(layout), alphabet_name)
 
 
-def _objective(state_complex: list[complex], g: np.ndarray, idx: np.ndarray) -> float:
-    coeffs = np.array([state_complex[k] for k in idx])
-    s = np.sum(coeffs * g)
-    return float(s.real * s.real + s.imag * s.imag)
-
-
-def _greedy_start(sg: list[list[complex]], phi0: float) -> np.ndarray:
-    """Per-element argmax of Re(state * g_m * exp(-j phi0)); ties pick lower index."""
-    rot = complex(math.cos(-phi0), math.sin(-phi0))
-    m_count = len(sg[0])
-    idx = np.zeros(m_count, dtype=np.intp)
-    for m in range(m_count):
-        best_k, best_re = 0, (sg[0][m] * rot).real
-        for k in range(1, len(sg)):
-            re = (sg[k][m] * rot).real
-            if re > best_re:
-                best_k, best_re = k, re
-        idx[m] = best_k
-    return idx
-
-
-def _ascend(
-    sg: list[list[complex]], start: np.ndarray, max_passes: int
-) -> tuple[np.ndarray, bool, list[float]]:
-    """Coordinate ascent over element states, fixed element order.
-
-    A state change is accepted only when it strictly increases |total|^2, so
-    the per-pass objective sequence is non-decreasing. Returns the final
-    indices, whether a full pass made no change, and the objective after each
-    pass.
-    """
-    n_states = len(sg)
-    m_count = len(sg[0])
-    idx = start.copy()
-    total = sum(sg[idx[m]][m] for m in range(m_count))
-    pass_objectives: list[float] = []
-    converged = False
-    for _ in range(max_passes):
-        changed = False
-        for m in range(m_count):
-            base = total - sg[idx[m]][m]
-            best_k = idx[m]
-            cand = base + sg[best_k][m]
-            best_val = cand.real * cand.real + cand.imag * cand.imag
-            for k in range(n_states):
-                if k == idx[m]:
-                    continue
-                cand = base + sg[k][m]
-                val = cand.real * cand.real + cand.imag * cand.imag
-                if val > best_val:
-                    best_k, best_val = k, val
-            if best_k != idx[m]:
-                idx[m] = best_k
-                total = base + sg[best_k][m]
-                changed = True
-        obj = total.real * total.real + total.imag * total.imag
-        assert not pass_objectives or obj >= pass_objectives[-1] * (1.0 - 1e-12)
-        pass_objectives.append(obj)
-        if not changed:
-            converged = True
-            break
-    return idx, converged, pass_objectives
-
-
 def optimize_config(
-    scenario: Scenario,
-    target: Vec3,
-    alphabet: ReflectionAlphabet,
-    max_passes: int = _MAX_PASSES,
-    reference_phases: int = _REFERENCE_PHASES,
+    scenario: Scenario, target: Vec3, alphabet: ReflectionAlphabet
 ) -> RisConfig:
-    """Pick each element's state to maximize power at the target position.
+    """Globally optimal configuration for power at the target position.
 
-    Deterministic: fixed start order (uniform configurations in state order,
-    then greedy alignments over reference_phases phase offsets), fixed
-    element sweep order, strict-improvement-only moves, ties keep the earlier
-    candidate. The result is a coordinate-wise local maximum at least as good
-    as every uniform configuration.
+    Each element contributes s_k g_m; its greedy state is constant on each
+    arc between its own K(K-1) tie angles. The per-element state changes,
+    merged by angle, give the coherent sum on every arc of the circle. Ties
+    (e.g. a reflective configuration and its complement) resolve to the
+    lexicographically smallest state-index vector, as in exhaustive search.
     """
-    g = element_phasor_matrix(scenario, target.as_array()[None, :])[0]
-    states = [c.as_complex for c in alphabet.states]
-    sg = [[s * gm for gm in g] for s in states]
-
-    starts = [np.full(len(g), k, dtype=np.intp) for k in range(len(states))]
-    starts += [
-        _greedy_start(sg, 2.0 * math.pi * i / reference_phases)
-        for i in range(reference_phases)
-    ]
-
-    best_idx: np.ndarray | None = None
-    best_obj = -1.0
-    for start in starts:
-        idx, converged, _ = _ascend(sg, start, max_passes)
-        if not converged:
-            continue
-        obj = _objective(states, g, idx)
-        if obj > best_obj:
-            best_obj, best_idx = obj, idx
-    if best_idx is None:
-        raise ConvergenceError(
-            f"no coordinate-ascent start converged within {max_passes} passes"
-        )
-    for k in range(len(states)):
-        if best_obj < _objective(states, g, np.full(len(g), k, dtype=np.intp)) * (1.0 - 1e-12):
-            raise ConvergenceError("search returned a config worse than a uniform config")
-    return RisConfig(tuple(alphabet.states[k] for k in best_idx), alphabet.name)
-
-
-def brute_force_config(
-    scenario: Scenario,
-    target: Vec3,
-    alphabet: ReflectionAlphabet,
-    max_search: int = 2**20,
-) -> RisConfig:
-    """Globally optimal configuration by exhaustive enumeration.
-
-    Guarded to |alphabet|^M <= max_search. Ties resolve to the
-    lexicographically smallest state-index vector (enumeration order).
-    """
-    m_count = len(scenario.layout)
-    n_states = len(alphabet.states)
-    if n_states**m_count > max_search:
-        raise ValidationError(
-            f"search space {n_states}^{m_count} exceeds the {max_search} guard"
-        )
+    if len(alphabet.states) == 1:
+        return uniform_config(scenario.layout, alphabet.states[0], alphabet.name)
     g = element_phasor_matrix(scenario, target.as_array()[None, :])[0]
     states = np.array([c.as_complex for c in alphabet.states])
+    contrib = states[:, None] * g[None, :]  # (K, M)
+    m_count = len(g)
+    cols = np.arange(m_count)
 
-    best_obj = -1.0
-    best_combo: tuple[int, ...] | None = None
-    chunk: list[tuple[int, ...]] = []
+    # Own tie angles in [0, 2 pi), sorted per element; own arc t starts at own[t].
+    a, b = np.triu_indices(len(states), 1)
+    ties = np.angle(contrib[a] - contrib[b])
+    own = np.sort(np.concatenate((ties + np.pi / 2, ties - np.pi / 2)) % (2 * np.pi), axis=0)
+    mid = 0.5 * (own + np.roll(own, -1, axis=0))
+    mid[-1] += np.pi  # the last own arc wraps through 2 pi
+    scores = contrib.real[None] * np.cos(mid)[:, None] + contrib.imag[None] * np.sin(mid)[:, None]
+    choice = np.argmax(scores, axis=1)  # (K(K-1), M) greedy state on each own arc
+    # the event at own[t] moves its element from own arc t-1 into own arc t
+    delta = contrib[choice, cols] - contrib[np.roll(choice, 1, axis=0), cols]
 
-    def flush(chunk):
-        nonlocal best_obj, best_combo
-        idx = np.array(chunk, dtype=np.intp)
-        sums = np.sum(states[idx] * g[None, :], axis=-1)
-        objs = sums.real**2 + sums.imag**2
-        k = int(np.argmax(objs))
-        if objs[k] > best_obj:  # strict: earlier (lex smaller) combos win ties
-            best_obj = float(objs[k])
-            best_combo = chunk[k]
+    # Global sweep from phi = 0, where every element sits in its last own arc.
+    order = np.argsort(own.ravel(), kind="stable")  # keeps each element's events in arc order
+    deltas = delta.ravel()[order]
+    sums = contrib[choice[-1], cols].sum() + np.cumsum(deltas)
+    objs = sums.real**2 + sums.imag**2
+    near = np.flatnonzero((objs >= objs.max() * (1.0 - _CANDIDATE_RTOL)) & (deltas != 0))
+    if len(near) == 0:  # all phasors zero: every configuration ties
+        return uniform_config(scenario.layout, alphabet.states[0], alphabet.name)
 
-    for combo in itertools.product(range(n_states), repeat=m_count):
-        chunk.append(combo)
-        if len(chunk) == 8192:
-            flush(chunk)
-            chunk = []
-    if chunk:
-        flush(chunk)
-    assert best_combo is not None
-    return RisConfig(tuple(alphabet.states[k] for k in best_combo), alphabet.name)
+    # After global event i, an element that has seen n of its events sits in own arc n-1.
+    entered = np.array([np.bincount(order[: i + 1] % m_count, minlength=m_count) for i in near])
+    candidates = choice[(entered - 1) % len(own), cols]
+    candidates = candidates[np.lexsort(candidates.T[::-1])]  # lexicographic order
+    exact = np.sum(states[candidates] * g, axis=1)
+    exact = exact.real**2 + exact.imag**2
+    best = candidates[np.argmax(exact >= exact.max() * (1.0 - _TIE_RTOL))]
+    return RisConfig(tuple(alphabet.states[i] for i in best), alphabet.name)

@@ -24,6 +24,7 @@ from .errors import BeamNotResolvedError, NoPeakError, ValidationError
 from .geom import SphericalCoord
 from .linkbudget import (
     BELOW_FLOOR_DBM,
+    _BELOW_FLOOR_MW,
     RisConfig,
     Scenario,
     coherent_sums,
@@ -38,7 +39,6 @@ from .linkbudget import (
 _HALF_POWER_DB = 3.0
 _HPBW_STEP_DEG = 0.1
 _HPBW_WINDOW_DEG = 45.0
-_BELOW_FLOOR_MW = 10.0 ** (BELOW_FLOOR_DBM / 10.0)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
-"""Shared builders for randomized test scenarios."""
+"""Shared builders for randomized test scenarios and the exhaustive-search oracle."""
+import itertools
+
 import numpy as np
 
+from rissim.errors import ValidationError
 from rissim.geom import RisLayout, Vec3
-from rissim.linkbudget import AntennaPattern, Scenario
+from rissim.linkbudget import AntennaPattern, RisConfig, Scenario, element_phasor_matrix
+from rissim.optimizer import ReflectionAlphabet
 
 
 def make_random_scenario(rng: np.random.Generator, m_count: int):
@@ -33,3 +37,48 @@ def linear_mean_dbm(values_dbm) -> float:
     """dB value of the arithmetic mean of linear powers."""
     linear = 10.0 ** (np.asarray(values_dbm, dtype=float) / 10.0)
     return float(10.0 * np.log10(np.mean(linear)))
+
+
+def brute_force_config(
+    scenario: Scenario,
+    target: Vec3,
+    alphabet: ReflectionAlphabet,
+    max_search: int = 2**20,
+) -> RisConfig:
+    """Globally optimal configuration by exhaustive enumeration.
+
+    Guarded to |alphabet|^M <= max_search. Ties resolve to the
+    lexicographically smallest state-index vector (enumeration order).
+    """
+    m_count = len(scenario.layout)
+    n_states = len(alphabet.states)
+    if n_states**m_count > max_search:
+        raise ValidationError(
+            f"search space {n_states}^{m_count} exceeds the {max_search} guard"
+        )
+    g = element_phasor_matrix(scenario, target.as_array()[None, :])[0]
+    states = np.array([c.as_complex for c in alphabet.states])
+
+    best_obj = -1.0
+    best_combo: tuple[int, ...] | None = None
+    chunk: list[tuple[int, ...]] = []
+
+    def flush(chunk):
+        nonlocal best_obj, best_combo
+        idx = np.array(chunk, dtype=np.intp)
+        sums = np.sum(states[idx] * g[None, :], axis=-1)
+        objs = sums.real**2 + sums.imag**2
+        k = int(np.argmax(objs))
+        if objs[k] > best_obj:  # strict: earlier (lex smaller) combos win ties
+            best_obj = float(objs[k])
+            best_combo = chunk[k]
+
+    for combo in itertools.product(range(n_states), repeat=m_count):
+        chunk.append(combo)
+        if len(chunk) == 8192:
+            flush(chunk)
+            chunk = []
+    if chunk:
+        flush(chunk)
+    assert best_combo is not None
+    return RisConfig(tuple(alphabet.states[k] for k in best_combo), alphabet.name)

@@ -9,15 +9,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import linear_mean_dbm, make_random_scenario
+from helpers import brute_force_config, linear_mean_dbm, make_random_scenario
 from rissim.geom import hex_layout, spherical_to_cartesian
 from rissim.io_cli import cli_dispatch
 from rissim.linkbudget import element_phasor_matrix
 from rissim.optimizer import (
     ACTIVE,
     REFLECTIVE,
-    _ascend,
-    brute_force_config,
     optimize_config,
     uniform_config,
 )
@@ -152,37 +150,32 @@ def test_criterion_07_update_intervals(scenario, doc):
 
 def test_criterion_08_optimizer_against_brute_force():
     rng = np.random.default_rng(20240831)
-    misses = 0
+    mismatches = 0
     exceeds = 0
     total = 0
-    monotone_failures = 0
     for alphabet in (REFLECTIVE, ACTIVE):
         for _ in range(100):
             m_count = int(rng.integers(2, 13))
             scenario, target = make_random_scenario(rng, m_count)
             best = brute_force_config(scenario, target, alphabet)
-            local = optimize_config(scenario, target, alphabet)
+            found = optimize_config(scenario, target, alphabet)
             g = element_phasor_matrix(scenario, target.as_array()[None, :])[0]
             b_obj = float(abs(np.sum(best.as_complex_array * g)) ** 2)
-            l_obj = float(abs(np.sum(local.as_complex_array * g)) ** 2)
+            f_obj = float(abs(np.sum(found.as_complex_array * g)) ** 2)
             total += 1
-            if l_obj > b_obj * (1 + 1e-9):
+            if f_obj > b_obj * (1 + 1e-9):
                 exceeds += 1
-            if b_obj > 0 and 10 * math.log10(b_obj / max(l_obj, 1e-300)) > 0.5:
-                misses += 1
-            states = [c.as_complex for c in alphabet.states]
-            sg = [[s * gm for gm in g] for s in states]
-            start = np.array(rng.integers(0, len(states), m_count), dtype=np.intp)
-            _, _, objectives = _ascend(sg, start, max_passes=10)
-            if any(b < a * (1 - 1e-12) for a, b in zip(objectives, objectives[1:])):
-                monotone_failures += 1
-    ok = misses <= 10 and exceeds == 0 and monotone_failures == 0
+            if abs(f_obj - b_obj) > 1e-12 * b_obj:
+                mismatches += 1
+            # discarded draw: keeps this seed's stream, and so its 200
+            # instances, the ones the criterion has always been judged on
+            rng.integers(0, len(alphabet.states), m_count)
+    ok = mismatches == 0 and exceeds == 0
     _report(
         8,
         ok,
-        f"{total} random instances: within 0.5 dB of brute force in {total - misses} "
-        f"(need >= 190), exceeds brute force {exceeds}x, monotone ascent failures "
-        f"{monotone_failures}",
+        f"{total} random instances: objective equals brute force within 1e-12 relative in "
+        f"{total - mismatches} (need all), exceeds brute force {exceeds}x",
     )
 
 

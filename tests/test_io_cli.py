@@ -1,5 +1,6 @@
 import io
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rissim
 from rissim.errors import ValidationError
 from rissim.geom import Vec3, hex_layout
 from rissim.io_cli import (
@@ -28,6 +30,18 @@ from rissim.planner import UpdateEvent, UpdateSchedule
 from rissim.sweep import GridSpec, PowerGrid, find_peak
 
 DATA = Path(__file__).parent / "data"
+
+
+def _run_module(*args):
+    """`python -m rissim ARGS` in a child that imports the same rissim as the tests."""
+    src = str(Path(rissim.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "rissim", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 LAYOUT_RING1_CSV = """\
 m,x,y,z
@@ -172,6 +186,12 @@ class TestCsvFormats:
         back = read_config_csv(io.StringIO(buf.getvalue()))
         assert back == refl_p1
 
+    @pytest.mark.parametrize("index", ["1", "00", "x"])
+    def test_config_read_requires_row_ordinal(self, index):
+        text = f"# reflective\nm,state,magnitude,phase_deg\n{index},0,0.3,-15\n"
+        with pytest.raises(ValidationError, match="element index"):
+            read_config_csv(io.StringIO(text))
+
     def test_schedule_golden(self):
         events = (
             UpdateEvent(
@@ -297,6 +317,18 @@ class TestCli:
         assert cli_dispatch(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
         assert "not a state" in capsys.readouterr().err
 
+    def test_permuted_config_rows_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.csv"
+        assert cli_dispatch(["optimize", "--target", "P2", "--alphabet", "active",
+                             "--out", str(cfg)]) == 0
+        lines = cfg.read_text().splitlines()
+        lines[2], lines[7] = lines[7], lines[2]  # rows m=0 and m=5 swapped
+        cfg.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_dispatch(["hpbw", "--target", "P2", "--axis", "azimuth",
+                             "--config", str(cfg)]) == 1
+        assert "element index '5', expected 0" in capsys.readouterr().err
+
     def test_compare_identical_grids(self, tmp_path, capsys):
         small = tmp_path / "small.yaml"
         small.write_text("grid: {x_stop_m: 1.12, y_stop_m: 0.22}\n")
@@ -324,9 +356,7 @@ class TestCli:
         assert out.startswith("hpbw_deg=")
 
     def test_module_entry_point_help(self):
-        cp = subprocess.run(
-            [sys.executable, "-m", "rissim", "--help"], capture_output=True, text=True
-        )
+        cp = _run_module("--help")
         assert cp.returncode == 0, cp.stderr
         assert "noise-floor" in cp.stdout
 
@@ -336,13 +366,8 @@ class TestCli:
             out = tmp_path / f"emulate_{tag}.csv"
             small = tmp_path / "small.yaml"
             small.write_text("grid: {x_stop_m: 1.12, y_stop_m: 0.22}\n")
-            cp = subprocess.run(
-                [
-                    sys.executable, "-m", "rissim", "--scenario", str(small),
-                    "emulate", "--all-off", "--seed", "3", "--out", str(out),
-                ],
-                capture_output=True,
-                text=True,
+            cp = _run_module(
+                "--scenario", str(small), "emulate", "--all-off", "--seed", "3", "--out", str(out)
             )
             assert cp.returncode == 0, cp.stderr
             outputs.append(out.read_bytes())

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_random_scenario
+from helpers import brute_force_config, make_random_scenario
 from rissim.errors import ValidationError
 from rissim.geom import RisLayout, Vec3, spherical_to_cartesian
 from rissim.linkbudget import (
@@ -17,8 +17,6 @@ from rissim.optimizer import (
     OFF_STRUCTURAL,
     REFLECTIVE,
     ReflectionAlphabet,
-    _ascend,
-    brute_force_config,
     optimize_config,
     uniform_config,
 )
@@ -28,6 +26,12 @@ def _objective_dbm_free(scenario, config, target):
     g = element_phasor_matrix(scenario, target.as_array()[None, :])[0]
     s = np.sum(config.as_complex_array * g)
     return float(abs(s) ** 2)
+
+
+def _assert_matches_brute_force(scenario, target, alphabet):
+    best = _objective_dbm_free(scenario, brute_force_config(scenario, target, alphabet), target)
+    found = _objective_dbm_free(scenario, optimize_config(scenario, target, alphabet), target)
+    assert abs(found - best) <= 1e-12 * best
 
 
 class TestAlphabets:
@@ -79,6 +83,15 @@ class TestOptimize:
             # both states share the magnitude, so the objective ties; the
             # first alphabet state must win
             assert config.coefficients[0] == REFLECTIVE.states[0]
+
+    def test_target_behind_surface_takes_first_state(self):
+        # every phasor is zero behind the surface, so every configuration ties
+        rng = np.random.default_rng(14)
+        scenario, _ = make_random_scenario(rng, 6)
+        behind = Vec3(-1.0, 0.2, 0.1)
+        for alphabet in (REFLECTIVE, ACTIVE):
+            config = optimize_config(scenario, behind, alphabet)
+            assert config.coefficients == (alphabet.states[0],) * 6
 
     def test_single_element_matches_brute_force(self):
         rng = np.random.default_rng(5)
@@ -142,25 +155,15 @@ class TestOptimize:
             assert _objective_dbm_free(scenario, RisConfig(tuple(coeffs), "x"), target) <= best
         assert on_count > 0
 
-    def test_monotone_ascent_passes(self):
-        rng = np.random.default_rng(8)
-        for _ in range(30):
-            scenario, target = make_random_scenario(rng, int(rng.integers(2, 50)))
-            g = element_phasor_matrix(scenario, target.as_array()[None, :])[0]
-            for alphabet in (REFLECTIVE, ACTIVE):
-                states = [c.as_complex for c in alphabet.states]
-                sg = [[s * gm for gm in g] for s in states]
-                start = np.array(rng.integers(0, len(states), len(g)), dtype=np.intp)
-                _, _, objectives = _ascend(sg, start, max_passes=10)
-                assert all(b >= a * (1 - 1e-12) for a, b in zip(objectives, objectives[1:]))
-
     def test_converges_on_random_instances(self):
-        # full-size instances must come back without a convergence error
+        # full-size smoke test: every instance returns a config from the alphabet
         rng = np.random.default_rng(9)
         for k in range(100):
             scenario, target = make_random_scenario(rng, int(rng.integers(2, 128)))
             alphabet = REFLECTIVE if k % 2 == 0 else ACTIVE
-            optimize_config(scenario, target, alphabet)
+            config = optimize_config(scenario, target, alphabet)
+            assert len(config) == len(scenario.layout)
+            assert set(config.coefficients) <= set(alphabet.states)
 
 
 class TestBruteForce:
@@ -202,26 +205,37 @@ class TestBruteForce:
             objectives[combo] = abs(np.sum(coeffs * g)) ** 2
         assert max(objectives, key=objectives.get) == (0, 1)
 
-    def test_never_below_local_search(self):
+    def test_matches_brute_force_objective(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
             scenario, target = make_random_scenario(rng, 12)
             for alphabet in (REFLECTIVE, ACTIVE):
-                global_cfg = brute_force_config(scenario, target, alphabet)
-                local_cfg = optimize_config(scenario, target, alphabet)
-                g_obj = _objective_dbm_free(scenario, global_cfg, target)
-                l_obj = _objective_dbm_free(scenario, local_cfg, target)
-                assert g_obj >= l_obj * (1 - 1e-12)
+                _assert_matches_brute_force(scenario, target, alphabet)
 
-    def test_local_search_close_to_global(self):
+    def test_matches_brute_force_objective_reflective(self):
         rng = np.random.default_rng(12)
-        misses = 0
         for _ in range(30):
             scenario, target = make_random_scenario(rng, 10)
-            global_cfg = brute_force_config(scenario, target, REFLECTIVE)
-            local_cfg = optimize_config(scenario, target, REFLECTIVE)
-            g_obj = _objective_dbm_free(scenario, global_cfg, target)
-            l_obj = _objective_dbm_free(scenario, local_cfg, target)
-            if 10 * math.log10(g_obj / l_obj) > 0.5:
-                misses += 1
-        assert misses <= 1
+            _assert_matches_brute_force(scenario, target, REFLECTIVE)
+
+    def test_matches_brute_force_objective_multistate(self):
+        # the sweep is general in the alphabet size: a symmetric 3-state
+        # phase alphabet and an irregular 4-state one
+        three = ReflectionAlphabet(
+            "three",
+            tuple(ReflectionCoefficient(1.0, p) for p in (0.0, 120.0, -120.0)),
+        )
+        four = ReflectionAlphabet(
+            "four",
+            (
+                ReflectionCoefficient(0.5, 0.0),
+                ReflectionCoefficient(0.7, 90.0),
+                ReflectionCoefficient(0.9, 180.0),
+                ReflectionCoefficient(0.0, 0.0),
+            ),
+        )
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            for alphabet, m_max in ((three, 9), (four, 7)):
+                scenario, target = make_random_scenario(rng, int(rng.integers(1, m_max + 1)))
+                _assert_matches_brute_force(scenario, target, alphabet)
