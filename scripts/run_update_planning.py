@@ -7,32 +7,19 @@ reconfiguration schedules for an azimuth arc (P2 to P1) and a radial ray
 (outward through P2) at a configurable speed.
 """
 import argparse
-import math
-from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from rissim.geom import SphericalCoord, Vec3, spherical_to_cartesian
+from rissim.geom import spherical_to_cartesian
 from rissim.io_cli import load_scenario, write_schedule_csv
 from rissim.optimizer import optimize_config
-from rissim.planner import Trajectory, focus_ellipse, plan_updates
+from rissim.planner import (
+    Trajectory,
+    arc_waypoints,
+    focus_ellipse,
+    plan_updates,
+    radial_waypoints,
+)
 from rissim.sweep import hpbw
-
-
-def arc_waypoints(start: SphericalCoord, end: SphericalCoord, step_deg=0.5):
-    n = max(1, int(math.ceil(abs(end.azimuth_deg - start.azimuth_deg) / step_deg)))
-    return tuple(
-        spherical_to_cartesian(replace(start, azimuth_deg=float(az)))
-        for az in np.linspace(start.azimuth_deg, end.azimuth_deg, n + 1)
-    )
-
-
-def radial_waypoints(start: SphericalCoord, distance: float):
-    p = spherical_to_cartesian(start)
-    horiz = math.hypot(p.x, p.y)
-    ux, uy = p.x / horiz, p.y / horiz
-    return (p, Vec3(p.x + distance * ux, p.y + distance * uy, p.z))
 
 
 def main() -> None:

@@ -27,9 +27,7 @@ from .linkbudget import (
     ReflectionCoefficient,
     RisConfig,
     Scenario,
-    combined_pattern,
     config_fingerprint,
-    element_phasor,
     is_below_floor,
     noise_floor,
     received_power,
@@ -50,8 +48,10 @@ from .planner import (
     Trajectory,
     UpdateEvent,
     UpdateSchedule,
+    arc_waypoints,
     focus_ellipse,
     plan_updates,
+    radial_waypoints,
     rho_azimuth,
     rho_radial,
     update_interval,

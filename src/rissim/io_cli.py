@@ -12,7 +12,8 @@ File formats (all deterministic byte-for-byte for identical inputs):
   `-inf` for below-floor cells, 6 significant digits;
 * element layout CSV: `m,x,y,z` header plus one row per element;
 * configuration CSV: `# <alphabet>` then `m,state,magnitude,phase_deg` rows,
-  m = 0, 1, 2, ... in file order;
+  m = 0, 1, 2, ... in file order, state the index in the named alphabet or
+  -1 when no alphabet was known;
 * update schedule CSV: `t_s,x,y,z,config_hash,rho_a,rho_r` rows per event;
 * heatmaps: binary 8-bit PGM, one pixel per cell, x left to right, y bottom
   to top, linear dB-to-intensity mapping clamped to [min_dbm, max_dbm].
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -31,7 +33,7 @@ import numpy as np
 import yaml
 
 from .errors import GeometryError, ValidationError
-from .geom import RisLayout, SphericalCoord, Vec3, hex_layout, spherical_to_cartesian
+from .geom import RisLayout, SphericalCoord, hex_layout, spherical_to_cartesian
 from .linkbudget import (
     BELOW_FLOOR_DBM,
     AntennaPattern,
@@ -48,7 +50,14 @@ from .optimizer import (
     optimize_config,
     uniform_config,
 )
-from .planner import Trajectory, focus_ellipse, plan_updates, UpdateSchedule
+from .planner import (
+    Trajectory,
+    UpdateSchedule,
+    arc_waypoints,
+    focus_ellipse,
+    plan_updates,
+    radial_waypoints,
+)
 from .sweep import (
     GridSpec,
     PowerGrid,
@@ -122,6 +131,9 @@ class ScenarioDoc:
     alphabet_name: str
     targets: dict[str, SphericalCoord]
     resolved: dict
+
+
+_STATE_INDEX = re.compile(r"-1|0|[1-9][0-9]*")  # canonical integers >= -1
 
 
 def _fmt(value: float) -> str:
@@ -348,11 +360,20 @@ def write_config_csv(config: RisConfig, stream, alphabet: ReflectionAlphabet | N
         stream.write(f"{m},{state},{_fmt(c.magnitude)},{_fmt(c.phase_deg)}\n")
 
 
-def read_config_csv(stream) -> RisConfig:
+def read_config_csv(
+    stream, alphabets: dict[str, ReflectionAlphabet] | None = None
+) -> RisConfig:
+    """Read a configuration file; state indices must be integers >= -1.
+
+    When alphabets holds the alphabet the header names, every coefficient must
+    be one of its states and every state index >= 0 must match it; -1 (no
+    known alphabet when written) matches any state.
+    """
     header = stream.readline().rstrip("\n")
     if not header.startswith("# "):
         raise ValidationError("configuration file must start with '# <alphabet>'")
     name = header[2:]
+    alphabet = (alphabets or {}).get(name)
     columns = stream.readline().rstrip("\n")
     if columns != "m,state,magnitude,phase_deg":
         raise ValidationError(f"unexpected configuration columns: {columns!r}")
@@ -368,10 +389,23 @@ def read_config_csv(stream) -> RisConfig:
             raise ValidationError(
                 f"configuration line {lineno}: element index {parts[0]!r}, expected {len(coeffs)}"
             )
+        if not _STATE_INDEX.fullmatch(parts[1]):
+            raise ValidationError(
+                f"configuration line {lineno}: state {parts[1]!r} is not an integer >= -1"
+            )
+        state = int(parts[1])
         try:
-            coeffs.append(ReflectionCoefficient(float(parts[2]), float(parts[3])))
+            coeff = ReflectionCoefficient(float(parts[2]), float(parts[3]))
         except ValueError as exc:
             raise ValidationError(f"configuration line {lineno}: {exc}") from exc
+        if alphabet is not None:
+            index = alphabet.index_of(coeff)
+            if state >= 0 and state != index:
+                raise ValidationError(
+                    f"configuration line {lineno}: state {state} does not match "
+                    f"({coeff.magnitude}, {coeff.phase_deg} deg), state {index} of alphabet {name!r}"
+                )
+        coeffs.append(coeff)
     if not coeffs:
         raise ValidationError("configuration file contains no coefficients")
     return RisConfig(tuple(coeffs), name)
@@ -491,15 +525,11 @@ def _load_doc(args) -> ScenarioDoc:
 
 def _load_config_file(doc: ScenarioDoc, path) -> RisConfig:
     with open(path) as f:
-        config = read_config_csv(f)
+        config = read_config_csv(f, doc.alphabets)
     if len(config) != len(doc.scenario.layout):
         raise ValidationError(
             f"configuration has {len(config)} entries for {len(doc.scenario.layout)} elements"
         )
-    alphabet = doc.alphabets.get(config.alphabet_name)
-    if alphabet is not None:  # named alphabets demand exact state membership
-        for coeff in config.coefficients:
-            alphabet.index_of(coeff)
     return config
 
 
@@ -624,34 +654,13 @@ def _cmd_ellipse(args) -> int:
     return 0
 
 
-def _arc_waypoints(start: SphericalCoord, end: SphericalCoord) -> tuple[Vec3, ...]:
-    if abs(start.r - end.r) > 1e-6 or abs(start.elevation_deg - end.elevation_deg) > 1e-6:
-        raise ValidationError("arc motion needs equal range and elevation at both ends")
-    step = 0.5  # degrees; chord error well under a millimeter at these ranges
-    n = max(1, int(math.ceil(abs(end.azimuth_deg - start.azimuth_deg) / step)))
-    azimuths = np.linspace(start.azimuth_deg, end.azimuth_deg, n + 1)
-    return tuple(
-        spherical_to_cartesian(SphericalCoord(start.r, float(az), start.elevation_deg))
-        for az in azimuths
-    )
-
-
-def _radial_waypoints(start: SphericalCoord, distance: float) -> tuple[Vec3, ...]:
-    p = spherical_to_cartesian(start)
-    horizontal = math.hypot(p.x, p.y)
-    if horizontal == 0.0:
-        raise GeometryError("radial motion undefined on the surface axis")
-    ux, uy = p.x / horizontal, p.y / horizontal
-    return (p, Vec3(p.x + distance * ux, p.y + distance * uy, p.z))
-
-
 def _cmd_plan(args) -> int:
     doc = _load_doc(args)
     start = _parse_target(doc, args.start)
     if args.motion == "arc":
         if args.end is None:
             raise ValidationError("--motion arc requires --end")
-        waypoints = _arc_waypoints(start, _parse_target(doc, args.end))
+        waypoints = arc_waypoints(start, _parse_target(doc, args.end))
     elif args.motion == "line":
         if args.end is None:
             raise ValidationError("--motion line requires --end")
@@ -662,7 +671,7 @@ def _cmd_plan(args) -> int:
     else:  # radial
         if args.distance is None:
             raise ValidationError("--motion radial requires --distance")
-        waypoints = _radial_waypoints(start, args.distance)
+        waypoints = radial_waypoints(start, args.distance)
     trajectory = Trajectory(waypoints, args.speed)
     alphabet = doc.alphabets[args.alphabet or doc.alphabet_name]
     schedule = plan_updates(doc.scenario, trajectory, alphabet)

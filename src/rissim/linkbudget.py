@@ -218,49 +218,16 @@ def element_phasor_matrix(scenario: Scenario, positions: np.ndarray) -> np.ndarr
     return amp * np.exp(-2j * np.pi * (d1[None, :] + d2) / lam)
 
 
-def element_phasor(scenario: Scenario, m: int, ue_position: Vec3) -> complex:
-    """Single-element propagation phasor (reflection coefficient factored out)."""
-    if not 0 <= m < len(scenario.layout):
-        raise ValidationError(f"element index {m} out of range")
-    row = element_phasor_matrix(scenario, ue_position.as_array()[None, :])[0]
-    return complex(row[m])
-
-
-def combined_pattern(scenario: Scenario, m: int, ue_position: Vec3) -> float:
-    """Product of the four normalized pattern factors for element m, in [0, 1]."""
-    if not 0 <= m < len(scenario.layout):
-        raise ValidationError(f"element index {m} out of range")
-    u = scenario.layout.positions[m]
-    a = scenario.bs_position.as_array()
-    b = ue_position.as_array()
-
-    to_el = u - a
-    d1 = np.linalg.norm(to_el)
-    if d1 == 0.0:
-        raise GeometryError("base station coincides with the element center")
-    cos_bs = float(to_el @ (-a / np.linalg.norm(a))) / d1
-    f_bs = float(scenario.bs_pattern.value_at(cos_bs))
-
-    cos_in = a[0] / d1
-    f_in = 0.0 if cos_in <= 0.0 else float(scenario.element_pattern.value_at(cos_in))
-
-    dv = b - u
-    d2 = np.linalg.norm(dv)
-    if d2 == 0.0:
-        raise GeometryError("user position coincides with the element center")
-    cos_out = dv[0] / d2
-    f_out = 0.0 if cos_out <= 0.0 else float(scenario.element_pattern.value_at(cos_out))
-    cos_ue = -dv[2] / d2
-    f_ue = float(scenario.ue_pattern.value_at(cos_ue))
-    return f_bs * f_in * f_out * f_ue
-
-
-def coherent_sums(scenario: Scenario, config: RisConfig, positions: np.ndarray) -> np.ndarray:
-    """(N,) complex element sums sum_m Gamma_m g_m at each position."""
+def require_config_size(scenario: Scenario, config: RisConfig) -> None:
     if len(config) != len(scenario.layout):
         raise ValidationError(
             f"configuration has {len(config)} coefficients for {len(scenario.layout)} elements"
         )
+
+
+def coherent_sums(scenario: Scenario, config: RisConfig, positions: np.ndarray) -> np.ndarray:
+    """(N,) complex element sums sum_m Gamma_m g_m at each position."""
+    require_config_size(scenario, config)
     phasors = element_phasor_matrix(scenario, positions)
     return np.sum(phasors * config.as_complex_array[None, :], axis=-1)
 

@@ -151,6 +151,29 @@ def focus_ellipse(
     )
 
 
+def arc_waypoints(start: SphericalCoord, end: SphericalCoord) -> tuple[Vec3, ...]:
+    """Azimuth arc at constant range and elevation, one waypoint per 0.5 degrees."""
+    if abs(start.r - end.r) > 1e-6 or abs(start.elevation_deg - end.elevation_deg) > 1e-6:
+        raise ValidationError("arc motion needs equal range and elevation at both ends")
+    step = 0.5  # degrees; chord error well under a millimeter at these ranges
+    n = max(1, int(math.ceil(abs(end.azimuth_deg - start.azimuth_deg) / step)))
+    azimuths = np.linspace(start.azimuth_deg, end.azimuth_deg, n + 1)
+    return tuple(
+        spherical_to_cartesian(SphericalCoord(start.r, float(az), start.elevation_deg))
+        for az in azimuths
+    )
+
+
+def radial_waypoints(start: SphericalCoord, distance: float) -> tuple[Vec3, ...]:
+    """Straight horizontal ray moving the given distance away from the surface axis."""
+    p = spherical_to_cartesian(start)
+    horizontal = math.hypot(p.x, p.y)
+    if horizontal == 0.0:
+        raise GeometryError("radial motion undefined on the surface axis")
+    ux, uy = p.x / horizontal, p.y / horizontal
+    return (p, Vec3(p.x + distance * ux, p.y + distance * uy, p.z))
+
+
 def _polyline(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     pts = np.array([[w.x, w.y, w.z] for w in traj.waypoints])
     seg = np.diff(pts, axis=0)

@@ -27,18 +27,25 @@ from .linkbudget import (
     _BELOW_FLOOR_MW,
     RisConfig,
     Scenario,
+    _bs_side,
     coherent_sums,
     db_to_linear,
+    element_phasor_matrix,
     is_below_floor,
     linear_mw_to_dbm,
     noise_floor,
     prefactor_mw,
+    require_config_size,
     scenario_fingerprint,
+    wavelength,
 )
 
 _HALF_POWER_DB = 3.0
 _HPBW_STEP_DEG = 0.1
 _HPBW_WINDOW_DEG = 45.0
+_HPBW_COARSE_STEPS = 10  # fine samples per coarse step: 1 degree
+# Rounding allowance of the peak certificate in hpbw (see its docstring).
+_CERTIFICATE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -279,18 +286,8 @@ def _arc_positions(target: SphericalCoord, axis: str, offsets_deg: np.ndarray) -
     )
 
 
-def hpbw(
-    scenario: Scenario, config: RisConfig, target: SphericalCoord, axis: str
-) -> float:
-    """Half-power beamwidth (degrees) along a constant-range arc through the target.
-
-    Walks the arc in 0.1 degree steps out to +/-45 degrees, takes the sampled
-    maximum as the beam center and linearly interpolates the two crossings
-    3 dB below it. The definition is relative, so constant power offsets do
-    not change the result.
-    """
-    if axis not in ("azimuth", "elevation"):
-        raise ValidationError(f"axis must be 'azimuth' or 'elevation', got {axis!r}")
+def _hpbw_offsets(target: SphericalCoord, axis: str) -> np.ndarray:
+    """Fine arc offsets in degrees: +/-45 at 0.1, elevation kept within +/-90."""
     n = int(round(_HPBW_WINDOW_DEG / _HPBW_STEP_DEG))
     offsets = (np.arange(2 * n + 1) - n) * _HPBW_STEP_DEG
     if axis == "elevation":
@@ -298,11 +295,176 @@ def hpbw(
             target.elevation_deg + offsets <= 90.0
         )
         offsets = offsets[valid]
-    powers = _dbm_from_sums(
-        scenario, coherent_sums(scenario, config, _arc_positions(target, axis, offsets))
+    return offsets
+
+
+def _taper_bounds(exponent: float, lo: np.ndarray, hi: np.ndarray, clamped: bool):
+    """Sup of phi(c) = c**exponent over c in [lo, hi] and sup of |dphi/dc|.
+
+    phi is 0 for c <= 0 when clamped, and 1 everywhere for an unclamped
+    exponent 0. The slope is inf where phi has no Lipschitz bound: a step
+    (clamped exponent 0) or an infinite derivative (0 < exponent < 1) at a
+    c = 0 inside [lo, hi].
+    """
+    if exponent == 0.0 and not clamped:
+        return np.ones_like(hi), np.zeros_like(hi)
+    hi = np.minimum(hi, 1.0)
+    lit = hi > 0.0  # elsewhere phi is 0 on the whole range
+    top = np.where(lit, hi, 1.0)
+    if exponent >= 1.0:
+        slope = exponent * top ** (exponent - 1.0)
+    else:
+        bottom = np.where(lo > 0.0, lo, 1.0)
+        slope = np.where(lo > 0.0, exponent * bottom ** (exponent - 1.0), np.inf)
+    return np.where(lit, top**exponent, 0.0), np.where(lit, slope, 0.0)
+
+
+def _interval_bounds(
+    scenario: Scenario,
+    config: RisConfig,
+    target: SphericalCoord,
+    axis: str,
+    ends_deg: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per arc interval: a bound on |dS/dtheta| (per radian) and on sum_m |Gamma_m| A_m.
+
+    ends_deg holds the J + 1 arc offsets bounding the J intervals. The
+    derivation is in hpbw's docstring.
+    """
+    widths = np.radians(np.diff(ends_deg))
+    weight = np.abs(config.as_complex_array) * _bs_side(scenario)[1]  # |Gamma_m| c_m
+    on = weight > 0.0
+    w, u = weight[on], scenario.layout.positions[on]
+    u_norm = np.sqrt(np.sum(u * u, axis=-1))
+    near, far = target.r - u_norm, target.r + u_norm  # near <= d2 <= far
+    if np.any(near <= 0.0):
+        return np.full(len(widths), np.inf), np.full(len(widths), np.inf)
+    speed = target.r * (math.cos(math.radians(target.elevation_deg)) if axis == "azimuth" else 1.0)
+    reach = (0.5 * speed * widths)[:, None]
+    ends = _arc_positions(target, axis, ends_deg)
+    mid = 0.5 * (ends[:-1] + ends[1:])
+
+    def cosine_range(numerator_mid):
+        lo, hi = numerator_mid - reach, numerator_mid + reach
+        return (
+            np.where(lo > 0.0, lo / far, lo / near),
+            np.where(hi > 0.0, hi / near, hi / far),
+        )
+
+    f_out, df_out = _taper_bounds(
+        scenario.element_pattern.exponent / 2.0,
+        *cosine_range(mid[:, 0, None] - u[None, :, 0]),
+        clamped=True,
     )
-    k = int(np.argmax(powers))
+    f_ue, df_ue = _taper_bounds(
+        scenario.ue_pattern.exponent / 2.0,
+        *cosine_range(u[None, :, 2] - mid[:, 2, None]),
+        clamped=scenario.ue_pattern.exponent > 0.0,
+    )
+    taper = f_out * f_ue
+    k = 2.0 * math.pi / wavelength(scenario)
+    with np.errstate(invalid="ignore"):  # 0 * inf where the taper is identically 0
+        d_taper = (df_out * f_ue + f_out * df_ue) * (speed / near)
+        amp = w * taper / near
+        d_amp = w * (d_taper / near + taper * u_norm * speed / near**2)
+        slope = np.where(taper > 0.0, k * amp * u_norm * speed / near + d_amp, 0.0)
+    return slope.sum(axis=-1), amp.sum(axis=-1)
+
+
+def hpbw(
+    scenario: Scenario, config: RisConfig, target: SphericalCoord, axis: str
+) -> float:
+    """Half-power beamwidth (degrees) along a constant-range arc through the target.
+
+    The arc is sampled in 0.1 degree steps out to +/-45 degrees (elevation
+    cuts stop at +/-90). The sampled maximum is the beam center, the first
+    one on ties, and the two crossings 3 dB below it are linearly
+    interpolated. The definition is relative, so constant power offsets do
+    not change the result.
+
+    Only the samples that can affect the result are evaluated. Each kernel
+    row is computed independently, so the result has the same bits as a
+    scan of every sample:
+
+    1. Coarse pass: every 10th sample (1 degree steps) plus the last one.
+    2. Certified peak search: on a coarse interval [a, b] of width w, |S| of
+       S(theta) = sum_m Gamma_m g_m is Lipschitz with a constant L, so
+       |S| <= (|S(a)| + |S(b)| + L w) / 2 inside it. Every interval whose
+       bound reaches the best amplitude evaluated so far is evaluated at
+       0.1 degree, until none is left. No skipped sample can then equal or
+       beat the maximum, so the first-maximum rule picks the full scan's.
+    3. Exact crossings: every sample from the peak out to the nearest
+       evaluated sample below the -3 dB reference on each side (the window
+       edge if there is none) is evaluated. The crossing search reads only
+       samples in that range.
+
+    The bound L. Write g_m = c_m h_m / d2 exp(-j k (d1 + d2)) with c_m the
+    base-station side amplitude, d2 = |b - u_m|, k = 2 pi / lambda and
+    h_m = cos_out^(q_el / 2) cos_ue^(q_ue / 2) the user-side pattern taper.
+    On the arc |b| = r and |db/dtheta| = v (r cos(el) on azimuth cuts, r on
+    elevation cuts), so b . b' = 0 and, with D_m = r - |u_m| <= d2,
+
+        |d2'| = |u_m . b'| / d2 <= |u_m| v / D_m,
+        |dS/dtheta| <= sum_m |Gamma_m| (k A_m |d2'| + |A_m'|),
+        A_m <= c_m h_hi / D_m,
+        |A_m'| <= c_m (|h_m'| / D_m + h_hi |u_m| v / D_m^2).
+
+    The numerators of both cosines (b_x - u_x and u_z - b_z) move at most v
+    per radian and d2 lies in [D_m, r + |u_m|], which bounds each cosine on
+    the interval; the cosines themselves move at most v / D_m per radian.
+    That gives h_hi, the largest taper, and |h_m'| through |d(c^p)/dc| <=
+    p c_hi^(p - 1) for p >= 1 and p c_lo^(p - 1) for 0 < p < 1. There is no
+    bound, and the interval is always evaluated, where D_m <= 0 or where a
+    cosine may reach 0 inside the interval under a factor with a step
+    (element exponent 0) or an infinite slope (0 < p < 1). Elements with
+    Gamma_m = 0, c_m = 0 or a taper that is 0 on the whole interval add
+    nothing.
+
+    Rounding: an interval reaches the best amplitude A* when its bound is
+    >= A* - 1e-9 (A* + sum_m |Gamma_m| A_m). Kernel rounding moves an
+    amplitude by orders of magnitude less than 1e-9 of that incoherent sum,
+    and an amplitude below (1 - 1e-9) A* is strictly below A* in dBm. When
+    A* is at the power floor every evaluated sample ties and the first
+    sample, always evaluated, wins as in a full scan.
+    """
+    if axis not in ("azimuth", "elevation"):
+        raise ValidationError(f"axis must be 'azimuth' or 'elevation', got {axis!r}")
+    require_config_size(scenario, config)
+    offsets = _hpbw_offsets(target, axis)
+    n = len(offsets)
+    gamma = config.as_complex_array[None, :]
+    powers = np.full(n, np.nan)  # NaN marks a sample not evaluated
+    amps = np.full(n, np.nan)
+
+    def evaluate(idx: np.ndarray) -> None:
+        idx = idx[np.isnan(powers[idx])]
+        if idx.size:
+            positions = _arc_positions(target, axis, offsets[idx])
+            sums = np.sum(element_phasor_matrix(scenario, positions) * gamma, axis=-1)
+            powers[idx] = _dbm_from_sums(scenario, sums)
+            amps[idx] = np.abs(sums)
+
+    # 1. coarse pass
+    coarse = np.unique(np.append(np.arange(0, n, _HPBW_COARSE_STEPS), n - 1))
+    evaluate(coarse)
+    # 2. certified peak search
+    widths = np.radians(np.diff(offsets[coarse]))
+    slope, incoherent = _interval_bounds(scenario, config, target, axis, offsets[coarse])
+    bound = 0.5 * (amps[coarse[:-1]] + amps[coarse[1:]] + slope * widths)
+    pending = np.ones(len(widths), dtype=bool)
+    while True:
+        best = np.nanmax(amps)
+        hit = pending & (bound >= best - _CERTIFICATE_RTOL * (best + incoherent))
+        if not hit.any():
+            break
+        pending &= ~hit
+        evaluate(np.concatenate([np.arange(coarse[j], coarse[j + 1]) for j in np.flatnonzero(hit)]))
+
+    k = int(np.argmax(np.where(np.isnan(powers), -np.inf, powers)))
     ref = powers[k] - _HALF_POWER_DB
+    # 3. exact crossings: fill in up to the nearest evaluated sample below ref
+    below = np.flatnonzero(powers < ref)  # NaN compares False
+    evaluate(np.arange(below[below < k].max(initial=0), below[below > k].min(initial=n - 1) + 1))
 
     lo = hi = None
     for t in range(k, 0, -1):

@@ -1,12 +1,21 @@
-"""Shared builders for randomized test scenarios and the exhaustive-search oracle."""
+"""Shared builders for randomized test scenarios and the oracles the package is
+checked against: exhaustive configuration search, scalar per-element phasor
+and pattern products, and the full-scan beamwidth."""
 import itertools
 
 import numpy as np
 
-from rissim.errors import ValidationError
-from rissim.geom import RisLayout, Vec3
-from rissim.linkbudget import AntennaPattern, RisConfig, Scenario, element_phasor_matrix
+from rissim.errors import BeamNotResolvedError, GeometryError, ValidationError
+from rissim.geom import RisLayout, SphericalCoord, Vec3
+from rissim.linkbudget import (
+    AntennaPattern,
+    RisConfig,
+    Scenario,
+    coherent_sums,
+    element_phasor_matrix,
+)
 from rissim.optimizer import ReflectionAlphabet
+from rissim.sweep import _arc_positions, _dbm_from_sums
 
 
 def make_random_scenario(rng: np.random.Generator, m_count: int):
@@ -82,3 +91,78 @@ def brute_force_config(
         flush(chunk)
     assert best_combo is not None
     return RisConfig(tuple(alphabet.states[k] for k in best_combo), alphabet.name)
+
+
+def element_phasor(scenario: Scenario, m: int, ue_position: Vec3) -> complex:
+    """Single-element propagation phasor (reflection coefficient factored out)."""
+    if not 0 <= m < len(scenario.layout):
+        raise ValidationError(f"element index {m} out of range")
+    row = element_phasor_matrix(scenario, ue_position.as_array()[None, :])[0]
+    return complex(row[m])
+
+
+def combined_pattern(scenario: Scenario, m: int, ue_position: Vec3) -> float:
+    """Product of the four normalized pattern factors for element m, in [0, 1]."""
+    if not 0 <= m < len(scenario.layout):
+        raise ValidationError(f"element index {m} out of range")
+    u = scenario.layout.positions[m]
+    a = scenario.bs_position.as_array()
+    b = ue_position.as_array()
+
+    to_el = u - a
+    d1 = np.linalg.norm(to_el)
+    if d1 == 0.0:
+        raise GeometryError("base station coincides with the element center")
+    cos_bs = float(to_el @ (-a / np.linalg.norm(a))) / d1
+    f_bs = float(scenario.bs_pattern.value_at(cos_bs))
+
+    cos_in = a[0] / d1
+    f_in = 0.0 if cos_in <= 0.0 else float(scenario.element_pattern.value_at(cos_in))
+
+    dv = b - u
+    d2 = np.linalg.norm(dv)
+    if d2 == 0.0:
+        raise GeometryError("user position coincides with the element center")
+    cos_out = dv[0] / d2
+    f_out = 0.0 if cos_out <= 0.0 else float(scenario.element_pattern.value_at(cos_out))
+    cos_ue = -dv[2] / d2
+    f_ue = float(scenario.ue_pattern.value_at(cos_ue))
+    return f_bs * f_in * f_out * f_ue
+
+
+def hpbw_full_scan(
+    scenario: Scenario, config: RisConfig, target: SphericalCoord, axis: str
+) -> float:
+    """Half-power beamwidth from every 0.1 degree sample of the +/-45 degree arc.
+
+    The scan rissim.sweep.hpbw must reproduce bit for bit.
+    """
+    if axis not in ("azimuth", "elevation"):
+        raise ValidationError(f"axis must be 'azimuth' or 'elevation', got {axis!r}")
+    n = 450
+    offsets = (np.arange(2 * n + 1) - n) * 0.1
+    if axis == "elevation":
+        valid = (target.elevation_deg + offsets >= -90.0) & (
+            target.elevation_deg + offsets <= 90.0
+        )
+        offsets = offsets[valid]
+    powers = _dbm_from_sums(
+        scenario, coherent_sums(scenario, config, _arc_positions(target, axis, offsets))
+    )
+    k = int(np.argmax(powers))
+    ref = powers[k] - 3.0
+
+    lo = hi = None
+    for t in range(k, 0, -1):
+        if powers[t - 1] < ref <= powers[t]:
+            frac = (powers[t] - ref) / (powers[t] - powers[t - 1])
+            lo = offsets[t] - frac * 0.1
+            break
+    for t in range(k, len(powers) - 1):
+        if powers[t + 1] < ref <= powers[t]:
+            frac = (powers[t] - ref) / (powers[t] - powers[t + 1])
+            hi = offsets[t] + frac * 0.1
+            break
+    if lo is None or hi is None:
+        raise BeamNotResolvedError(f"beam not resolved ({axis} cut)")
+    return float(hi - lo)

@@ -4,7 +4,6 @@ Each test prints a single `[criterion NN] PASS/FAIL` line with the measured
 numbers before asserting, so a full run documents every criterion either way.
 """
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +18,14 @@ from rissim.optimizer import (
     optimize_config,
     uniform_config,
 )
-from rissim.planner import Trajectory, plan_updates, rho_azimuth, rho_radial, update_interval
+from rissim.planner import (
+    Trajectory,
+    arc_waypoints,
+    plan_updates,
+    rho_azimuth,
+    rho_radial,
+    update_interval,
+)
 from rissim.sweep import (
     SounderParams,
     emulate_measurement_grid,
@@ -131,12 +137,7 @@ def test_criterion_06_focus_ellipse_formulas():
 
 def test_criterion_07_update_intervals(scenario, doc):
     exact = update_interval(0.09, 1.0) == 0.09 and update_interval(0.40, 1.0) == 0.40
-    start, end = doc.targets["P2"], doc.targets["P1"]
-    n = int(math.ceil(abs(end.azimuth_deg - start.azimuth_deg) / 0.5))
-    waypoints = tuple(
-        spherical_to_cartesian(replace(start, azimuth_deg=float(az)))
-        for az in np.linspace(start.azimuth_deg, end.azimuth_deg, n + 1)
-    )
+    waypoints = arc_waypoints(doc.targets["P2"], doc.targets["P1"])
     schedule = plan_updates(scenario, Trajectory(waypoints, 1.0), ACTIVE)
     mean = schedule.mean_interval_s
     ok = exact and mean is not None and abs(mean - 0.090) <= 0.020

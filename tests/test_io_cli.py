@@ -192,6 +192,24 @@ class TestCsvFormats:
         with pytest.raises(ValidationError, match="element index"):
             read_config_csv(io.StringIO(text))
 
+    @pytest.mark.parametrize("state", ["x", "-2", "01", "+1", "1.0"])
+    def test_config_read_requires_integer_state(self, state):
+        text = f"# reflective\nm,state,magnitude,phase_deg\n0,{state},0.3,-15\n"
+        with pytest.raises(ValidationError, match="state"):
+            read_config_csv(io.StringIO(text))
+
+    def test_config_read_checks_state_against_named_alphabet(self):
+        alphabets = {"reflective": REFLECTIVE}
+        row = "m,state,magnitude,phase_deg\n0,{},0.3,165\n"
+        for state in ("1", "-1"):
+            text = "# reflective\n" + row.format(state)
+            config = read_config_csv(io.StringIO(text), alphabets)
+            assert config.coefficients == (REFLECTIVE.states[1],)
+        with pytest.raises(ValidationError, match="does not match"):
+            read_config_csv(io.StringIO("# reflective\n" + row.format("0")), alphabets)
+        # an alphabet the reader does not know cannot contradict the index
+        assert len(read_config_csv(io.StringIO("# custom\n" + row.format("0")), alphabets)) == 1
+
     def test_schedule_golden(self):
         events = (
             UpdateEvent(
@@ -328,6 +346,18 @@ class TestCli:
         assert cli_dispatch(["hpbw", "--target", "P2", "--axis", "azimuth",
                              "--config", str(cfg)]) == 1
         assert "element index '5', expected 0" in capsys.readouterr().err
+
+    def test_config_state_contradicting_values_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.csv"
+        assert cli_dispatch(["optimize", "--target", "P2", "--alphabet", "active",
+                             "--out", str(cfg)]) == 0
+        lines = cfg.read_text().splitlines()
+        lines[2] = "0,0,0,0"  # state 0 is 1.25 at 0 deg; the values are state 1
+        cfg.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_dispatch(["hpbw", "--target", "P2", "--axis", "azimuth",
+                             "--config", str(cfg)]) == 1
+        assert "state 0 does not match" in capsys.readouterr().err
 
     def test_compare_identical_grids(self, tmp_path, capsys):
         small = tmp_path / "small.yaml"

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import combined_pattern, element_phasor
 from rissim.errors import GeometryError, ValidationError
 from rissim.geom import RisLayout, Vec3, spherical_to_cartesian
 from rissim.linkbudget import (
@@ -14,8 +15,6 @@ from rissim.linkbudget import (
     ReflectionCoefficient,
     RisConfig,
     Scenario,
-    combined_pattern,
-    element_phasor,
     is_below_floor,
     noise_floor,
     received_power,

@@ -12,6 +12,7 @@ from rissim.optimizer import ACTIVE, uniform_config
 from rissim.planner import (
     FocusEllipse,
     Trajectory,
+    arc_waypoints,
     focus_ellipse,
     plan_updates,
     rho_azimuth,
@@ -154,14 +155,8 @@ class TestFocusEllipse:
             FocusEllipse(Vec3(1, 0, 0), 0.0, 0.3, Vec3(1, 0, 0))
 
 
-def _arc(doc, start_name, end_name, step_deg=0.5):
-    start, end = doc.targets[start_name], doc.targets[end_name]
-    n = max(1, int(math.ceil(abs(end.azimuth_deg - start.azimuth_deg) / step_deg)))
-    azimuths = np.linspace(start.azimuth_deg, end.azimuth_deg, n + 1)
-    return tuple(
-        spherical_to_cartesian(SphericalCoord(start.r, float(az), start.elevation_deg))
-        for az in azimuths
-    )
+def _arc(doc, start_name, end_name):
+    return arc_waypoints(doc.targets[start_name], doc.targets[end_name])
 
 
 class TestPlanUpdates:

@@ -1,0 +1,34 @@
+"""Smoke tests for the experiment scripts, run as separate processes."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import rissim
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _run_script(name, *args):
+    """`python scripts/NAME ARGS` in a child that imports the same rissim as the tests."""
+    src = str(Path(rissim.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_update_planning_script_is_byte_reproducible(tmp_path):
+    outputs = []
+    for tag in ("a", "b"):
+        outdir = tmp_path / tag
+        cp = _run_script("run_update_planning.py", "--outdir", str(outdir))
+        assert cp.returncode == 0, cp.stderr
+        outputs.append(
+            {name: (outdir / name).read_bytes() for name in ("arc_p2_to_p1.csv", "radial_from_p2.csv")}
+        )
+    assert outputs[0] == outputs[1]
+    assert all(outputs[0].values())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import linear_mean_dbm, make_random_scenario
+from helpers import hpbw_full_scan, linear_mean_dbm, make_random_scenario
 from rissim.errors import (
     BeamNotResolvedError,
     GeometryError,
@@ -22,7 +22,10 @@ from rissim.linkbudget import (
     noise_floor,
     received_power,
 )
-from rissim.optimizer import uniform_config
+import rissim.sweep
+from rissim.io_cli import resolve_scenario
+from rissim.linkbudget import RisConfig, coherent_sums
+from rissim.optimizer import ACTIVE, REFLECTIVE, optimize_config, uniform_config
 from rissim.sweep import (
     GridSpec,
     PowerGrid,
@@ -258,6 +261,114 @@ class TestHpbw:
     def test_invalid_axis(self, scenario, active_p2, p2):
         with pytest.raises(ValidationError):
             hpbw(scenario, active_p2, p2, "range")
+
+
+def _hpbw_or_error(fn, scenario, config, target, axis):
+    try:
+        return np.float64(fn(scenario, config, target, axis)).tobytes()
+    except BeamNotResolvedError:
+        return BeamNotResolvedError
+
+
+class TestHpbwMatchesFullScan:
+    """hpbw evaluates part of the arc; its results must equal a scan of all of it."""
+
+    @pytest.mark.parametrize(
+        "spec, seed",
+        [({}, 4401), ({"ris": {"rings": 12}}, 4402)],
+        ids=["127-elements", "469-elements"],
+    )
+    def test_bitwise_equal_over_configs_alphabets_and_axes(self, spec, seed):
+        doc = resolve_scenario(spec)
+        scenario, m = doc.scenario, len(doc.scenario.layout)
+        rng = np.random.default_rng(seed)
+        # near the poles the +/-90 degree cut-off shortens the last coarse interval
+        targets = [doc.targets["P1"], SphericalCoord(1.4, -20.0, -85.5)]
+        if m == 127:
+            targets += [
+                doc.targets["P2"],
+                SphericalCoord(2.0, 5.0, 88.7),
+                SphericalCoord(float(rng.uniform(0.8, 2.5)), float(rng.uniform(-60.0, 60.0)), -30.0),
+            ]
+        for target in targets:
+            for alphabet in (REFLECTIVE, ACTIVE):
+                states = rng.integers(0, len(alphabet.states), m)
+                configs = (
+                    optimize_config(scenario, spherical_to_cartesian(target), alphabet),
+                    RisConfig(tuple(alphabet.states[k] for k in states), alphabet.name),
+                    uniform_config(scenario.layout, alphabet.states[0], alphabet.name),
+                )
+                for config in configs:
+                    for axis in ("azimuth", "elevation"):
+                        got = _hpbw_or_error(hpbw, scenario, config, target, axis)
+                        want = _hpbw_or_error(hpbw_full_scan, scenario, config, target, axis)
+                        assert got == want, (target, alphabet.name, axis)
+
+    def test_all_off_config_is_unresolved_like_the_full_scan(self, scenario, p2):
+        config = uniform_config(scenario.layout, ReflectionCoefficient(0.0, 0.0), "all_off")
+        for axis in ("azimuth", "elevation"):
+            for fn in (hpbw, hpbw_full_scan):
+                with pytest.raises(BeamNotResolvedError):
+                    fn(scenario, config, p2, axis)
+
+    @pytest.mark.parametrize(
+        "element_q, ue_q",
+        [(0.0, 0.0), (1.0, 0.5), (3.0, 2.5), (0.0, 1.0)],
+        ids=["element-step", "ue-root-taper", "smooth-tapers", "step-and-linear"],
+    )
+    def test_bitwise_equal_under_other_pattern_exponents(self, scenario, p1, p2, element_q, ue_q):
+        variant = replace(
+            scenario,
+            element_pattern=AntennaPattern(0.0, element_q),
+            ue_pattern=AntennaPattern(3.2, ue_q),
+        )
+        for target in (p1, p2, SphericalCoord(1.4, 75.0, 10.0)):
+            for alphabet in (REFLECTIVE, ACTIVE):
+                config = optimize_config(variant, spherical_to_cartesian(target), alphabet)
+                for axis in ("azimuth", "elevation"):
+                    got = _hpbw_or_error(hpbw, variant, config, target, axis)
+                    assert got == _hpbw_or_error(hpbw_full_scan, variant, config, target, axis)
+
+    @pytest.mark.parametrize("axis", ["azimuth", "elevation"])
+    def test_interval_bound_holds_at_every_fine_sample(self, scenario, doc, axis):
+        rng = np.random.default_rng(4403)
+        for target in (doc.targets["P1"], SphericalCoord(0.9, -50.0, 20.0)):
+            offsets = rissim.sweep._hpbw_offsets(target, axis)
+            coarse = np.unique(np.append(np.arange(0, len(offsets), 10), len(offsets) - 1))
+            widths = np.radians(np.diff(offsets[coarse]))
+            for alphabet in (REFLECTIVE, ACTIVE):
+                for _ in range(3):
+                    states = rng.integers(0, len(alphabet.states), len(scenario.layout))
+                    config = RisConfig(tuple(alphabet.states[k] for k in states), alphabet.name)
+                    amps = np.abs(coherent_sums(
+                        scenario, config, rissim.sweep._arc_positions(target, axis, offsets)
+                    ))
+                    slope, _ = rissim.sweep._interval_bounds(
+                        scenario, config, target, axis, offsets[coarse]
+                    )
+                    for j, (a, b) in enumerate(zip(coarse[:-1], coarse[1:])):
+                        bound = 0.5 * (amps[a] + amps[b] + slope[j] * widths[j])
+                        assert amps[a:b + 1].max() <= bound * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("target_name", ["P1", "P2"])
+    @pytest.mark.parametrize("alphabet", [REFLECTIVE, ACTIVE], ids=lambda a: a.name)
+    def test_focused_beams_evaluate_few_arc_points(
+        self, monkeypatch, scenario, doc, target_name, alphabet
+    ):
+        target = doc.targets[target_name]
+        config = optimize_config(scenario, spherical_to_cartesian(target), alphabet)
+        kernel = rissim.sweep.element_phasor_matrix
+        rows = []
+
+        def counting(scenario, positions):
+            rows.append(len(positions))
+            return kernel(scenario, positions)
+
+        monkeypatch.setattr(rissim.sweep, "element_phasor_matrix", counting)
+        for axis in ("azimuth", "elevation"):
+            rows.clear()
+            hpbw(scenario, config, target, axis)
+            assert 0 < sum(rows) <= 300, (axis, sum(rows))
 
 
 class TestCompareGrids:
