@@ -19,7 +19,6 @@ from rissim.planner import (
     plan_updates,
     radial_waypoints,
 )
-from rissim.sweep import hpbw
 
 
 def main() -> None:
@@ -42,11 +41,9 @@ def main() -> None:
             config = optimize_config(
                 scenario, spherical_to_cartesian(target), doc.alphabets[alphabet_name]
             )
-            alpha = hpbw(scenario, config, target, "azimuth")
-            beta = hpbw(scenario, config, target, "elevation")
             ellipse = focus_ellipse(scenario, config, target)
             print(
-                f"{name:<6} {alphabet_name:<12} {alpha:6.2f}d {beta:6.2f}d "
+                f"{name:<6} {alphabet_name:<12} {ellipse.alpha_deg:6.2f}d {ellipse.beta_deg:6.2f}d "
                 f"{ellipse.rho_a * 100:6.1f}cm {ellipse.rho_r * 100:6.1f}cm"
             )
 

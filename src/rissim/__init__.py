@@ -62,7 +62,6 @@ from .sweep import (
     Peak,
     PowerGrid,
     SounderParams,
-    average_ir_power,
     compare_grids,
     emulate_measurement_grid,
     find_peak,

@@ -598,7 +598,7 @@ def _cmd_sweep(args) -> int:
     config = _resolve_config(doc, args)
     grid = _grid_for(doc, args)
     label = args.label if args.label is not None else f"sweep:{config.alphabet_name}"
-    result = sweep_power(doc.scenario, config, grid, workers=args.workers, label=label)
+    result = sweep_power(doc.scenario, config, grid, label=label)
     _emit(lambda f: write_power_grid_csv(result, f), args.out)
     if args.pgm is not None:
         export_heatmap(result, args.min_dbm, args.max_dbm, args.pgm)
@@ -615,9 +615,7 @@ def _cmd_emulate(args) -> int:
     if args.no_noise:
         sounder = replace(sounder, noise_enabled=False)
     label = args.label if args.label is not None else f"emulate:{config.alphabet_name}"
-    result = emulate_measurement_grid(
-        doc.scenario, config, grid, sounder, workers=args.workers, label=label
-    )
+    result = emulate_measurement_grid(doc.scenario, config, grid, sounder, label=label)
     _emit(lambda f: write_power_grid_csv(result, f), args.out)
     if args.pgm is not None:
         export_heatmap(result, args.min_dbm, args.max_dbm, args.pgm)
@@ -720,7 +718,6 @@ def _add_grid_output(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="drop the last x row (30 x 46 sampling instead of 31 x 46)",
     )
-    parser.add_argument("--workers", type=int, default=1, help="parallel row evaluation")
     parser.add_argument("--label", help="grid label")
 
 

@@ -45,14 +45,6 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def linear_mw_to_dbm(p_mw: float) -> float:
-    """dBm of a linear milliwatt power, clamped at the below-floor sentinel."""
-    if p_mw <= _BELOW_FLOOR_MW:
-        return BELOW_FLOOR_DBM
-    # np.log10 keeps scalar and vectorized conversions bit-identical
-    return float(10.0 * np.log10(p_mw))
-
-
 def _wrap_phase_deg(phase: float) -> float:
     wrapped = (phase + 180.0) % 360.0 - 180.0
     return 180.0 if wrapped == -180.0 else wrapped
@@ -232,11 +224,18 @@ def coherent_sums(scenario: Scenario, config: RisConfig, positions: np.ndarray) 
     return np.sum(phasors * config.as_complex_array[None, :], axis=-1)
 
 
+def dbm_from_sums(scenario: Scenario, sums: np.ndarray) -> np.ndarray:
+    """Received power in dBm of coherent element sums, clamped at the below-floor sentinel."""
+    p_mw = prefactor_mw(scenario) * (sums.real**2 + sums.imag**2)
+    with np.errstate(divide="ignore"):
+        dbm = 10.0 * np.log10(p_mw)
+    return np.where(p_mw <= _BELOW_FLOOR_MW, BELOW_FLOOR_DBM, dbm)
+
+
 def received_power(scenario: Scenario, config: RisConfig, ue_position: Vec3) -> float:
     """Received power in dBm at a user position; deterministic, noise-free."""
-    s = coherent_sums(scenario, config, ue_position.as_array()[None, :])[0]
-    p_mw = prefactor_mw(scenario) * (s.real * s.real + s.imag * s.imag)
-    return linear_mw_to_dbm(float(p_mw))
+    sums = coherent_sums(scenario, config, ue_position.as_array()[None, :])
+    return float(dbm_from_sums(scenario, sums)[0])
 
 
 def noise_floor(

@@ -38,13 +38,16 @@ class FocusEllipse:
 
     orientation is the horizontal unit vector from the surface origin's
     ground projection toward the center; rho_r is the semi-axis along it and
-    rho_a the semi-axis across it.
+    rho_a the semi-axis across it. alpha_deg and beta_deg are the azimuth
+    and elevation beamwidths the semi-axes were derived from.
     """
 
     center: Vec3
     rho_a: float
     rho_r: float
     orientation: Vec3
+    alpha_deg: float
+    beta_deg: float
 
     def __post_init__(self):
         if not (self.rho_a > 0.0 and self.rho_r > 0.0):
@@ -148,6 +151,8 @@ def focus_ellipse(
         rho_a=rho_azimuth(target.r, alpha),
         rho_r=rho_radial(0.0, center.z, abs(target.elevation_deg), beta),
         orientation=orientation,
+        alpha_deg=alpha,
+        beta_deg=beta,
     )
 
 

@@ -1,20 +1,21 @@
 """Power patterns over the positioning-table plane and beamwidth extraction.
 
-sweep_power evaluates the deterministic model on a rectangular grid;
-emulate_measurement_grid reproduces the sounder pipeline instead: per cell it
-synthesizes Q impulse-response records (deterministic signal tap plus complex
-white noise calibrated to the thermal floor) and averages them coherently,
+sweep_power evaluates the deterministic model on a rectangular grid, one
+kernel call per grid row. emulate_measurement_grid reproduces the channel
+sounder, which averages Q impulse-response records coherently over the tap
+window [n1, n2],
 
-    P(x, y) = P_tx / Q * | sum_{n=n1..n2} sum_{q=1..Q} h_q[n] |^2.
+    P(x, y) = P_tx / Q * | sum_{n=n1..n2} sum_{q=1..Q} h_q[n] |^2,
 
-Grid cells are independent; rows may be evaluated concurrently. The noise
-generator is seeded per cell from (seed, i, j) so parallel and serial runs
-are bit-identical.
+with each record a deterministic signal tap plus complex white noise
+calibrated to the thermal floor. The window sum of the Q (n2 - n1 + 1)
+Gaussian noise taps is a single complex Gaussian, so the emulator draws it
+directly: one CN(0, N) value per cell added to the deterministic field, N
+the closed-form floor. One generator seeded with rng_seed draws the grid.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,16 +24,14 @@ import numpy as np
 from .errors import BeamNotResolvedError, NoPeakError, ValidationError
 from .geom import SphericalCoord
 from .linkbudget import (
-    BELOW_FLOOR_DBM,
-    _BELOW_FLOOR_MW,
     RisConfig,
     Scenario,
     _bs_side,
     coherent_sums,
     db_to_linear,
+    dbm_from_sums,
     element_phasor_matrix,
     is_below_floor,
-    linear_mw_to_dbm,
     noise_floor,
     prefactor_mw,
     require_config_size,
@@ -104,8 +103,12 @@ class SounderParams:
     """Measurement-pipeline emulation parameters.
 
     averages is the record count Q; the impulse-response window spans taps
-    [window_start, window_stop]. noise_enabled=False is the zero-noise switch
-    used to validate the pipeline against the deterministic sweep.
+    [window_start, window_stop]. The per-tap noise variance is calibrated so
+    that the window sum reproduces the closed-form floor, so the window's
+    length and position do not change the emulated distribution; they are
+    kept as scenario parameters of the pipeline. noise_enabled=False is the
+    zero-noise switch used to validate the pipeline against the
+    deterministic sweep.
     """
 
     averages: int = 50
@@ -122,6 +125,8 @@ class SounderParams:
             raise ValidationError("averages must be >= 1")
         if not 1 <= self.window_start <= self.window_stop:
             raise ValidationError("window taps must satisfy 1 <= start <= stop")
+        if self.rng_seed < 0:
+            raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 class Peak(NamedTuple):
@@ -149,69 +154,18 @@ def _row_positions(grid: GridSpec, i: int) -> np.ndarray:
     return pts
 
 
-def _dbm_from_sums(scenario: Scenario, sums: np.ndarray) -> np.ndarray:
-    p_mw = prefactor_mw(scenario) * (sums.real**2 + sums.imag**2)
-    with np.errstate(divide="ignore"):
-        dbm = 10.0 * np.log10(p_mw)
-    return np.where(p_mw <= _BELOW_FLOOR_MW, BELOW_FLOOR_DBM, dbm)
+def _grid_sums(scenario: Scenario, config: RisConfig, grid: GridSpec) -> np.ndarray:
+    """(nx, ny) coherent sums, one kernel call per grid row."""
+    rows = [coherent_sums(scenario, config, _row_positions(grid, i)) for i in range(grid.nx)]
+    return np.stack(rows)
 
 
 def sweep_power(
-    scenario: Scenario,
-    config: RisConfig,
-    grid: GridSpec,
-    workers: int = 1,
-    label: str = "",
+    scenario: Scenario, config: RisConfig, grid: GridSpec, label: str = ""
 ) -> PowerGrid:
-    """Deterministic received-power map; independent of evaluation order."""
-
-    def row(i: int) -> np.ndarray:
-        return _dbm_from_sums(scenario, coherent_sums(scenario, config, _row_positions(grid, i)))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, range(grid.nx)))
-    else:
-        rows = [row(i) for i in range(grid.nx)]
-    return PowerGrid(grid, np.vstack(rows), label=label, fingerprint=scenario_fingerprint(scenario))
-
-
-def average_ir_power(
-    ir_records: np.ndarray, n1: int, n2: int, tx_power_dbm: float
-) -> float:
-    """Coherently average Q impulse-response records and return power in dBm.
-
-    ir_records: (Q, L) complex taps. The window [n1, n2] must lie within the
-    record length.
-    """
-    records = np.asarray(ir_records, dtype=complex)
-    if records.ndim != 2 or records.shape[0] < 1:
-        raise ValidationError(f"need a (Q, L) record array, got shape {records.shape}")
-    if n1 > n2:
-        raise ValidationError(f"empty tap window [{n1}, {n2}]")
-    if n1 < 0 or n2 >= records.shape[1]:
-        raise ValidationError(
-            f"window [{n1}, {n2}] outside record length {records.shape[1]}"
-        )
-    q = records.shape[0]
-    s = np.sum(records[:, n1 : n2 + 1])
-    p_mw = db_to_linear(tx_power_dbm) / q * float(s.real * s.real + s.imag * s.imag)
-    return linear_mw_to_dbm(p_mw)
-
-
-def _noise_tap_variance_mw(scenario: Scenario, sounder: SounderParams) -> float:
-    """Per-tap complex noise variance so that noise-only input reproduces the
-    closed-form floor in expectation, including the window-length factor."""
-    floor_mw = db_to_linear(
-        noise_floor(
-            sounder.temperature_k,
-            sounder.bandwidth_hz,
-            sounder.averages,
-            sounder.noise_figure_db,
-        )
-    )
-    window = sounder.window_stop - sounder.window_start + 1
-    return floor_mw / (db_to_linear(scenario.tx_power_dbm) * window)
+    """Deterministic received-power map."""
+    values = dbm_from_sums(scenario, _grid_sums(scenario, config, grid))
+    return PowerGrid(grid, values, label=label, fingerprint=scenario_fingerprint(scenario))
 
 
 def emulate_measurement_grid(
@@ -219,47 +173,28 @@ def emulate_measurement_grid(
     config: RisConfig,
     grid: GridSpec,
     sounder: SounderParams,
-    workers: int = 1,
     label: str = "",
 ) -> PowerGrid:
-    """Synthetic sounder measurement over the grid; reproducible per rng_seed."""
-    pref = prefactor_mw(scenario)
-    tx_mw = db_to_linear(scenario.tx_power_dbm)
-    q = sounder.averages
-    n1, n2 = sounder.window_start, sounder.window_stop
-    mid = (n1 + n2) // 2
-    taps = n2 + 1
-    sigma2 = _noise_tap_variance_mw(scenario, sounder) if sounder.noise_enabled else 0.0
-    scale = math.sqrt(sigma2 / 2.0)
+    """Synthetic sounder measurement over the grid; reproducible per rng_seed.
 
-    def row(i: int) -> np.ndarray:
-        sums = coherent_sums(scenario, config, _row_positions(grid, i))
-        out = np.empty(grid.ny)
-        for j in range(grid.ny):
-            a = sums[j]
-            mag2 = a.real * a.real + a.imag * a.imag
-            if mag2 > 0.0:
-                # signal tap amplitude chosen so the noise-free pipeline
-                # returns exactly the deterministic received power
-                s = math.sqrt(pref * mag2 / (tx_mw * q)) * (a / abs(a))
-            else:
-                s = 0.0
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=sounder.rng_seed, spawn_key=(i, j))
+    Each cell reads |sqrt(pref) S + sqrt(N) z|^2 with S the coherent sum, N
+    the closed-form noise floor in mW and z ~ CN(0, 1) drawn once per grid.
+    """
+    sums = _grid_sums(scenario, config, grid)
+    if sounder.noise_enabled:
+        floor_mw = db_to_linear(
+            noise_floor(
+                sounder.temperature_k,
+                sounder.bandwidth_hz,
+                sounder.averages,
+                sounder.noise_figure_db,
             )
-            records = scale * (
-                rng.standard_normal((q, taps)) + 1j * rng.standard_normal((q, taps))
-            )
-            records[:, mid] += s
-            out[j] = average_ir_power(records, n1, n2, scenario.tx_power_dbm)
-        return out
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(row, range(grid.nx)))
-    else:
-        rows = [row(i) for i in range(grid.nx)]
-    return PowerGrid(grid, np.vstack(rows), label=label, fingerprint=scenario_fingerprint(scenario))
+        )
+        z = np.random.default_rng(sounder.rng_seed).standard_normal((grid.nx, grid.ny, 2))
+        scale = math.sqrt(floor_mw / (2.0 * prefactor_mw(scenario)))
+        sums = sums + scale * (z[..., 0] + 1j * z[..., 1])
+    values = dbm_from_sums(scenario, sums)
+    return PowerGrid(grid, values, label=label, fingerprint=scenario_fingerprint(scenario))
 
 
 def find_peak(grid: PowerGrid) -> Peak:
@@ -441,7 +376,7 @@ def hpbw(
         if idx.size:
             positions = _arc_positions(target, axis, offsets[idx])
             sums = np.sum(element_phasor_matrix(scenario, positions) * gamma, axis=-1)
-            powers[idx] = _dbm_from_sums(scenario, sums)
+            powers[idx] = dbm_from_sums(scenario, sums)
             amps[idx] = np.abs(sums)
 
     # 1. coarse pass

@@ -1,21 +1,28 @@
 """Shared builders for randomized test scenarios and the oracles the package is
 checked against: exhaustive configuration search, scalar per-element phasor
-and pattern products, and the full-scan beamwidth."""
+and pattern products, the full-scan beamwidth and the record-level sounder."""
 import itertools
+import math
 
 import numpy as np
 
 from rissim.errors import BeamNotResolvedError, GeometryError, ValidationError
 from rissim.geom import RisLayout, SphericalCoord, Vec3
 from rissim.linkbudget import (
+    _BELOW_FLOOR_MW,
+    BELOW_FLOOR_DBM,
     AntennaPattern,
     RisConfig,
     Scenario,
     coherent_sums,
+    db_to_linear,
+    dbm_from_sums,
     element_phasor_matrix,
+    noise_floor,
+    prefactor_mw,
 )
 from rissim.optimizer import ReflectionAlphabet
-from rissim.sweep import _arc_positions, _dbm_from_sums
+from rissim.sweep import SounderParams, _arc_positions
 
 
 def make_random_scenario(rng: np.random.Generator, m_count: int):
@@ -146,7 +153,7 @@ def hpbw_full_scan(
             target.elevation_deg + offsets <= 90.0
         )
         offsets = offsets[valid]
-    powers = _dbm_from_sums(
+    powers = dbm_from_sums(
         scenario, coherent_sums(scenario, config, _arc_positions(target, axis, offsets))
     )
     k = int(np.argmax(powers))
@@ -166,3 +173,85 @@ def hpbw_full_scan(
     if lo is None or hi is None:
         raise BeamNotResolvedError(f"beam not resolved ({axis} cut)")
     return float(hi - lo)
+
+
+def average_ir_power(
+    ir_records: np.ndarray, n1: int, n2: int, tx_power_dbm: float
+) -> float:
+    """Coherently average Q impulse-response records and return power in dBm.
+
+    ir_records: (Q, L) complex taps. The window [n1, n2] must lie within the
+    record length.
+    """
+    records = np.asarray(ir_records, dtype=complex)
+    if records.ndim != 2 or records.shape[0] < 1:
+        raise ValidationError(f"need a (Q, L) record array, got shape {records.shape}")
+    if n1 > n2:
+        raise ValidationError(f"empty tap window [{n1}, {n2}]")
+    if n1 < 0 or n2 >= records.shape[1]:
+        raise ValidationError(
+            f"window [{n1}, {n2}] outside record length {records.shape[1]}"
+        )
+    q = records.shape[0]
+    s = np.sum(records[:, n1 : n2 + 1])
+    p_mw = db_to_linear(tx_power_dbm) / q * float(s.real * s.real + s.imag * s.imag)
+    if p_mw <= _BELOW_FLOOR_MW:
+        return BELOW_FLOOR_DBM
+    return float(10.0 * np.log10(p_mw))
+
+
+def _noise_tap_variance_mw(scenario: Scenario, sounder: SounderParams) -> float:
+    """Per-tap complex noise variance so that noise-only input reproduces the
+    closed-form floor in expectation, including the window-length factor."""
+    floor_mw = db_to_linear(
+        noise_floor(
+            sounder.temperature_k,
+            sounder.bandwidth_hz,
+            sounder.averages,
+            sounder.noise_figure_db,
+        )
+    )
+    window = sounder.window_stop - sounder.window_start + 1
+    return floor_mw / (db_to_linear(scenario.tx_power_dbm) * window)
+
+
+def record_level_power(
+    scenario: Scenario, sounder: SounderParams, a: complex, rng: np.random.Generator
+) -> float:
+    """One sounder reading in dBm at a cell whose coherent sum is a.
+
+    Synthesizes Q records of n2 + 1 taps (complex white noise plus the signal
+    tap at the window center) and averages them over the window [n1, n2].
+    """
+    pref = prefactor_mw(scenario)
+    tx_mw = db_to_linear(scenario.tx_power_dbm)
+    q = sounder.averages
+    n1, n2 = sounder.window_start, sounder.window_stop
+    mid = (n1 + n2) // 2
+    taps = n2 + 1
+    sigma2 = _noise_tap_variance_mw(scenario, sounder) if sounder.noise_enabled else 0.0
+    scale = math.sqrt(sigma2 / 2.0)
+    mag2 = a.real * a.real + a.imag * a.imag
+    if mag2 > 0.0:
+        # signal tap amplitude chosen so the noise-free pipeline
+        # returns exactly the deterministic received power
+        s = math.sqrt(pref * mag2 / (tx_mw * q)) * (a / abs(a))
+    else:
+        s = 0.0
+    records = scale * (rng.standard_normal((q, taps)) + 1j * rng.standard_normal((q, taps)))
+    records[:, mid] += s
+    return average_ir_power(records, n1, n2, scenario.tx_power_dbm)
+
+
+def ks_statistic(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: sup |F_a - F_b| over the samples."""
+    a, b = np.sort(np.asarray(a, dtype=float)), np.sort(np.asarray(b, dtype=float))
+    pooled = np.concatenate([a, b])
+    f_a = np.searchsorted(a, pooled, side="right") / len(a)
+    f_b = np.searchsorted(b, pooled, side="right") / len(b)
+    return float(np.max(np.abs(f_a - f_b)))
+
+
+def ks_critical_value(n: int, m: int, alpha: float) -> float:
+    """Asymptotic two-sample KS critical value at false-rejection rate alpha."""
+    return math.sqrt(-math.log(alpha / 2.0) * (n + m) / (2.0 * n * m))

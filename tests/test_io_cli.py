@@ -324,6 +324,20 @@ class TestCli:
     def test_sweep_requires_one_config_source(self, capsys):
         assert cli_dispatch(["sweep", "--all-off", "--target", "P1"]) == 1
 
+    def test_workers_option_rejected(self, capsys):
+        assert cli_dispatch(["sweep", "--all-off", "--workers", "2"]) == 1
+        assert "--workers" in capsys.readouterr().err
+
+    def test_negative_seed_flag_rejected(self, capsys):
+        assert cli_dispatch(["emulate", "--all-off", "--seed", "-1"]) == 1
+        assert "error: rng_seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_negative_seed_in_scenario_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("sounder: {rng_seed: -5}\n")
+        assert cli_dispatch(["--scenario", str(bad), "emulate", "--all-off"]) == 1
+        assert capsys.readouterr().err.startswith("error: rng_seed must be >= 0, got -5")
+
     def test_tampered_named_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.csv"
         assert cli_dispatch(["optimize", "--target", "P1", "--alphabet", "reflective",

@@ -152,7 +152,7 @@ class TestFocusEllipse:
 
     def test_semi_axis_validation(self):
         with pytest.raises(ValidationError):
-            FocusEllipse(Vec3(1, 0, 0), 0.0, 0.3, Vec3(1, 0, 0))
+            FocusEllipse(Vec3(1, 0, 0), 0.0, 0.3, Vec3(1, 0, 0), 10.0, 10.0)
 
 
 def _arc(doc, start_name, end_name):
@@ -219,6 +219,8 @@ class TestPlanUpdates:
                 a.rho_a,
                 a.rho_r,
                 Vec3(a.position.x / horiz, a.position.y / horiz, 0.0),
+                alpha_deg=math.nan,  # not recorded in the schedule
+                beta_deg=math.nan,
             )
             for t in np.linspace(a.t_s, b.t_s - 1e-3, 7):
                 assert ellipse.contains(pos_at(float(t)))

@@ -32,3 +32,16 @@ def test_update_planning_script_is_byte_reproducible(tmp_path):
         )
     assert outputs[0] == outputs[1]
     assert all(outputs[0].values())
+
+
+def test_power_patterns_script_is_byte_reproducible(tmp_path):
+    outputs = []
+    for tag in ("a", "b"):
+        outdir = tmp_path / tag
+        cp = _run_script("run_power_patterns.py", "--outdir", str(outdir))
+        assert cp.returncode == 0, cp.stderr
+        outputs.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
+    # six cases, a simulated and an emulated grid each, as CSV and PGM
+    assert len(outputs[0]) == 24
+    assert outputs[0] == outputs[1]
+    assert all(outputs[0].values())
