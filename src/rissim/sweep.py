@@ -102,12 +102,14 @@ class PowerGrid:
 class SounderParams:
     """Measurement-pipeline emulation parameters.
 
-    averages is the record count Q; the impulse-response window spans taps
-    [window_start, window_stop]. The per-tap noise variance is calibrated so
-    that the window sum reproduces the closed-form floor, so the window's
-    length and position do not change the emulated distribution; they are
-    kept as scenario parameters of the pipeline. noise_enabled=False is the
-    zero-noise switch used to validate the pipeline against the
+    averages is the record count Q. The emulator draws each cell's window sum
+    directly, with the closed-form noise floor noise_floor(T, B, Q, NF) as its
+    variance. window_start/window_stop (the impulse-response taps
+    [start, stop]) are validated and kept for compatibility with the scenario
+    format, but the emulator does not read them: the window's length and
+    position do not change the emulated distribution. Only the record-level
+    oracle in the tests synthesizes taps over the window. noise_enabled=False
+    is the zero-noise switch used to validate the emulator against the
     deterministic sweep.
     """
 

@@ -447,22 +447,33 @@ class TestCompareGrids:
         result = compare_grids(sweep_refl_p1, emulated)
         assert abs(result.peak_delta_db) <= 1.0
         assert result.rmse_db <= 1.0
-        # The focus ridge is flat to a fraction of a dB over several cells, so
-        # the noise moves the emulated peak among them: for about a third of
-        # the seeds it lands more than one cell from the simulated peak. It
-        # must land on a cell whose noise bound reaches the simulated peak's.
-        # Each cell reads |sqrt(P) + sqrt(N) z|^2 with |z|^2 ~ Exp(1), so
-        # |z|^2 <= t on every cell except with probability cells * e^-t = 1e-6.
+        # Noise envelope: a cell reads |sqrt(P) e^(i phi) + sqrt(N) z|^2 with
+        # z ~ CN(0, 1), so its amplitude lies within sqrt(N) |z| of sqrt(P);
+        # |z|^2 ~ Exp(1) stays below t on every cell except with probability
+        # cells * e^-t = 1e-6. A grid evaluated one cell off breaks the
+        # envelope on a few hundred cells.
         floor_mw = 10.0 ** (noise_floor(
             sounder.temperature_k, sounder.bandwidth_hz, sounder.averages,
             sounder.noise_figure_db,
         ) / 10.0)
         t = -math.log(1e-6 / sweep_refl_p1.values.size)
-        sim_mw = 10.0 ** (sweep_refl_p1.values / 10.0)
-        w = np.sqrt(t * floor_mw / sim_mw)  # bound on |noise| / |signal| amplitude
-        sim, meas = find_peak(sweep_refl_p1), find_peak(emulated)
-        best_case = sim_mw[meas.i, meas.j] * (1.0 + w[meas.i, meas.j]) ** 2
-        assert best_case >= sim_mw[sim.i, sim.j] * (1.0 - w[sim.i, sim.j]) ** 2
+        reach = math.sqrt(t * floor_mw)
+        sim_amp = np.sqrt(10.0 ** (sweep_refl_p1.values / 10.0))
+        meas_amp = np.sqrt(10.0 ** (emulated.values / 10.0))
+        assert np.all(np.abs(meas_amp - sim_amp) <= reach)
+        # Peak location: the focus ridge is flat to a fraction of a dB over
+        # several cells, so the noise moves the emulated peak among them (more
+        # than one cell from the simulated peak on about 40% of seeds). Inside
+        # the envelope it can only land on a cell whose amplitude plus reach
+        # meets the simulated peak's minus reach, so it is no farther from the
+        # simulated peak than the farthest such cell.
+        sim = find_peak(sweep_refl_p1)
+        candidates = np.argwhere(sim_amp + reach >= sim_amp[sim.i, sim.j] - reach)
+        radius = max(
+            math.hypot(x - sim.x, y - sim.y)
+            for x, y in (doc.grid.cell_xy(i, j) for i, j in candidates)
+        )
+        assert result.peak_offset_m <= radius
 
     def test_spec_mismatch_rejected(self, sweep_refl_p1):
         other = GridSpec(0.0, 0.0, 0.02, 0.02, 2, 2, 0.0)
