@@ -419,12 +419,15 @@ def write_power_grid_csv(grid: PowerGrid, stream) -> None:
         f"# {_fmt(s.x0)},{_fmt(s.y0)},{_fmt(s.dx)},{_fmt(s.dy)},{s.nx},{s.ny},"
         f"{_fmt(s.z_plane)},{grid.label}\n"
     )
-    for i in range(s.nx):
-        x = s.x0 + s.dx * i
-        for j in range(s.ny):
-            v = grid.values[i, j]
-            text = "-inf" if is_below_floor(v) else _fmt(v)
-            stream.write(f"{i},{j},{_fmt(x)},{_fmt(s.y0 + s.dy * j)},{text}\n")
+    ys = [(j, _fmt(s.y0 + s.dy * j)) for j in range(s.ny)]
+    lines = []
+    for i, row in enumerate(grid.values.tolist()):
+        x = _fmt(s.x0 + s.dx * i)
+        lines.extend(
+            f"{i},{j},{x},{y},{'-inf' if is_below_floor(v) else _fmt(v)}\n"
+            for (j, y), v in zip(ys, row)
+        )
+    stream.write("".join(lines))
 
 
 def read_power_grid_csv(stream) -> PowerGrid:
@@ -533,6 +536,14 @@ def _load_config_file(doc: ScenarioDoc, path) -> RisConfig:
     return config
 
 
+def _alphabet(doc: ScenarioDoc, args) -> ReflectionAlphabet:
+    """The --alphabet named on the command line, else the scenario's default."""
+    name = args.alphabet or doc.alphabet_name
+    if name not in doc.alphabets:
+        raise ValidationError(f"--alphabet: {name!r} is not one of {sorted(doc.alphabets)}")
+    return doc.alphabets[name]
+
+
 def _resolve_config(doc: ScenarioDoc, args) -> RisConfig:
     sources = [
         getattr(args, "config", None) is not None,
@@ -551,7 +562,7 @@ def _resolve_config(doc: ScenarioDoc, args) -> RisConfig:
     if args.off_structural:
         off = doc.alphabets["off_structural"]
         return uniform_config(doc.scenario.layout, off.states[0], off.name)
-    alphabet = doc.alphabets[args.alphabet or doc.alphabet_name]
+    alphabet = _alphabet(doc, args)
     target = spherical_to_cartesian(_parse_target(doc, args.target))
     return optimize_config(doc.scenario, target, alphabet)
 
@@ -577,7 +588,7 @@ def _cmd_layout(args) -> int:
 
 def _cmd_optimize(args) -> int:
     doc = _load_doc(args)
-    alphabet = doc.alphabets[args.alphabet or doc.alphabet_name]
+    alphabet = _alphabet(doc, args)
     target = spherical_to_cartesian(_parse_target(doc, args.target))
     config = optimize_config(doc.scenario, target, alphabet)
     _emit(lambda f: write_config_csv(config, f, alphabet), args.out)
@@ -626,7 +637,7 @@ def _config_file_or_optimized(doc: ScenarioDoc, args, target: SphericalCoord) ->
     """The --config file when given, else the configuration optimized for target."""
     if args.config is not None:
         return _load_config_file(doc, args.config)
-    alphabet = doc.alphabets[args.alphabet or doc.alphabet_name]
+    alphabet = _alphabet(doc, args)
     return optimize_config(doc.scenario, spherical_to_cartesian(target), alphabet)
 
 
@@ -671,7 +682,7 @@ def _cmd_plan(args) -> int:
             raise ValidationError("--motion radial requires --distance")
         waypoints = radial_waypoints(start, args.distance)
     trajectory = Trajectory(waypoints, args.speed)
-    alphabet = doc.alphabets[args.alphabet or doc.alphabet_name]
+    alphabet = _alphabet(doc, args)
     schedule = plan_updates(doc.scenario, trajectory, alphabet)
     _emit(lambda f: write_schedule_csv(schedule, f), args.out)
     mean = "nan" if schedule.mean_interval_s is None else _fmt(schedule.mean_interval_s)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -145,6 +145,29 @@ class Scenario:
         if self.bs_position.x == 0.0:
             raise ValidationError("base station must not lie in the surface plane (x == 0)")
 
+    @cached_property
+    def bs_side(self) -> tuple[np.ndarray, np.ndarray]:
+        """(d1, amp): per-element BS distances and BS-side amplitudes.
+
+        They do not depend on the user position, so they are computed once
+        per scenario.
+        """
+        u = self.layout.positions
+        a = self.bs_position.as_array()
+        to_el = u - a[None, :]
+        d1 = np.sqrt(np.sum(to_el * to_el, axis=-1))
+        if np.any(d1 == 0.0):
+            raise GeometryError("base station coincides with an element center")
+        boresight = -a / np.linalg.norm(a)  # BS antenna aimed at the surface center
+        cos_bs = (to_el @ boresight) / d1
+        f_bs = self.bs_pattern.value_at(cos_bs)
+        cos_in = a[0] / d1  # element x is 0, so (a - u) . x_hat == a_x
+        f_in = np.where(cos_in <= 0.0, 0.0, self.element_pattern.value_at(cos_in))
+        amp = np.sqrt(f_bs * f_in) / d1
+        d1.flags.writeable = False
+        amp.flags.writeable = False
+        return d1, amp
+
 
 def wavelength(scenario: Scenario) -> float:
     return SPEED_OF_LIGHT / scenario.frequency_hz
@@ -161,26 +184,6 @@ def prefactor_mw(scenario: Scenario) -> float:
     )
 
 
-@lru_cache(maxsize=64)
-def _bs_side(scenario: Scenario):
-    """Per-element quantities that do not depend on the user position."""
-    u = scenario.layout.positions
-    a = scenario.bs_position.as_array()
-    to_el = u - a[None, :]
-    d1 = np.sqrt(np.sum(to_el * to_el, axis=-1))
-    if np.any(d1 == 0.0):
-        raise GeometryError("base station coincides with an element center")
-    boresight = -a / np.linalg.norm(a)  # BS antenna aimed at the surface center
-    cos_bs = (to_el @ boresight) / d1
-    f_bs = scenario.bs_pattern.value_at(cos_bs)
-    cos_in = a[0] / d1  # element x is 0, so (a - u) . x_hat == a_x
-    f_in = np.where(cos_in <= 0.0, 0.0, scenario.element_pattern.value_at(cos_in))
-    amp = np.sqrt(f_bs * f_in) / d1
-    d1.flags.writeable = False
-    amp.flags.writeable = False
-    return d1, amp
-
-
 def element_phasor_matrix(scenario: Scenario, positions: np.ndarray) -> np.ndarray:
     """(N, M) complex phasors sqrt(F)*exp(-j2pi(d1+d2)/lambda)/(d1*d2).
 
@@ -191,7 +194,7 @@ def element_phasor_matrix(scenario: Scenario, positions: np.ndarray) -> np.ndarr
     if pos.ndim != 2 or pos.shape[1] != 3:
         raise ValidationError(f"positions must be (N, 3), got {pos.shape}")
     u = scenario.layout.positions
-    d1, amp_bs = _bs_side(scenario)
+    d1, amp_bs = scenario.bs_side
 
     dv = pos[:, None, :] - u[None, :, :]  # element -> user, per position
     d2 = np.sqrt(np.sum(dv * dv, axis=-1))

@@ -1,9 +1,11 @@
 """Power patterns over the positioning-table plane and beamwidth extraction.
 
-sweep_power evaluates the deterministic model on a rectangular grid, one
-kernel call per grid row. emulate_measurement_grid reproduces the channel
-sounder, which averages Q impulse-response records coherently over the tap
-window [n1, n2],
+sweep_power evaluates the deterministic model on a rectangular grid. The
+element phasors of the grid depend only on the scenario and the grid, not on
+the configuration, so they are built once (one kernel call per grid row) and
+cached; each configuration is then applied to them as a vector of reflection
+coefficients. emulate_measurement_grid reproduces the channel sounder, which
+averages Q impulse-response records coherently over the tap window [n1, n2],
 
     P(x, y) = P_tx / Q * | sum_{n=n1..n2} sum_{q=1..Q} h_q[n] |^2,
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -26,8 +29,9 @@ from .geom import SphericalCoord
 from .linkbudget import (
     RisConfig,
     Scenario,
-    _bs_side,
-    coherent_sums,
+    # Not called here; kept bound because benchmark/test_benchmark.py wraps
+    # and restores rissim.sweep.coherent_sums.
+    coherent_sums,  # noqa: F401
     db_to_linear,
     dbm_from_sums,
     element_phasor_matrix,
@@ -35,7 +39,6 @@ from .linkbudget import (
     noise_floor,
     prefactor_mw,
     require_config_size,
-    scenario_fingerprint,
     wavelength,
 )
 
@@ -87,7 +90,6 @@ class PowerGrid:
     spec: GridSpec
     values: np.ndarray
     label: str = ""
-    fingerprint: str = ""
 
     def __post_init__(self):
         if self.values.shape != (self.spec.nx, self.spec.ny):
@@ -156,10 +158,36 @@ def _row_positions(grid: GridSpec, i: int) -> np.ndarray:
     return pts
 
 
+@lru_cache(maxsize=1)
+def _grid_phasors(scenario: Scenario, grid: GridSpec) -> np.ndarray:
+    """(nx, ny, M) read-only element phasors of every grid cell, one kernel call per row.
+
+    The array depends on the geometry only, so every configuration evaluated
+    on the same (scenario, grid) shares it. One entry is enough: sweep and
+    emulation alternate on the same grid. The entry stays resident at
+    nx * ny * M * 16 bytes: 2.9 MB on the default 31 x 46 grid with 127
+    elements, 10.7 MB with 469.
+    """
+    phasors = np.empty((grid.nx, grid.ny, len(scenario.layout)), dtype=complex)
+    for i in range(grid.nx):
+        phasors[i] = element_phasor_matrix(scenario, _row_positions(grid, i))
+    phasors.flags.writeable = False
+    return phasors
+
+
 def _grid_sums(scenario: Scenario, config: RisConfig, grid: GridSpec) -> np.ndarray:
-    """(nx, ny) coherent sums, one kernel call per grid row."""
-    rows = [coherent_sums(scenario, config, _row_positions(grid, i)) for i in range(grid.nx)]
-    return np.stack(rows)
+    """(nx, ny) coherent sums sum_m Gamma_m g_m from the cached grid phasors.
+
+    Each row is summed exactly as coherent_sums sums its positions, so every
+    cell has the bits of received_power at that cell.
+    """
+    require_config_size(scenario, config)
+    phasors = _grid_phasors(scenario, grid)
+    gamma = config.as_complex_array
+    sums = np.empty((grid.nx, grid.ny), dtype=complex)
+    for i in range(grid.nx):
+        sums[i] = np.sum(phasors[i] * gamma, axis=-1)
+    return sums
 
 
 def sweep_power(
@@ -167,7 +195,7 @@ def sweep_power(
 ) -> PowerGrid:
     """Deterministic received-power map."""
     values = dbm_from_sums(scenario, _grid_sums(scenario, config, grid))
-    return PowerGrid(grid, values, label=label, fingerprint=scenario_fingerprint(scenario))
+    return PowerGrid(grid, values, label=label)
 
 
 def emulate_measurement_grid(
@@ -196,7 +224,7 @@ def emulate_measurement_grid(
         scale = math.sqrt(floor_mw / (2.0 * prefactor_mw(scenario)))
         sums = sums + scale * (z[..., 0] + 1j * z[..., 1])
     values = dbm_from_sums(scenario, sums)
-    return PowerGrid(grid, values, label=label, fingerprint=scenario_fingerprint(scenario))
+    return PowerGrid(grid, values, label=label)
 
 
 def find_peak(grid: PowerGrid) -> Peak:
@@ -269,7 +297,7 @@ def _interval_bounds(
     derivation is in hpbw's docstring.
     """
     widths = np.radians(np.diff(ends_deg))
-    weight = np.abs(config.as_complex_array) * _bs_side(scenario)[1]  # |Gamma_m| c_m
+    weight = np.abs(config.as_complex_array) * scenario.bs_side[1]  # |Gamma_m| c_m
     on = weight > 0.0
     w, u = weight[on], scenario.layout.positions[on]
     u_norm = np.sqrt(np.sum(u * u, axis=-1))

@@ -338,6 +338,24 @@ class TestCli:
         assert cli_dispatch(["--scenario", str(bad), "emulate", "--all-off"]) == 1
         assert capsys.readouterr().err.startswith("error: rng_seed must be >= 0, got -5")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--target", "P1", "--alphabet", "bogus"],
+            ["plan", "--start", "P2", "--end", "P1", "--motion", "arc", "--alphabet", "bogus"],
+            ["sweep", "--target", "P1", "--alphabet", "bogus"],
+            ["hpbw", "--target", "P1", "--axis", "azimuth", "--alphabet", "bogus"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unknown_alphabet_rejected(self, argv, capsys):
+        assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            "error: --alphabet: 'bogus' is not one of ['active', 'off_structural', 'reflective']"
+        )
+
     def test_tampered_named_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.csv"
         assert cli_dispatch(["optimize", "--target", "P1", "--alphabet", "reflective",

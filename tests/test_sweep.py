@@ -46,6 +46,20 @@ from rissim.sweep import (
 )
 
 
+@pytest.fixture
+def kernel_rows(monkeypatch):
+    """Position counts of the element_phasor_matrix calls made through rissim.sweep."""
+    kernel = rissim.sweep.element_phasor_matrix
+    rows = []
+
+    def counting(scenario, positions):
+        rows.append(len(positions))
+        return kernel(scenario, positions)
+
+    monkeypatch.setattr(rissim.sweep, "element_phasor_matrix", counting)
+    return rows
+
+
 class TestGridSpec:
     def test_default_matches_measurement_area(self):
         g = GridSpec.default()
@@ -199,6 +213,64 @@ class TestEmulation:
         peak = find_peak(grid)
         assert peak.power_dbm == pytest.approx(-80.0, abs=3.0)
         assert math.degrees(math.atan2(peak.y, peak.x)) == pytest.approx(36.0, abs=5.0)
+
+
+class TestGridPhasorCache:
+    """sweep_power and the emulator share one cached (nx, ny, M) phasor array."""
+
+    @staticmethod
+    def _assert_cells_equal_received_power(scenario, config, grid):
+        swept = sweep_power(scenario, config, grid)
+        quiet = emulate_measurement_grid(scenario, config, grid, SounderParams(noise_enabled=False))
+        for i in range(grid.nx):
+            for j in range(grid.ny):
+                direct = received_power(scenario, config, Vec3(*grid.cell_xy(i, j), grid.z_plane))
+                assert swept.values[i, j] == direct, (i, j)
+                assert quiet.values[i, j] == direct, (i, j)
+        return swept.values
+
+    def test_cache_keys_on_scenario_and_grid(self, scenario, refl_p1):
+        # same shape, shifted origin: a key that ignored the grid would return
+        # grid A's phasors for grid B
+        grid_a = GridSpec(0.92, 0.70, 0.02, 0.02, 4, 5, -0.39)
+        grid_b = replace(grid_a, x0=1.02)
+        moved = replace(scenario, bs_position=Vec3(1.2, -1.4, 0.1))
+        rissim.sweep._grid_phasors.cache_clear()
+        first = self._assert_cells_equal_received_power(scenario, refl_p1, grid_a)
+        other_grid = self._assert_cells_equal_received_power(scenario, refl_p1, grid_b)
+        other_bs = self._assert_cells_equal_received_power(moved, refl_p1, grid_a)
+        again = self._assert_cells_equal_received_power(scenario, refl_p1, grid_a)
+        assert not np.array_equal(first, other_grid)
+        assert not np.array_equal(first, other_bs)
+        assert np.array_equal(first, again)
+
+    def test_one_kernel_build_per_scenario_and_grid(self, kernel_rows, scenario, refl_p1, active_p2):
+        grid = GridSpec(0.92, 0.02, 0.1, 0.1, 6, 9, -0.39)
+        rissim.sweep._grid_phasors.cache_clear()
+        sweep_power(scenario, refl_p1, grid)
+        assert kernel_rows == [grid.ny] * grid.nx
+        kernel_rows.clear()
+        sweep_power(scenario, refl_p1, grid)
+        sweep_power(scenario, active_p2, grid)
+        emulate_measurement_grid(scenario, active_p2, grid, SounderParams(rng_seed=3))
+        assert kernel_rows == []
+
+    def test_cached_phasors_are_read_only(self, scenario, doc):
+        phasors = rissim.sweep._grid_phasors(scenario, doc.grid)
+        assert phasors.shape == (doc.grid.nx, doc.grid.ny, len(scenario.layout))
+        assert not phasors.flags.writeable
+        with pytest.raises(ValueError):
+            phasors[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("size_for", [lambda m: 1, lambda m: m + 1], ids=["length 1", "length M+1"])
+    def test_config_length_checked(self, scenario, size_for):
+        size = size_for(len(scenario.layout))
+        config = RisConfig((ReflectionCoefficient(0.9, 30.0),) * size, "reflective")
+        grid = GridSpec(0.92, 0.02, 0.1, 0.1, 2, 3, -0.39)
+        with pytest.raises(ValidationError, match=f"{size} coefficients"):
+            sweep_power(scenario, config, grid)
+        with pytest.raises(ValidationError, match=f"{size} coefficients"):
+            emulate_measurement_grid(scenario, config, grid, SounderParams())
 
 
 class TestEmulationMatchesRecordLevelOracle:
@@ -409,22 +481,14 @@ class TestHpbwMatchesFullScan:
     @pytest.mark.parametrize("target_name", ["P1", "P2"])
     @pytest.mark.parametrize("alphabet", [REFLECTIVE, ACTIVE], ids=lambda a: a.name)
     def test_focused_beams_evaluate_few_arc_points(
-        self, monkeypatch, scenario, doc, target_name, alphabet
+        self, kernel_rows, scenario, doc, target_name, alphabet
     ):
         target = doc.targets[target_name]
         config = optimize_config(scenario, spherical_to_cartesian(target), alphabet)
-        kernel = rissim.sweep.element_phasor_matrix
-        rows = []
-
-        def counting(scenario, positions):
-            rows.append(len(positions))
-            return kernel(scenario, positions)
-
-        monkeypatch.setattr(rissim.sweep, "element_phasor_matrix", counting)
         for axis in ("azimuth", "elevation"):
-            rows.clear()
+            kernel_rows.clear()
             hpbw(scenario, config, target, axis)
-            assert 0 < sum(rows) <= 300, (axis, sum(rows))
+            assert 0 < sum(kernel_rows) <= 300, (axis, sum(kernel_rows))
 
 
 class TestCompareGrids:
