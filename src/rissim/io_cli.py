@@ -2,8 +2,10 @@
 
 Scenario files are YAML with unit-suffixed keys (frequency_ghz, pitch_mm,
 tx_power_dbm, ...). Unknown keys are rejected; missing keys fall back to the
-built-in defaults of the 127-element setup. Every load echoes the fully
-resolved document to stderr so runs are auditable.
+built-in defaults of the 127-element setup. Each value must have its default's
+type: a finite number, an integer, a string or a mapping; an integer literal
+is accepted for a number key and echoed as written. Every load echoes the
+fully resolved document to stderr so runs are auditable.
 
 File formats (all deterministic byte-for-byte for identical inputs):
 
@@ -143,44 +145,36 @@ def _fmt(value: float) -> str:
     return f"{v:.6g}"
 
 
-def _require_number(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{key}: expected a number, got {value!r}")
-    if not math.isfinite(float(value)):
-        raise ValidationError(f"{key}: must be finite")
-    return float(value)
-
-
-def _require_int(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{key}: expected an integer, got {value!r}")
-    return value
+_LEAF_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
+_ZERO_TARGET = {"range_m": 0.0, "azimuth_deg": 0.0, "elevation_deg": 0.0}
 
 
 def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
-    """Defaults-ordered deep merge; any key absent from defaults is rejected."""
+    """Defaults-ordered deep merge that checks each value by its default's type.
+
+    Unknown keys are rejected, except a new target name, which merges onto the
+    zero coordinate. The user's literals are kept for the echo.
+    """
     out: dict = {}
-    for key, default_value in defaults.items():
+    for key, default in defaults.items():
         path = f"{prefix}{key}"
-        if key in user:
+        if isinstance(default, dict):
+            value = user.get(key, {})
+            if not isinstance(value, dict):
+                raise ValidationError(f"{path}: expected a mapping")
+            if path == "targets":
+                default = {name: default.get(name, _ZERO_TARGET) for name in (*default, *value)}
+            out[key] = _merge(default, value, prefix=f"{path}.")
+        elif key in user:
             value = user[key]
-            if isinstance(default_value, dict):
-                if not isinstance(value, dict):
-                    raise ValidationError(f"{path}: expected a mapping")
-                if key == "targets":
-                    merged = dict(default_value)
-                    for name, tgt in value.items():
-                        if not isinstance(tgt, dict):
-                            raise ValidationError(f"{path}.{name}: expected a mapping")
-                        base = merged.get(name, {"range_m": 0.0, "azimuth_deg": 0.0, "elevation_deg": 0.0})
-                        merged[name] = _merge(base, tgt, prefix=f"{path}.{name}.")
-                    out[key] = merged
-                else:
-                    out[key] = _merge(default_value, value, prefix=f"{path}.")
-            else:
-                out[key] = value
+            types, noun = _LEAF_TYPES[type(default)]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValidationError(f"{path}: expected {noun}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"{path}: must be finite")
+            out[key] = value
         else:
-            out[key] = default_value if not isinstance(default_value, dict) else _merge(default_value, {}, prefix=f"{path}.")
+            out[key] = default
     for key in user:
         if key not in defaults:
             raise ValidationError(f"unknown key: {prefix}{key}")
@@ -195,103 +189,85 @@ def _rings_for_count(count: int) -> int:
     return r
 
 
+def _coord(values: dict) -> SphericalCoord:
+    return SphericalCoord(
+        float(values["range_m"]), float(values["azimuth_deg"]), float(values["elevation_deg"])
+    )
+
+
 def resolve_scenario(user: dict) -> ScenarioDoc:
     """Validate a raw mapping, fill defaults, and build the runtime objects."""
     if not isinstance(user, dict):
         raise ValidationError("scenario file must contain a mapping at the top level")
     resolved = _merge(DEFAULTS, user)
 
-    freq_ghz = _require_number(resolved["frequency_ghz"], "frequency_ghz")
+    freq_ghz = float(resolved["frequency_ghz"])
     if freq_ghz <= 0:
         raise ValidationError(f"frequency_ghz: must be > 0, got {freq_ghz}")
-    tx_dbm = _require_number(resolved["tx_power_dbm"], "tx_power_dbm")
 
-    bs = resolved["bs"]
-    bs_coord = SphericalCoord(
-        _require_number(bs["range_m"], "bs.range_m"),
-        _require_number(bs["azimuth_deg"], "bs.azimuth_deg"),
-        _require_number(bs["elevation_deg"], "bs.elevation_deg"),
-    )
-    bs_pattern = AntennaPattern(
-        _require_number(bs["gain_dbi"], "bs.gain_dbi"),
-        _require_number(bs["pattern_exponent"], "bs.pattern_exponent"),
-    )
-    ue = resolved["ue"]
-    ue_pattern = AntennaPattern(
-        _require_number(ue["gain_dbi"], "ue.gain_dbi"),
-        _require_number(ue["pattern_exponent"], "ue.pattern_exponent"),
-    )
-
-    ris = resolved["ris"]
-    rings = _require_int(ris["rings"], "ris.rings")
-    if "rings" not in user.get("ris", {}) and "element_count" in user.get("ris", {}):
-        rings = _rings_for_count(_require_int(ris["element_count"], "ris.element_count"))
+    bs, ue, ris = resolved["bs"], resolved["ue"], resolved["ris"]
+    rings = ris["rings"]
+    user_ris = user.get("ris", {})
+    if "rings" not in user_ris and "element_count" in user_ris:
+        rings = _rings_for_count(ris["element_count"])
     count = 3 * rings * (rings + 1) + 1
-    if "element_count" in user.get("ris", {}):
-        declared = _require_int(ris["element_count"], "ris.element_count")
-        if declared != count:
-            raise ValidationError(
-                f"ris.element_count: {declared} inconsistent with rings={rings} (expect {count})"
-            )
+    if "element_count" in user_ris and ris["element_count"] != count:
+        raise ValidationError(
+            f"ris.element_count: {ris['element_count']} inconsistent with rings={rings} "
+            f"(expect {count})"
+        )
     ris["rings"] = rings
     ris["element_count"] = count
-    layout = hex_layout(
-        rings,
-        _require_number(ris["pitch_mm"], "ris.pitch_mm") * 1e-3,
-        _require_number(ris["element_width_mm"], "ris.element_width_mm") * 1e-3,
-        _require_number(ris["element_height_mm"], "ris.element_height_mm") * 1e-3,
-    )
-    element_pattern = AntennaPattern(
-        0.0, _require_number(ris["element_pattern_exponent"], "ris.element_pattern_exponent")
-    )
 
     scenario = Scenario(
         frequency_hz=freq_ghz * 1e9,
-        tx_power_dbm=tx_dbm,
-        bs_position=spherical_to_cartesian(bs_coord),
-        bs_pattern=bs_pattern,
-        ue_pattern=ue_pattern,
-        element_pattern=element_pattern,
-        layout=layout,
+        tx_power_dbm=float(resolved["tx_power_dbm"]),
+        bs_position=spherical_to_cartesian(_coord(bs)),
+        bs_pattern=AntennaPattern(float(bs["gain_dbi"]), float(bs["pattern_exponent"])),
+        ue_pattern=AntennaPattern(float(ue["gain_dbi"]), float(ue["pattern_exponent"])),
+        element_pattern=AntennaPattern(0.0, float(ris["element_pattern_exponent"])),
+        layout=hex_layout(
+            rings,
+            float(ris["pitch_mm"]) * 1e-3,
+            float(ris["element_width_mm"]) * 1e-3,
+            float(ris["element_height_mm"]) * 1e-3,
+        ),
     )
 
     g = resolved["grid"]
-    step = _require_number(g["step_m"], "grid.step_m")
+    step = float(g["step_m"])
     if step <= 0:
         raise ValidationError("grid.step_m: must be > 0")
 
-    def _steps(start: float, stop: float, key: str) -> int:
-        n = (stop - start) / step
+    def _steps(axis: str) -> int:
+        n = (float(g[f"{axis}_stop_m"]) - float(g[f"{axis}_start_m"])) / step
         if abs(n - round(n)) > 1e-6 or round(n) < 0:
-            raise ValidationError(f"{key}: span not an integer number of steps")
+            raise ValidationError(f"grid.{axis}_stop_m: span not an integer number of steps")
         return int(round(n)) + 1
 
-    x0 = _require_number(g["x_start_m"], "grid.x_start_m")
-    y0 = _require_number(g["y_start_m"], "grid.y_start_m")
     grid = GridSpec(
-        x0=x0,
-        y0=y0,
+        x0=float(g["x_start_m"]),
+        y0=float(g["y_start_m"]),
         dx=step,
         dy=step,
-        nx=_steps(x0, _require_number(g["x_stop_m"], "grid.x_stop_m"), "grid.x_stop_m"),
-        ny=_steps(y0, _require_number(g["y_stop_m"], "grid.y_stop_m"), "grid.y_stop_m"),
-        z_plane=_require_number(g["z_plane_m"], "grid.z_plane_m"),
+        nx=_steps("x"),
+        ny=_steps("y"),
+        z_plane=float(g["z_plane_m"]),
     )
 
     snd = resolved["sounder"]
     sounder = SounderParams(
-        averages=_require_int(snd["averages"], "sounder.averages"),
-        window_start=_require_int(snd["window_start_tap"], "sounder.window_start_tap"),
-        window_stop=_require_int(snd["window_stop_tap"], "sounder.window_stop_tap"),
-        noise_figure_db=_require_number(snd["noise_figure_db"], "sounder.noise_figure_db"),
-        temperature_k=_require_number(snd["temperature_k"], "sounder.temperature_k"),
-        bandwidth_hz=_require_number(snd["bandwidth_mhz"], "sounder.bandwidth_mhz") * 1e6,
-        rng_seed=_require_int(snd["rng_seed"], "sounder.rng_seed"),
+        averages=snd["averages"],
+        window_start=snd["window_start_tap"],
+        window_stop=snd["window_stop_tap"],
+        noise_figure_db=float(snd["noise_figure_db"]),
+        temperature_k=float(snd["temperature_k"]),
+        bandwidth_hz=float(snd["bandwidth_mhz"]) * 1e6,
+        rng_seed=snd["rng_seed"],
     )
 
     off_state = ReflectionCoefficient(
-        _require_number(ris["off_state_magnitude"], "ris.off_state_magnitude"),
-        _require_number(ris["off_state_phase_deg"], "ris.off_state_phase_deg"),
+        float(ris["off_state_magnitude"]), float(ris["off_state_phase_deg"])
     )
     alphabets = {
         REFLECTIVE.name: REFLECTIVE,
@@ -304,21 +280,13 @@ def resolve_scenario(user: dict) -> ScenarioDoc:
             f"alphabet: {alphabet_name!r} is not one of {sorted(alphabets)}"
         )
 
-    targets = {}
-    for name, tgt in resolved["targets"].items():
-        targets[name] = SphericalCoord(
-            _require_number(tgt["range_m"], f"targets.{name}.range_m"),
-            _require_number(tgt["azimuth_deg"], f"targets.{name}.azimuth_deg"),
-            _require_number(tgt["elevation_deg"], f"targets.{name}.elevation_deg"),
-        )
-
     return ScenarioDoc(
         scenario=scenario,
         grid=grid,
         sounder=sounder,
         alphabets=alphabets,
         alphabet_name=alphabet_name,
-        targets=targets,
+        targets={name: _coord(tgt) for name, tgt in resolved["targets"].items()},
         resolved=resolved,
     )
 
@@ -526,16 +494,6 @@ def _load_doc(args) -> ScenarioDoc:
     return doc
 
 
-def _load_config_file(doc: ScenarioDoc, path) -> RisConfig:
-    with open(path) as f:
-        config = read_config_csv(f, doc.alphabets)
-    if len(config) != len(doc.scenario.layout):
-        raise ValidationError(
-            f"configuration has {len(config)} entries for {len(doc.scenario.layout)} elements"
-        )
-    return config
-
-
 def _alphabet(doc: ScenarioDoc, args) -> ReflectionAlphabet:
     """The --alphabet named on the command line, else the scenario's default."""
     name = args.alphabet or doc.alphabet_name
@@ -545,21 +503,18 @@ def _alphabet(doc: ScenarioDoc, args) -> ReflectionAlphabet:
 
 
 def _resolve_config(doc: ScenarioDoc, args) -> RisConfig:
-    sources = [
-        getattr(args, "config", None) is not None,
-        bool(getattr(args, "all_off", False)),
-        bool(getattr(args, "off_structural", False)),
-        getattr(args, "target", None) is not None,
-    ]
-    if sum(sources) != 1:
-        raise ValidationError(
-            "exactly one of --config, --all-off, --off-structural, --target is required"
-        )
-    if args.config is not None:
-        return _load_config_file(doc, args.config)
-    if args.all_off:
+    """The configuration named on the command line.
+
+    That is the --config file, else --all-off or --off-structural (sweep and
+    emulate only), else the optimum for --target. The model checks the
+    configuration's length where it applies it.
+    """
+    if getattr(args, "config", None) is not None:
+        with open(args.config) as f:
+            return read_config_csv(f, doc.alphabets)
+    if getattr(args, "all_off", False):
         return uniform_config(doc.scenario.layout, ReflectionCoefficient(0.0, 0.0), "all_off")
-    if args.off_structural:
+    if getattr(args, "off_structural", False):
         off = doc.alphabets["off_structural"]
         return uniform_config(doc.scenario.layout, off.states[0], off.name)
     alphabet = _alphabet(doc, args)
@@ -588,72 +543,47 @@ def _cmd_layout(args) -> int:
 
 def _cmd_optimize(args) -> int:
     doc = _load_doc(args)
-    alphabet = _alphabet(doc, args)
-    target = spherical_to_cartesian(_parse_target(doc, args.target))
-    config = optimize_config(doc.scenario, target, alphabet)
-    _emit(lambda f: write_config_csv(config, f, alphabet), args.out)
+    config = _resolve_config(doc, args)
+    _emit(lambda f: write_config_csv(config, f, doc.alphabets[config.alphabet_name]), args.out)
     return 0
 
 
-def _grid_for(doc: ScenarioDoc, args) -> GridSpec:
+def _cmd_grid(args) -> int:
+    """sweep (the model) or emulate (the sounder) over the scenario grid."""
+    doc = _load_doc(args)
+    sources = [args.config is not None, args.all_off, args.off_structural, args.target is not None]
+    if sum(sources) != 1:
+        raise ValidationError(
+            "exactly one of --config, --all-off, --off-structural, --target is required"
+        )
+    config = _resolve_config(doc, args)
     grid = doc.grid
-    if getattr(args, "points_compat", False):
+    if args.points_compat:
         if grid.nx < 2:
             raise ValidationError("--points-compat needs at least two x rows")
         grid = replace(grid, nx=grid.nx - 1)
-    return grid
-
-
-def _cmd_sweep(args) -> int:
-    doc = _load_doc(args)
-    config = _resolve_config(doc, args)
-    grid = _grid_for(doc, args)
-    label = args.label if args.label is not None else f"sweep:{config.alphabet_name}"
-    result = sweep_power(doc.scenario, config, grid, label=label)
+    label = args.label if args.label is not None else f"{args.command}:{config.alphabet_name}"
+    if args.command == "sweep":
+        result = sweep_power(doc.scenario, config, grid, label=label)
+    else:
+        seed = doc.sounder.rng_seed if args.seed is None else args.seed
+        sounder = replace(doc.sounder, rng_seed=seed, noise_enabled=not args.no_noise)
+        result = emulate_measurement_grid(doc.scenario, config, grid, sounder, label=label)
     _emit(lambda f: write_power_grid_csv(result, f), args.out)
     if args.pgm is not None:
         export_heatmap(result, args.min_dbm, args.max_dbm, args.pgm)
     return 0
 
 
-def _cmd_emulate(args) -> int:
+def _cmd_beam(args) -> int:
+    """hpbw (one axis) or ellipse (both axes) of the beam at --target."""
     doc = _load_doc(args)
+    target = _parse_target(doc, args.target)
     config = _resolve_config(doc, args)
-    grid = _grid_for(doc, args)
-    sounder = doc.sounder
-    if args.seed is not None:
-        sounder = replace(sounder, rng_seed=args.seed)
-    if args.no_noise:
-        sounder = replace(sounder, noise_enabled=False)
-    label = args.label if args.label is not None else f"emulate:{config.alphabet_name}"
-    result = emulate_measurement_grid(doc.scenario, config, grid, sounder, label=label)
-    _emit(lambda f: write_power_grid_csv(result, f), args.out)
-    if args.pgm is not None:
-        export_heatmap(result, args.min_dbm, args.max_dbm, args.pgm)
-    return 0
-
-
-def _config_file_or_optimized(doc: ScenarioDoc, args, target: SphericalCoord) -> RisConfig:
-    """The --config file when given, else the configuration optimized for target."""
-    if args.config is not None:
-        return _load_config_file(doc, args.config)
-    alphabet = _alphabet(doc, args)
-    return optimize_config(doc.scenario, spherical_to_cartesian(target), alphabet)
-
-
-def _cmd_hpbw(args) -> int:
-    doc = _load_doc(args)
-    target = _parse_target(doc, args.target)
-    config = _config_file_or_optimized(doc, args, target)
-    width = hpbw(doc.scenario, config, target, args.axis)
-    print(f"hpbw_deg={_fmt(width)}")
-    return 0
-
-
-def _cmd_ellipse(args) -> int:
-    doc = _load_doc(args)
-    target = _parse_target(doc, args.target)
-    config = _config_file_or_optimized(doc, args, target)
+    if args.command == "hpbw":
+        width = hpbw(doc.scenario, config, target, args.axis)
+        print(f"hpbw_deg={_fmt(width)}")
+        return 0
     ellipse = focus_ellipse(doc.scenario, config, target)
     print(f"rho_a_m={_fmt(ellipse.rho_a)}")
     print(f"rho_r_m={_fmt(ellipse.rho_r)}")
@@ -666,13 +596,11 @@ def _cmd_ellipse(args) -> int:
 def _cmd_plan(args) -> int:
     doc = _load_doc(args)
     start = _parse_target(doc, args.start)
+    if args.motion != "radial" and args.end is None:
+        raise ValidationError(f"--motion {args.motion} requires --end")
     if args.motion == "arc":
-        if args.end is None:
-            raise ValidationError("--motion arc requires --end")
         waypoints = arc_waypoints(start, _parse_target(doc, args.end))
     elif args.motion == "line":
-        if args.end is None:
-            raise ValidationError("--motion line requires --end")
         waypoints = (
             spherical_to_cartesian(start),
             spherical_to_cartesian(_parse_target(doc, args.end)),
@@ -709,27 +637,28 @@ def _cmd_noise_floor(args) -> int:
     return 0
 
 
-def _add_config_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="element configuration CSV")
-    parser.add_argument("--all-off", action="store_true", help="all elements off (zero)")
-    parser.add_argument(
+def _add_grid_command(sub, name: str, help_text: str) -> argparse.ArgumentParser:
+    """The sweep or emulate parser: a configuration source and the grid outputs."""
+    p = sub.add_parser(name, help=help_text)
+    p.add_argument("--config", metavar="FILE", help="element configuration CSV")
+    p.add_argument("--all-off", action="store_true", help="all elements off (zero)")
+    p.add_argument(
         "--off-structural", action="store_true", help="uniform powered-off structural state"
     )
-    parser.add_argument("--target", metavar="T", help="optimize for a target first")
-    parser.add_argument("--alphabet", metavar="NAME", help="alphabet for --target")
-
-
-def _add_grid_output(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", metavar="FILE", help="grid CSV output (default stdout)")
-    parser.add_argument("--pgm", metavar="FILE", help="also write a PGM heatmap")
-    parser.add_argument("--min-dbm", type=float, default=-100.0, help="heatmap black level")
-    parser.add_argument("--max-dbm", type=float, default=-50.0, help="heatmap white level")
-    parser.add_argument(
+    p.add_argument("--target", metavar="T", help="optimize for a target first")
+    p.add_argument("--alphabet", metavar="NAME", help="alphabet for --target")
+    p.add_argument("--out", metavar="FILE", help="grid CSV output (default stdout)")
+    p.add_argument("--pgm", metavar="FILE", help="also write a PGM heatmap")
+    p.add_argument("--min-dbm", type=float, default=-100.0, help="heatmap black level")
+    p.add_argument("--max-dbm", type=float, default=-50.0, help="heatmap white level")
+    p.add_argument(
         "--points-compat",
         action="store_true",
         help="drop the last x row (30 x 46 sampling instead of 31 x 46)",
     )
-    parser.add_argument("--label", help="grid label")
+    p.add_argument("--label", help="grid label")
+    p.set_defaults(func=_cmd_grid)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -749,30 +678,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("sweep", help="deterministic power grid")
-    _add_config_source(p)
-    _add_grid_output(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("emulate", help="noisy measurement-pipeline grid")
-    _add_config_source(p)
-    _add_grid_output(p)
+    _add_grid_command(sub, "sweep", "deterministic power grid")
+    p = _add_grid_command(sub, "emulate", "noisy measurement-pipeline grid")
     p.add_argument("--seed", type=int, help="override the sounder seed")
     p.add_argument("--no-noise", action="store_true", help="disable the noise source")
-    p.set_defaults(func=_cmd_emulate)
 
     p = sub.add_parser("hpbw", help="half-power beamwidth along one axis")
     p.add_argument("--target", required=True, metavar="T")
     p.add_argument("--axis", required=True, choices=("azimuth", "elevation"))
     p.add_argument("--config", metavar="FILE")
     p.add_argument("--alphabet", metavar="NAME")
-    p.set_defaults(func=_cmd_hpbw)
+    p.set_defaults(func=_cmd_beam)
 
     p = sub.add_parser("ellipse", help="half-power focus ellipse at a target")
     p.add_argument("--target", required=True, metavar="T")
     p.add_argument("--config", metavar="FILE")
     p.add_argument("--alphabet", metavar="NAME")
-    p.set_defaults(func=_cmd_ellipse)
+    p.set_defaults(func=_cmd_beam)
 
     p = sub.add_parser("plan", help="reconfiguration schedule along a trajectory")
     p.add_argument("--start", required=True, metavar="T")
@@ -809,12 +731,9 @@ def cli_dispatch(argv: list[str]) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except (ValidationError, OSError) as exc:
+    except (ValidationError, OSError, GeometryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except GeometryError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return 2 if isinstance(exc, GeometryError) else 1
 
 
 def main() -> None:

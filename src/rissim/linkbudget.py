@@ -220,11 +220,19 @@ def require_config_size(scenario: Scenario, config: RisConfig) -> None:
         )
 
 
+def apply_config(phasors: np.ndarray, config: RisConfig) -> np.ndarray:
+    """Coherent sums sum_m Gamma_m g_m over the last axis of (..., M) element phasors.
+
+    Every configuration is applied here, in one summation order, so a position
+    gets the same bits however the positions around it are batched.
+    """
+    return np.sum(phasors * config.as_complex_array, axis=-1)
+
+
 def coherent_sums(scenario: Scenario, config: RisConfig, positions: np.ndarray) -> np.ndarray:
     """(N,) complex element sums sum_m Gamma_m g_m at each position."""
     require_config_size(scenario, config)
-    phasors = element_phasor_matrix(scenario, positions)
-    return np.sum(phasors * config.as_complex_array[None, :], axis=-1)
+    return apply_config(element_phasor_matrix(scenario, positions), config)
 
 
 def dbm_from_sums(scenario: Scenario, sums: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from .geom import SphericalCoord
 from .linkbudget import (
     RisConfig,
     Scenario,
+    apply_config,
     # Not called here; kept bound because benchmark/test_benchmark.py wraps
     # and restores rissim.sweep.coherent_sums.
     coherent_sums,  # noqa: F401
@@ -178,15 +179,14 @@ def _grid_phasors(scenario: Scenario, grid: GridSpec) -> np.ndarray:
 def _grid_sums(scenario: Scenario, config: RisConfig, grid: GridSpec) -> np.ndarray:
     """(nx, ny) coherent sums sum_m Gamma_m g_m from the cached grid phasors.
 
-    Each row is summed exactly as coherent_sums sums its positions, so every
-    cell has the bits of received_power at that cell.
+    Each row goes through apply_config, as coherent_sums does, so every cell
+    has the bits of received_power at that cell.
     """
     require_config_size(scenario, config)
     phasors = _grid_phasors(scenario, grid)
-    gamma = config.as_complex_array
     sums = np.empty((grid.nx, grid.ny), dtype=complex)
     for i in range(grid.nx):
-        sums[i] = np.sum(phasors[i] * gamma, axis=-1)
+        sums[i] = apply_config(phasors[i], config)
     return sums
 
 
@@ -397,7 +397,6 @@ def hpbw(
     require_config_size(scenario, config)
     offsets = _hpbw_offsets(target, axis)
     n = len(offsets)
-    gamma = config.as_complex_array[None, :]
     powers = np.full(n, np.nan)  # NaN marks a sample not evaluated
     amps = np.full(n, np.nan)
 
@@ -405,7 +404,7 @@ def hpbw(
         idx = idx[np.isnan(powers[idx])]
         if idx.size:
             positions = _arc_positions(target, axis, offsets[idx])
-            sums = np.sum(element_phasor_matrix(scenario, positions) * gamma, axis=-1)
+            sums = apply_config(element_phasor_matrix(scenario, positions), config)
             powers[idx] = dbm_from_sums(scenario, sums)
             amps[idx] = np.abs(sums)
 

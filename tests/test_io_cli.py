@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import rissim
 from rissim.errors import ValidationError
 from rissim.geom import Vec3, hex_layout
 from rissim.io_cli import (
+    DEFAULTS,
     cli_dispatch,
     echo_scenario,
     export_heatmap,
@@ -69,6 +71,49 @@ t_s,x,y,z,config_hash,rho_a,rho_r
 0,1.32532,0.23369,-0.385892,abc123def456,0.0905456,0.351869
 0.091,1.3,0.32,-0.385892,fedcba654321,0.0877518,0.343
 """
+
+
+def _leaves(tree, prefix=""):
+    """(dotted path, default) of every leaf of a nested mapping, in order."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def _sections(tree, prefix=""):
+    """Dotted path of every nested mapping, in order."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield f"{prefix}{key}"
+            yield from _sections(value, f"{prefix}{key}.")
+
+
+def _nested(path, value):
+    """{"a": {"b": value}} for the path "a.b"."""
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+# A new target name merges onto the zero coordinate, so its keys are checked too.
+_TYPED_TREE = {**DEFAULTS, "targets": {**DEFAULTS["targets"], "P9": DEFAULTS["targets"]["P1"]}}
+
+
+def _wrong_values():
+    """(path, wrong value, expected wording) for every leaf and section of the format."""
+    cases = []
+    for path, default in _leaves(_TYPED_TREE):
+        if isinstance(default, str):
+            cases.append((path, ["a"], "expected a string"))
+        elif isinstance(default, int):
+            cases += [(path, value, "expected an integer") for value in ("x", True, 2.5)]
+        else:
+            cases += [(path, value, "expected a number") for value in ("x", True)]
+            cases += [(path, value, "must be finite") for value in (math.nan, math.inf)]
+    cases += [(path, [1], "expected a mapping") for path in _sections(_TYPED_TREE)]
+    return [pytest.param(*case, id=f"{case[0]}={case[1]!r}") for case in cases]
 
 
 class TestScenarioLoading:
@@ -136,6 +181,19 @@ class TestScenarioLoading:
         path.write_text("frequency_ghz: [unclosed\n")
         with pytest.raises(ValidationError, match="line"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("path, value, wording", _wrong_values())
+    def test_value_must_have_its_defaults_type(self, path, value, wording):
+        with pytest.raises(ValidationError, match=f"^{re.escape(path)}: {wording}"):
+            resolve_scenario(_nested(path, value))
+
+    def test_integer_literals_echo_as_written(self):
+        doc = resolve_scenario({"frequency_ghz": 24, "grid": {"z_plane_m": -1}})
+        assert doc.resolved["frequency_ghz"] == 24
+        assert type(doc.resolved["frequency_ghz"]) is int
+        assert "frequency_ghz: 24\n" in echo_scenario(doc)
+        assert doc.scenario.frequency_hz == 24e9
+        assert doc.grid.z_plane == -1.0 and type(doc.grid.z_plane) is float
 
     def test_off_state_feeds_alphabet(self):
         doc = resolve_scenario({"ris": {"off_state_magnitude": 0.2, "off_state_phase_deg": 10.0}})
@@ -355,6 +413,40 @@ class TestCli:
         assert err.splitlines()[-1] == (
             "error: --alphabet: 'bogus' is not one of ['active', 'off_structural', 'reflective']"
         )
+
+    def test_non_string_alphabet_in_scenario_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("alphabet: [a]\n")
+        assert cli_dispatch(["--scenario", str(bad), "layout"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("error: alphabet: expected a string")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep"],
+            ["emulate"],
+            ["hpbw", "--target", "P2", "--axis", "azimuth"],
+            ["ellipse", "--target", "P2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_short_config_file_rejected(self, argv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.csv"
+        assert cli_dispatch(["optimize", "--target", "P2", "--out", str(cfg)]) == 0
+        cfg.write_text("".join(cfg.read_text().splitlines(keepends=True)[:-1]))  # 126 rows
+        capsys.readouterr()
+        assert cli_dispatch([*argv, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: configuration has 126 coefficients for 127 elements"
+        )
+
+    @pytest.mark.parametrize("motion", ["arc", "line"])
+    def test_plan_motion_without_end_rejected(self, motion, capsys):
+        assert cli_dispatch(["plan", "--start", "P2", "--motion", motion]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"error: --motion {motion} requires --end"
 
     def test_tampered_named_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.csv"
