@@ -146,7 +146,28 @@ def _fmt(value: float) -> str:
 
 
 _LEAF_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
+# PyYAML reads an exponent literal without a mantissa dot as a string.
+_EXPONENT_HINT = " (YAML reads 1e-3 as text; write 1.0e-3)"
 _ZERO_TARGET = {"range_m": 0.0, "azimuth_deg": 0.0, "elevation_deg": 0.0}
+
+
+def _is_number_text(value) -> bool:
+    """Whether a value is a string that float() reads, such as YAML's text '1e-3'."""
+    if not isinstance(value, str):
+        return False
+    try:
+        float(value)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_finite(value: int | float) -> bool:
+    """False for inf, NaN and an integer too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
@@ -168,9 +189,11 @@ def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
         elif key in user:
             value = user[key]
             types, noun = _LEAF_TYPES[type(default)]
+            number = isinstance(default, float)
             if isinstance(value, bool) or not isinstance(value, types):
-                raise ValidationError(f"{path}: expected {noun}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
+                hint = _EXPONENT_HINT if number and _is_number_text(value) else ""
+                raise ValidationError(f"{path}: expected {noun}, got {value!r}{hint}")
+            if number and not _is_finite(value):
                 raise ValidationError(f"{path}: must be finite")
             out[key] = value
         else:

@@ -189,6 +189,12 @@ def element_phasor_matrix(scenario: Scenario, positions: np.ndarray) -> np.ndarr
 
     positions: (N, 3) user positions in meters. Raises GeometryError when a
     position coincides with an element center.
+
+    The element-to-user offsets are three (N, M) arrays, one per axis, summed
+    in the order a reduction over a length-3 axis uses, and the phase is
+    computed in real arithmetic with the reciprocal of lambda, the way numpy
+    divides a complex array by a real one. Every phasor has the bits of the
+    (N, M, 3) reference kernel in tests/helpers.py.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 3:
@@ -196,21 +202,23 @@ def element_phasor_matrix(scenario: Scenario, positions: np.ndarray) -> np.ndarr
     u = scenario.layout.positions
     d1, amp_bs = scenario.bs_side
 
-    dv = pos[:, None, :] - u[None, :, :]  # element -> user, per position
-    d2 = np.sqrt(np.sum(dv * dv, axis=-1))
+    # element -> user offsets, per position and axis
+    dx, dy, dz = (pos[:, k, None] - u[None, :, k] for k in range(3))
+    d2 = np.sqrt(dx * dx + dy * dy + dz * dz)
     if np.any(d2 == 0.0):
         n, m = np.argwhere(d2 == 0.0)[0]
         raise GeometryError(
             f"user position {tuple(pos[n])} coincides with element {m} center"
         )
-    cos_out = dv[..., 0] / d2
+    cos_out = dx / d2
     f_out = np.where(cos_out <= 0.0, 0.0, scenario.element_pattern.value_at(cos_out))
-    cos_ue = -dv[..., 2] / d2  # UE antenna boresight is +z
+    cos_ue = -dz / d2  # UE antenna boresight is +z
     f_ue = scenario.ue_pattern.value_at(cos_ue)
 
     lam = wavelength(scenario)
     amp = amp_bs[None, :] * np.sqrt(f_out * f_ue) / d2
-    return amp * np.exp(-2j * np.pi * (d1[None, :] + d2) / lam)
+    phase = (-2.0 * np.pi) * (d1[None, :] + d2) * (1.0 / lam)
+    return amp * np.exp(1j * phase)
 
 
 def require_config_size(scenario: Scenario, config: RisConfig) -> None:

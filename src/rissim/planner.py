@@ -30,6 +30,8 @@ from .optimizer import ReflectionAlphabet, optimize_config
 from .sweep import hpbw
 
 _TIME_STEP_S = 1e-3
+# Sampled instants tested per array evaluation; bounds memory on slow paths.
+_BLOCK_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -53,12 +55,17 @@ class FocusEllipse:
         if not (self.rho_a > 0.0 and self.rho_r > 0.0):
             raise ValidationError("ellipse semi-axes must be > 0")
 
-    def contains(self, point: Vec3) -> bool:
-        dx, dy = point.x - self.center.x, point.y - self.center.y
+    def contains(self, point: Vec3 | np.ndarray) -> bool | np.ndarray:
+        """Whether a point, or each row of an (N, 3) array of points, lies inside."""
+        if isinstance(point, Vec3):
+            x, y = point.x, point.y
+        else:
+            x, y = point[:, 0], point[:, 1]
+        dx, dy = x - self.center.x, y - self.center.y
         ur_x, ur_y = self.orientation.x, self.orientation.y
-        d_radial = dx * ur_x + dy * ur_y
-        d_azimuth = -dx * ur_y + dy * ur_x
-        return (d_azimuth / self.rho_a) ** 2 + (d_radial / self.rho_r) ** 2 <= 1.0
+        a = (-dx * ur_y + dy * ur_x) / self.rho_a
+        r = (dx * ur_x + dy * ur_y) / self.rho_r
+        return a * a + r * r <= 1.0
 
 
 @dataclass(frozen=True)
@@ -187,16 +194,15 @@ def _polyline(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     return pts, cumulative
 
 
-def _position_at(pts: np.ndarray, cumulative: np.ndarray, s: float) -> Vec3:
-    total = cumulative[-1]
-    s = min(max(s, 0.0), total)
-    k = int(np.searchsorted(cumulative, s, side="right")) - 1
-    k = min(k, len(cumulative) - 2)
+def _positions_at(pts: np.ndarray, cumulative: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(N, 3) points at arc lengths s along the polyline, clamped to its ends."""
+    s = np.clip(s, 0.0, cumulative[-1])
+    k = np.minimum(np.searchsorted(cumulative, s, side="right") - 1, len(cumulative) - 2)
     seg_len = cumulative[k + 1] - cumulative[k]
-    if seg_len == 0.0:
-        return Vec3.from_array(pts[k])
-    frac = (s - cumulative[k]) / seg_len
-    return Vec3.from_array(pts[k] + frac * (pts[k + 1] - pts[k]))
+    zero = seg_len == 0.0
+    frac = (s - cumulative[k]) / np.where(zero, 1.0, seg_len)
+    moved = pts[k] + frac[:, None] * (pts[k + 1] - pts[k])
+    return np.where(zero[:, None], pts[k], moved)
 
 
 def plan_updates(
@@ -210,7 +216,10 @@ def plan_updates(
     At t = 0 the surface is optimized for the start point and its focus
     ellipse computed; a new event fires at the first sampled instant (1 ms
     resolution) the user leaves the current ellipse. Event positions lie on
-    the trajectory polyline exactly.
+    the trajectory polyline exactly. The 1 ms samples are evaluated in blocks
+    of instants, positions and the inside test as arrays; after an exit the
+    rest of the block is tested against the new ellipse, so the events are
+    identical to testing one sample at a time.
     """
     if not time_step_s > 0.0:
         raise ValidationError("time step must be > 0")
@@ -229,17 +238,23 @@ def plan_updates(
         )
         return event, ellipse
 
-    start = _position_at(pts, cumulative, 0.0)
+    start = Vec3.from_array(_positions_at(pts, cumulative, np.zeros(1))[0])
     event, ellipse = reconfigure(0.0, start)
     events = [event]
 
     steps = int(math.floor(total_time / time_step_s + 1e-9))
-    for k in range(1, steps + 1):
-        t = k * time_step_s
-        position = _position_at(pts, cumulative, t * trajectory.speed_mps)
-        if not ellipse.contains(position):
-            event, ellipse = reconfigure(t, position)
+    for first in range(1, steps + 1, _BLOCK_STEPS):
+        times = np.arange(first, min(first + _BLOCK_STEPS, steps + 1)) * time_step_s
+        positions = _positions_at(pts, cumulative, times * trajectory.speed_mps)
+        i = 0
+        while True:
+            outside = np.flatnonzero(~ellipse.contains(positions[i:]))
+            if outside.size == 0:
+                break
+            i += int(outside[0])
+            event, ellipse = reconfigure(float(times[i]), Vec3.from_array(positions[i]))
             events.append(event)
+            i += 1
 
     if len(events) >= 2:
         mean = (events[-1].t_s - events[0].t_s) / (len(events) - 1)

@@ -1,13 +1,14 @@
 """Shared builders for randomized test scenarios and the oracles the package is
-checked against: exhaustive configuration search, scalar per-element phasor
-and pattern products, the full-scan beamwidth and the record-level sounder."""
+checked against: exhaustive configuration search, the (N, M, 3) phasor
+kernel, scalar per-element phasor and pattern products, the full-scan
+beamwidth, the record-level sounder and the step-by-step planner."""
 import itertools
 import math
 
 import numpy as np
 
 from rissim.errors import BeamNotResolvedError, GeometryError, ValidationError
-from rissim.geom import RisLayout, SphericalCoord, Vec3
+from rissim.geom import RisLayout, SphericalCoord, Vec3, cartesian_to_spherical
 from rissim.linkbudget import (
     _BELOW_FLOOR_MW,
     BELOW_FLOOR_DBM,
@@ -15,13 +16,22 @@ from rissim.linkbudget import (
     RisConfig,
     Scenario,
     coherent_sums,
+    config_fingerprint,
     db_to_linear,
     dbm_from_sums,
     element_phasor_matrix,
     noise_floor,
     prefactor_mw,
+    wavelength,
 )
-from rissim.optimizer import ReflectionAlphabet
+from rissim.optimizer import ReflectionAlphabet, optimize_config
+from rissim.planner import (
+    Trajectory,
+    UpdateEvent,
+    UpdateSchedule,
+    _polyline,
+    focus_ellipse,
+)
 from rissim.sweep import SounderParams, _arc_positions
 
 
@@ -98,6 +108,32 @@ def brute_force_config(
         flush(chunk)
     assert best_combo is not None
     return RisConfig(tuple(alphabet.states[k] for k in best_combo), alphabet.name)
+
+
+def reference_phasor_matrix(scenario: Scenario, positions: np.ndarray) -> np.ndarray:
+    """The phasor kernel over an (N, M, 3) offset array with a complex phase.
+
+    element_phasor_matrix must give these bits for every input.
+    """
+    pos = np.asarray(positions, dtype=float)
+    u = scenario.layout.positions
+    d1, amp_bs = scenario.bs_side
+
+    dv = pos[:, None, :] - u[None, :, :]  # element -> user, per position
+    d2 = np.sqrt(np.sum(dv * dv, axis=-1))
+    if np.any(d2 == 0.0):
+        n, m = np.argwhere(d2 == 0.0)[0]
+        raise GeometryError(
+            f"user position {tuple(pos[n])} coincides with element {m} center"
+        )
+    cos_out = dv[..., 0] / d2
+    f_out = np.where(cos_out <= 0.0, 0.0, scenario.element_pattern.value_at(cos_out))
+    cos_ue = -dv[..., 2] / d2  # UE antenna boresight is +z
+    f_ue = scenario.ue_pattern.value_at(cos_ue)
+
+    lam = wavelength(scenario)
+    amp = amp_bs[None, :] * np.sqrt(f_out * f_ue) / d2
+    return amp * np.exp(-2j * np.pi * (d1[None, :] + d2) / lam)
 
 
 def element_phasor(scenario: Scenario, m: int, ue_position: Vec3) -> complex:
@@ -255,3 +291,48 @@ def ks_statistic(a, b) -> float:
 def ks_critical_value(n: int, m: int, alpha: float) -> float:
     """Asymptotic two-sample KS critical value at false-rejection rate alpha."""
     return math.sqrt(-math.log(alpha / 2.0) * (n + m) / (2.0 * n * m))
+
+
+def _position_at(pts: np.ndarray, cumulative: np.ndarray, s: float) -> Vec3:
+    total = cumulative[-1]
+    s = min(max(s, 0.0), total)
+    k = int(np.searchsorted(cumulative, s, side="right")) - 1
+    k = min(k, len(cumulative) - 2)
+    seg_len = cumulative[k + 1] - cumulative[k]
+    if seg_len == 0.0:
+        return Vec3.from_array(pts[k])
+    frac = (s - cumulative[k]) / seg_len
+    return Vec3.from_array(pts[k] + frac * (pts[k + 1] - pts[k]))
+
+
+def plan_updates_stepwise(
+    scenario: Scenario,
+    trajectory: Trajectory,
+    alphabet: ReflectionAlphabet,
+    time_step_s: float = 1e-3,
+) -> UpdateSchedule:
+    """plan_updates testing one sampled instant at a time, one Vec3 per step."""
+    pts, cumulative = _polyline(trajectory)
+    total_time = cumulative[-1] / trajectory.speed_mps
+
+    def reconfigure(t, position):
+        config = optimize_config(scenario, position, alphabet)
+        ellipse = focus_ellipse(scenario, config, cartesian_to_spherical(position))
+        event = UpdateEvent(t, position, config_fingerprint(config), ellipse.rho_a, ellipse.rho_r)
+        return event, ellipse
+
+    event, ellipse = reconfigure(0.0, _position_at(pts, cumulative, 0.0))
+    events = [event]
+    steps = int(math.floor(total_time / time_step_s + 1e-9))
+    for k in range(1, steps + 1):
+        t = k * time_step_s
+        position = _position_at(pts, cumulative, t * trajectory.speed_mps)
+        if not ellipse.contains(position):
+            event, ellipse = reconfigure(t, position)
+            events.append(event)
+
+    if len(events) >= 2:
+        mean = (events[-1].t_s - events[0].t_s) / (len(events) - 1)
+    else:
+        mean = None
+    return UpdateSchedule(tuple(events), mean)

@@ -187,6 +187,31 @@ class TestScenarioLoading:
         with pytest.raises(ValidationError, match=f"^{re.escape(path)}: {wording}"):
             resolve_scenario(_nested(path, value))
 
+    @pytest.mark.parametrize("path", ["frequency_ghz", "targets.P9.range_m"])
+    def test_integer_too_large_for_a_float_rejected(self, path, tmp_path, capsys):
+        huge = 10**400
+        with pytest.raises(ValidationError, match=f"^{re.escape(path)}: must be finite$"):
+            resolve_scenario(_nested(path, huge))
+        scenario_file = tmp_path / "huge.yaml"
+        *sections, leaf = path.split(".")
+        scenario_file.write_text(
+            "".join(f"{'  ' * i}{key}:\n" for i, key in enumerate(sections))
+            + f"{'  ' * len(sections)}{leaf}: {huge}\n"
+        )
+        assert cli_dispatch(["--scenario", str(scenario_file), "layout"]) == 1
+        assert capsys.readouterr().err == f"error: {path}: must be finite\n"
+
+    def test_exponent_literal_without_a_dot_gets_a_hint(self, tmp_path):
+        path = tmp_path / "step.yaml"
+        path.write_text("grid: {step_m: 1e-3}\n")
+        message = "grid.step_m: expected a number, got '1e-3' (YAML reads 1e-3 as text; write 1.0e-3)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_scenario(path)
+        path.write_text("grid: {step_m: 1.0e-3}\n")
+        assert load_scenario(path).resolved["grid"]["step_m"] == 1e-3
+        with pytest.raises(ValidationError, match=r"^grid\.step_m: expected a number, got 'x'$"):
+            resolve_scenario({"grid": {"step_m": "x"}})
+
     def test_integer_literals_echo_as_written(self):
         doc = resolve_scenario({"frequency_ghz": 24, "grid": {"z_plane_m": -1}})
         assert doc.resolved["frequency_ghz"] == 24

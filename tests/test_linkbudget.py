@@ -1,13 +1,15 @@
 import cmath
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import combined_pattern, element_phasor
+from helpers import combined_pattern, element_phasor, reference_phasor_matrix
 from rissim.errors import GeometryError, ValidationError
 from rissim.geom import RisLayout, Vec3, spherical_to_cartesian
+from rissim.io_cli import resolve_scenario
 from rissim.linkbudget import (
     BELOW_FLOOR_DBM,
     SPEED_OF_LIGHT,
@@ -15,6 +17,7 @@ from rissim.linkbudget import (
     ReflectionCoefficient,
     RisConfig,
     Scenario,
+    element_phasor_matrix,
     is_below_floor,
     noise_floor,
     received_power,
@@ -99,6 +102,46 @@ class TestElementPhasor:
     def test_bad_index(self, scenario, p1):
         with pytest.raises(ValidationError):
             element_phasor(scenario, 127, spherical_to_cartesian(p1))
+
+
+_KERNEL_SCENARIOS = {
+    "default": {},
+    "rings12": {"ris": {"rings": 12}},
+    "patterned_28ghz": {
+        "frequency_ghz": 28.0,
+        "ue": {"pattern_exponent": 2.5},
+        "ris": {"element_pattern_exponent": 0.7},
+    },
+}
+
+
+class TestKernelMatchesReference:
+    """element_phasor_matrix against the (N, M, 3) kernel, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(_KERNEL_SCENARIOS))
+    @pytest.mark.parametrize("n", [1, 46, 200])
+    def test_bit_equal(self, name, n):
+        scenario = resolve_scenario(_KERNEL_SCENARIOS[name]).scenario
+        rng = np.random.default_rng(n)
+        positions = np.column_stack(
+            [rng.uniform(-0.5, 2.0, n), rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 0.5, n)]
+        )
+        if n > 1:
+            positions[0, 0] = -0.3  # behind the surface: the element clamp fires
+            positions[1, 2] = 0.4  # above every element: the UE clamp fires
+        got = element_phasor_matrix(scenario, positions)
+        assert got.shape == (n, len(scenario.layout))
+        assert np.array_equal(got, reference_phasor_matrix(scenario, positions))
+        if n > 1 and scenario.ue_pattern.exponent > 0.0:
+            assert np.all(got[:2] == 0.0)
+
+    def test_position_on_an_element_center_rejected(self, scenario):
+        positions = np.array([[1.0, 0.2, -0.3], scenario.layout.positions[5]])
+        message = f"user position {tuple(positions[1])} coincides with element 5 center"
+        with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+            element_phasor_matrix(scenario, positions)
+        with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+            reference_phasor_matrix(scenario, positions)
 
 
 class TestCombinedPattern:

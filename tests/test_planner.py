@@ -5,16 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import plan_updates_stepwise
+from rissim import planner
 from rissim.errors import BeamNotResolvedError, GeometryError, ValidationError
 from rissim.geom import RisLayout, SphericalCoord, Vec3, spherical_to_cartesian
 from rissim.linkbudget import AntennaPattern, ReflectionCoefficient, Scenario
-from rissim.optimizer import ACTIVE, uniform_config
+from rissim.optimizer import ACTIVE, REFLECTIVE, uniform_config
 from rissim.planner import (
+    _BLOCK_STEPS,
     FocusEllipse,
     Trajectory,
     arc_waypoints,
     focus_ellipse,
     plan_updates,
+    radial_waypoints,
     rho_azimuth,
     rho_radial,
     update_interval,
@@ -233,3 +237,59 @@ class TestPlanUpdates:
             Trajectory((p, p), 0.0)
         with pytest.raises(ValidationError):
             Trajectory((p, Vec3(1.0, 0.5, 0.4)), 1.0)
+
+
+def _line(start: Vec3, toward: Vec3, length: float) -> tuple[Vec3, Vec3]:
+    d = math.hypot(toward.x - start.x, toward.y - start.y)
+    ux, uy = (toward.x - start.x) / d, (toward.y - start.y) / d
+    return (start, Vec3(start.x + length * ux, start.y + length * uy, start.z))
+
+
+def _oracle_paths(doc):
+    """{name: (waypoints, speed)} of the paths the blocked planner is checked on."""
+    p1, p2 = (spherical_to_cartesian(doc.targets[n]) for n in ("P1", "P2"))
+    arc = _arc(doc, "P2", "P1")
+    mid = arc[len(arc) // 2]
+    arc_length = sum(math.dist(a.as_array(), b.as_array()) for a, b in zip(arc, arc[1:]))
+    return {
+        "arc": (arc, 1.0),
+        "radial": (radial_waypoints(doc.targets["P2"], 0.8), 1.0),
+        "line": (_line(p1, p2, 0.3), 1.0),
+        "repeated_waypoints": ((p2, mid, mid, p1, p1), 1.0),
+        # 0.25 m, exact in binary: the 250th sample lands on the end point
+        "exact_multiple": ((Vec3(1.25, 0.25, -0.39), Vec3(1.25, 0.5, -0.39)), 1.0),
+        # about 2.5 blocks of samples, so exits fall in several blocks
+        "blocks": (arc, arc_length / (2.5 * _BLOCK_STEPS * 1e-3)),
+    }
+
+
+_ORACLE_PATH_NAMES = ["arc", "radial", "line", "repeated_waypoints", "exact_multiple", "blocks"]
+
+
+class TestBlockedPlannerMatchesStepwise:
+    @pytest.mark.parametrize("alphabet", [REFLECTIVE, ACTIVE], ids=lambda a: a.name)
+    @pytest.mark.parametrize("name", _ORACLE_PATH_NAMES)
+    def test_same_schedule(self, scenario, doc, alphabet, name):
+        waypoints, speed = _oracle_paths(doc)[name]
+        trajectory = Trajectory(waypoints, speed)
+        schedule = plan_updates(scenario, trajectory, alphabet)
+        assert schedule == plan_updates_stepwise(scenario, trajectory, alphabet)
+        assert len(schedule.events) >= 2
+        if name == "blocks":
+            assert {round(e.t_s / 1e-3) // _BLOCK_STEPS for e in schedule.events} >= {0, 1, 2}
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 64])
+    def test_block_size_does_not_change_the_schedule(self, scenario, doc, monkeypatch, block):
+        # small blocks put exits on the first and last sample of a block
+        monkeypatch.setattr(planner, "_BLOCK_STEPS", block)
+        for name in _ORACLE_PATH_NAMES[:4]:
+            trajectory = Trajectory(*_oracle_paths(doc)[name])
+            expected = plan_updates_stepwise(scenario, trajectory, ACTIVE)
+            assert plan_updates(scenario, trajectory, ACTIVE) == expected
+
+    def test_slow_user_many_blocks(self, scenario, doc):
+        # 0.05 m at 1 mm/s: 50 000 samples, about 49 blocks
+        trajectory = Trajectory(radial_waypoints(doc.targets["P2"], 0.05), 1e-3)
+        assert plan_updates(scenario, trajectory, ACTIVE) == plan_updates_stepwise(
+            scenario, trajectory, ACTIVE
+        )
