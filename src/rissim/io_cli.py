@@ -29,6 +29,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,6 @@ from .linkbudget import (
     ReflectionCoefficient,
     RisConfig,
     Scenario,
-    is_below_floor,
     noise_floor,
 )
 from .optimizer import (
@@ -402,6 +402,17 @@ def read_config_csv(
     return RisConfig(tuple(coeffs), name)
 
 
+@lru_cache(maxsize=1)
+def _grid_template(spec: GridSpec) -> str:
+    """The data rows of a grid CSV, x-major, each ending in a `%.6g` slot for its power."""
+    ys = [_fmt(spec.y0 + spec.dy * j) for j in range(spec.ny)]
+    rows = []
+    for i in range(spec.nx):
+        x = _fmt(spec.x0 + spec.dx * i)
+        rows.extend(f"{i},{j},{x},{y},%.6g\n" for j, y in enumerate(ys))
+    return "".join(rows)
+
+
 def write_power_grid_csv(grid: PowerGrid, stream) -> None:
     s = grid.spec
     if "\n" in grid.label:
@@ -410,18 +421,46 @@ def write_power_grid_csv(grid: PowerGrid, stream) -> None:
         f"# {_fmt(s.x0)},{_fmt(s.y0)},{_fmt(s.dx)},{_fmt(s.dy)},{s.nx},{s.ny},"
         f"{_fmt(s.z_plane)},{grid.label}\n"
     )
-    ys = [(j, _fmt(s.y0 + s.dy * j)) for j in range(s.ny)]
-    lines = []
-    for i, row in enumerate(grid.values.tolist()):
-        x = _fmt(s.x0 + s.dx * i)
-        lines.extend(
-            f"{i},{j},{x},{y},{'-inf' if is_below_floor(v) else _fmt(v)}\n"
-            for (j, y), v in zip(ys, row)
-        )
-    stream.write("".join(lines))
+    # '%.6g' is _fmt's format: adding 0.0 turns -0.0 into 0 as _fmt does, and -inf writes as '-inf'
+    power = np.where(grid.values <= BELOW_FLOOR_DBM, -np.inf, grid.values + 0.0)
+    stream.write(_grid_template(s) % tuple(power.ravel().tolist()))
+
+
+_GRID_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("power", np.float64)])
+
+
+def _parse_grid_rows(rows: list[str]) -> np.ndarray:
+    """(i, j, power) of each `i,j,x,y,power` row in one pass; x and y are not read."""
+    return np.loadtxt(rows, delimiter=",", usecols=(0, 1, 4), dtype=_GRID_ROW, comments=None, ndmin=1)
+
+
+def _first_bad_row(rows: list[str]) -> tuple[int, str]:
+    """Index of the first row that is not five fields that _parse_grid_rows reads, and why.
+
+    Bisects with the bulk parse, so each reason is the one it gives.
+    """
+    wrong_count = np.flatnonzero(np.char.count(np.array(rows), ",") != 4)
+    end = int(wrong_count[0]) if wrong_count.size else len(rows)
+    lo, hi, reason = 0, end + 1, "expected 5 fields"
+    while hi - lo > 1:  # rows[:lo] parse and rows[:hi] do not
+        mid = (lo + hi) // 2
+        try:
+            _parse_grid_rows(rows[lo:mid])
+        except ValueError as exc:
+            hi, reason = mid, re.sub(r" at row \d+", "", str(exc))
+        else:
+            lo = mid
+    return lo, reason
 
 
 def read_power_grid_csv(stream) -> PowerGrid:
+    """Read a grid CSV; blank lines are skipped and the rows may come in any order.
+
+    Rejects, naming the line where there is one: rows that are not five
+    fields with integer i, j and a number power, powers that are NaN or +inf,
+    cells out of range, fewer rows than cells, and cells given twice. The
+    (nx, ny) array is allocated only after all of these checks.
+    """
     header = stream.readline().rstrip("\n")
     if not header.startswith("# "):
         raise ValidationError("grid file must start with '# x0,y0,dx,dy,nx,ny,z_plane,label'")
@@ -440,24 +479,48 @@ def read_power_grid_csv(stream) -> PowerGrid:
         )
     except ValueError as exc:
         raise ValidationError(f"bad grid header: {exc}") from exc
-    values = np.full((spec.nx, spec.ny), np.nan)
-    for lineno, line in enumerate(stream, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValidationError(f"grid line {lineno}: expected 5 fields")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            v = float(parts[4])
-        except ValueError as exc:
-            raise ValidationError(f"grid line {lineno}: {exc}") from exc
-        if not (0 <= i < spec.nx and 0 <= j < spec.ny):
-            raise ValidationError(f"grid line {lineno}: cell ({i}, {j}) out of range")
-        values[i, j] = BELOW_FLOOR_DBM if v == float("-inf") else v
-    if np.any(np.isnan(values)):
+    text = stream.read()
+    lines = text.split("\n")
+    rows = list(filter(str.strip, lines))
+
+    def line_of(row: int) -> int:
+        """File line of a row: the header is line 1 and blank lines hold no row."""
+        return int(np.flatnonzero([bool(line.strip()) for line in lines])[row]) + 2
+
+    if not rows:
         raise ValidationError("grid file does not cover every cell")
+    try:
+        cells = _parse_grid_rows(rows)
+    except ValueError:
+        cells = None
+    # a row with more than five fields parses, but adds commas
+    if cells is None or text.count(",") != 4 * cells.size:
+        row, reason = _first_bad_row(rows)
+        raise ValidationError(f"grid line {line_of(row)}: {reason}")
+    i, j, power = cells["i"], cells["j"], cells["power"]
+
+    bad = np.flatnonzero(np.isnan(power) | (power == np.inf))
+    if bad.size:
+        k = bad[0]
+        raise ValidationError(f"grid line {line_of(k)}: power {power[k]} must be finite or -inf")
+    bad = np.flatnonzero((i < 0) | (i >= spec.nx) | (j < 0) | (j >= spec.ny))
+    if bad.size:
+        k = bad[0]
+        raise ValidationError(f"grid line {line_of(k)}: cell ({i[k]}, {j[k]}) out of range")
+    if cells.size < spec.nx * spec.ny:
+        raise ValidationError("grid file does not cover every cell")
+    flat = i * spec.ny + j
+    order = np.argsort(flat, kind="stable")
+    repeats = order[1:][np.diff(flat[order]) == 0]
+    if repeats.size:
+        k = repeats.min()
+        first = np.flatnonzero(flat == flat[k])[0]
+        raise ValidationError(
+            f"grid line {line_of(k)}: cell ({i[k]}, {j[k]}) repeats line {line_of(first)}"
+        )
+    # in range, none repeated and at least nx * ny of them: exactly one row per cell
+    values = np.empty((spec.nx, spec.ny))
+    values[i, j] = np.where(power == -np.inf, BELOW_FLOOR_DBM, power)
     return PowerGrid(spec, values, label=fields[7])
 
 

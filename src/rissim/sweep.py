@@ -64,6 +64,9 @@ class GridSpec:
     z_plane: float
 
     def __post_init__(self):
+        for name in ("x0", "y0", "dx", "dy", "z_plane"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"grid {name} must be finite")
         if not (self.dx > 0.0 and self.dy > 0.0):
             raise ValidationError("grid steps must be > 0")
         if self.nx < 1 or self.ny < 1:

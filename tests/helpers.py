@@ -1,7 +1,8 @@
 """Shared builders for randomized test scenarios and the oracles the package is
 checked against: exhaustive configuration search, the (N, M, 3) phasor
 kernel, scalar per-element phasor and pattern products, the full-scan
-beamwidth, the record-level sounder and the step-by-step planner."""
+beamwidth, the record-level sounder, the step-by-step planner and the per-cell
+grid CSV writer."""
 import itertools
 import math
 
@@ -32,7 +33,7 @@ from rissim.planner import (
     _polyline,
     focus_ellipse,
 )
-from rissim.sweep import SounderParams, _arc_positions
+from rissim.sweep import PowerGrid, SounderParams, _arc_positions
 
 
 def make_random_scenario(rng: np.random.Generator, m_count: int):
@@ -336,3 +337,33 @@ def plan_updates_stepwise(
     else:
         mean = None
     return UpdateSchedule(tuple(events), mean)
+
+
+def _fmt_reference(value: float) -> str:
+    v = float(value)
+    if v == 0.0:  # normalize -0.0
+        v = 0.0
+    return f"{v:.6g}"
+
+
+def write_power_grid_csv_reference(grid: PowerGrid, stream) -> None:
+    """The grid CSV writer formatting one cell at a time.
+
+    write_power_grid_csv must write these bytes for every grid.
+    """
+    s = grid.spec
+    if "\n" in grid.label:
+        raise ValidationError("grid label must not contain newlines")
+    stream.write(
+        f"# {_fmt_reference(s.x0)},{_fmt_reference(s.y0)},{_fmt_reference(s.dx)},"
+        f"{_fmt_reference(s.dy)},{s.nx},{s.ny},{_fmt_reference(s.z_plane)},{grid.label}\n"
+    )
+    ys = [(j, _fmt_reference(s.y0 + s.dy * j)) for j in range(s.ny)]
+    lines = []
+    for i, row in enumerate(grid.values.tolist()):
+        x = _fmt_reference(s.x0 + s.dx * i)
+        lines.extend(
+            f"{i},{j},{x},{y},{'-inf' if v <= BELOW_FLOOR_DBM else _fmt_reference(v)}\n"
+            for (j, y), v in zip(ys, row)
+        )
+    stream.write("".join(lines))

@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import write_power_grid_csv_reference
+
 import rissim
 from rissim.errors import ValidationError
-from rissim.geom import Vec3, hex_layout
+from rissim.geom import Vec3, hex_layout, spherical_to_cartesian
 from rissim.io_cli import (
     DEFAULTS,
     cli_dispatch,
@@ -26,10 +28,17 @@ from rissim.io_cli import (
     write_power_grid_csv,
     write_schedule_csv,
 )
-from rissim.linkbudget import BELOW_FLOOR_DBM
-from rissim.optimizer import REFLECTIVE
+from rissim.linkbudget import BELOW_FLOOR_DBM, ReflectionCoefficient
+from rissim.optimizer import REFLECTIVE, optimize_config, uniform_config
 from rissim.planner import UpdateEvent, UpdateSchedule
-from rissim.sweep import GridSpec, PowerGrid, find_peak
+from rissim.sweep import (
+    GridSpec,
+    PowerGrid,
+    SounderParams,
+    emulate_measurement_grid,
+    find_peak,
+    sweep_power,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -303,6 +312,148 @@ class TestCsvFormats:
         buf = io.StringIO()
         write_schedule_csv(UpdateSchedule(events, 0.091), buf)
         assert buf.getvalue() == SCHEDULE_CSV
+
+
+# A 2 x 1 grid; each case below replaces or adds to its data rows.
+_GRID_HEADER = "# 0,0,0.1,0.1,2,1,0,x\n"
+_GRID_ROWS = "0,0,0,0,-60\n1,0,0.1,0,-61\n"
+
+
+class TestGridCsvReader:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0,0,0.1,0.1,2,1,0,x\n" + _GRID_ROWS, "must start with"),
+            ("# 0,0,0.1,0.1,2,1,0\n" + _GRID_ROWS, "8 comma-separated"),
+            ("# 0,zero,0.1,0.1,2,1,0,x\n" + _GRID_ROWS, "bad grid header"),
+            ("# 0,0,0.1,0.1,two,1,0,x\n" + _GRID_ROWS, "bad grid header"),
+            (_GRID_HEADER + "0,0,0,0,-60\n1,0,0.1,-61\n", r"grid line 3: expected 5 fields"),
+            (_GRID_HEADER + "0,0,0,0,-60\n1,0,0.1,0,-61,7\n", r"grid line 3: expected 5 fields"),
+            (_GRID_HEADER + "0,0,0,0,-60\n1.0,0,0.1,0,-61\n", r"grid line 3\b"),
+            (_GRID_HEADER + "0,0,0,0,-60\n1,zero,0.1,0,-61\n", r"grid line 3\b"),
+            (_GRID_HEADER + "0,0,0,0,-60\n1,0,0.1,0,-61dB\n", r"grid line 3\b"),
+            (_GRID_HEADER + "0,0,0,0,-60\n1,0,0.1,0,\n", r"grid line 3\b"),
+            (_GRID_HEADER + "0,0,0,0,-60\n2,0,0.2,0,-61\n", r"grid line 3: cell \(2, 0\) out of range"),
+            (_GRID_HEADER + "0,0,0,0,-60\n1,-1,0.1,0,-61\n", r"grid line 3: cell \(1, -1\) out of range"),
+            (_GRID_HEADER + "0,0,0,0,-60\n\n  \n1,0,0.1,0,x\n", r"grid line 5\b"),
+            (_GRID_HEADER + "\n \n", "every cell"),
+        ],
+        ids=[
+            "no-hash", "header-7-fields", "header-x0-text", "header-nx-text", "4-fields", "6-fields",
+            "i-float", "j-text", "power-text", "power-empty", "i-too-large", "j-negative",
+            "line-after-blanks", "no-rows",
+        ],
+    )
+    def test_malformed_file_rejected(self, text, message):
+        with pytest.raises(ValidationError, match=message):
+            read_power_grid_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "\n0,0,0,0,-60\n   \n\t\n1,0,0.1,0,-61\n\n \n",
+            "0,0,0,0,-60\r\n1,0,0.1,0,-61\r\n",
+            "1,0,0.1,0,-61\n0,0,0,0,-60",
+            " 0 , 0 ,0,0, -60 \n+1,0,0.1,0,-61\n",
+        ],
+        ids=["blank-lines", "crlf", "any-order-no-final-newline", "spaces-and-sign"],
+    )
+    def test_accepted_layouts(self, rows):
+        grid = read_power_grid_csv(io.StringIO(_GRID_HEADER + rows))
+        assert grid.spec == GridSpec(0.0, 0.0, 0.1, 0.1, 2, 1, 0.0)
+        assert grid.values.tolist() == [[-60.0], [-61.0]]
+
+    def test_x_and_y_are_not_read(self):
+        grid = read_power_grid_csv(io.StringIO(_GRID_HEADER + "0,0,a,b,-60\n1,0,,,-61\n"))
+        assert grid.values.tolist() == [[-60.0], [-61.0]]
+
+    def test_minus_inf_reads_as_floor_sentinel(self):
+        grid = read_power_grid_csv(io.StringIO(_GRID_HEADER + "0,0,0,0,-inf\n1,0,0.1,0,-1e400\n"))
+        assert grid.values.tolist() == [[BELOW_FLOOR_DBM], [BELOW_FLOOR_DBM]]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (_GRID_HEADER + _GRID_ROWS + "1,0,0.1,0,-70\n", r"grid line 4: cell \(1, 0\) repeats line 3"),
+            (_GRID_HEADER + "0,0,0,0,-60\n0,0,0,0,-70\n", r"grid line 3: cell \(0, 0\) repeats line 2"),
+            (_GRID_HEADER + "0,0,0,0,-60\n1,0,0.1,0,nan\n", r"grid line 3: power nan"),
+            (_GRID_HEADER + "0,0,0,0,inf\n1,0,0.1,0,-61\n", r"grid line 2: power inf"),
+            (_GRID_HEADER + "0,0,0,0,-60\n1,0,0.1,0,1e400\n", r"grid line 3: power inf"),
+            ("# inf,0,0.1,0.1,2,1,0,x\n" + _GRID_ROWS, "x0 must be finite"),
+            ("# 0,nan,0.1,0.1,2,1,0,x\n" + _GRID_ROWS, "y0 must be finite"),
+            ("# 0,0,inf,0.1,2,1,0,x\n" + _GRID_ROWS, "dx must be finite"),
+            ("# 0,0,0.1,0.1,2,1,-inf,x\n" + _GRID_ROWS, "z_plane must be finite"),
+        ],
+        ids=[
+            "repeated-cell", "repeated-first-cell", "power-nan", "power-inf", "power-overflow",
+            "header-x0-inf", "header-y0-nan", "header-dx-inf", "header-z-minus-inf",
+        ],
+    )
+    def test_silently_accepted_or_misreported_files_rejected(self, text, message):
+        with pytest.raises(ValidationError, match=message):
+            read_power_grid_csv(io.StringIO(text))
+
+    def test_header_size_is_checked_against_the_rows_before_allocating(self):
+        # 10**20 cells: numpy refuses that size outright, so nothing is allocated
+        text = "# 0,0,0.1,0.1,10000000000,10000000000,0,x\n0,0,0,0,-60\n"
+        with pytest.raises(ValidationError, match="every cell"):
+            read_power_grid_csv(io.StringIO(text))
+
+    def test_compare_rejects_malformed_grid(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        good.write_text(_GRID_HEADER + _GRID_ROWS)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(_GRID_HEADER + _GRID_ROWS + "1,0,0.1,0,-70\n")
+        assert cli_dispatch(["compare", str(good), str(good)]) == 0
+        capsys.readouterr()
+        assert cli_dispatch(["compare", str(good), str(bad)]) == 1
+        assert "grid line 4" in capsys.readouterr().err
+
+def _grid_csv(writer, grid) -> str:
+    buf = io.StringIO()
+    writer(grid, buf)
+    return buf.getvalue()
+
+
+def _pattern_grids(doc):
+    """The sweep and the seed-7 emulated grid of each power-pattern case."""
+    scenario = doc.scenario
+    configs = [
+        uniform_config(scenario.layout, ReflectionCoefficient(0.0, 0.0), "all_off"),
+        uniform_config(scenario.layout, doc.alphabets["off_structural"].states[0], "off_structural"),
+    ]
+    for name in sorted(doc.targets):
+        target = spherical_to_cartesian(doc.targets[name])
+        for alphabet in ("reflective", "active"):
+            configs.append(optimize_config(scenario, target, doc.alphabets[alphabet]))
+    sounder = SounderParams(rng_seed=7)
+    for config in configs:
+        yield sweep_power(scenario, config, doc.grid, label=f"sim:{config.alphabet_name}")
+        yield emulate_measurement_grid(scenario, config, doc.grid, sounder, label="meas")
+
+
+class TestGridCsvWriterMatchesReference:
+    def test_power_pattern_grids(self, doc):
+        grids = list(_pattern_grids(doc))
+        assert len(grids) == 12
+        for grid in grids:
+            assert _grid_csv(write_power_grid_csv, grid) == _grid_csv(write_power_grid_csv_reference, grid)
+
+    def test_values_across_magnitudes_and_specs(self):
+        rng = np.random.default_rng(11)
+        special = [-0.0, 0.0, BELOW_FLOOR_DBM, -250.0000001, -1e300, 1e-7, 1.23456789e7,
+                   -62.5, 999999.5, 0.1 + 0.2, math.nan, math.inf, -math.inf]
+        a = GridSpec(-0.3, 0.25, 0.02, 1e-3, 7, 9, -0.39)
+        b = GridSpec(0.7, -1.25, 0.02, 1e-3, 7, 9, -0.39)
+        one = GridSpec(1.0, 2.0, 0.5, 0.5, 1, 1, 0.0)
+        for spec in (a, b, one, a):
+            cells = spec.nx * spec.ny
+            magnitudes = 10.0 ** rng.uniform(-300, 300, cells)
+            values = rng.choice([-1.0, 1.0], cells) * magnitudes
+            values[: min(cells, len(special))] = special[:cells]
+            rng.shuffle(values)
+            grid = PowerGrid(spec, values.reshape(spec.nx, spec.ny), label="a,b")
+            assert _grid_csv(write_power_grid_csv, grid) == _grid_csv(write_power_grid_csv_reference, grid)
 
 
 class TestHeatmap:

@@ -74,6 +74,11 @@ class TestGridSpec:
             GridSpec(0, 0, 0.0, 0.02, 3, 3, 0.0)
         with pytest.raises(ValidationError):
             GridSpec(0, 0, 0.02, 0.02, 0, 3, 0.0)
+        for field in ("x0", "y0", "dx", "dy", "z_plane"):
+            for value in (math.inf, -math.inf, math.nan):
+                fields = {"x0": 0, "y0": 0, "dx": 0.02, "dy": 0.02, "nx": 3, "ny": 3, "z_plane": 0.0}
+                with pytest.raises(ValidationError, match=f"grid {field} must be finite"):
+                    GridSpec(**{**fields, field: value})
 
 
 class TestSweepPower:
