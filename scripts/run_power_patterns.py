@@ -9,6 +9,7 @@ as grid CSVs plus PGM heatmaps, and prints a peak summary table.
 """
 import argparse
 import math
+from dataclasses import replace
 from pathlib import Path
 
 from rissim.errors import NoPeakError
@@ -16,21 +17,21 @@ from rissim.geom import spherical_to_cartesian
 from rissim.io_cli import export_heatmap, load_scenario, write_power_grid_csv
 from rissim.linkbudget import ReflectionCoefficient
 from rissim.optimizer import optimize_config, uniform_config
-from rissim.sweep import SounderParams, emulate_measurement_grid, find_peak, sweep_power
+from rissim.sweep import emulate_measurement_grid, find_peak, sweep_power
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scenario", metavar="FILE", help="scenario YAML (defaults built in)")
     parser.add_argument("--outdir", default="results/patterns", help="output directory")
-    parser.add_argument("--seed", type=int, default=0, help="sounder noise seed")
+    parser.add_argument("--seed", type=int, help="sounder noise seed (default: the scenario's)")
     args = parser.parse_args()
 
     doc = load_scenario(args.scenario)
     scenario = doc.scenario
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    sounder = SounderParams(rng_seed=args.seed)
+    sounder = doc.sounder if args.seed is None else replace(doc.sounder, rng_seed=args.seed)
 
     cases = [
         ("no_ris", uniform_config(scenario.layout, ReflectionCoefficient(0.0, 0.0), "all_off")),

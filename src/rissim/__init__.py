@@ -36,8 +36,6 @@ from .linkbudget import (
 )
 from .optimizer import (
     ACTIVE,
-    BUILTIN_ALPHABETS,
-    OFF_STRUCTURAL,
     REFLECTIVE,
     ReflectionAlphabet,
     optimize_config,

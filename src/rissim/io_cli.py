@@ -94,6 +94,8 @@ DEFAULTS: dict = {
         "element_width_mm": 6.6,
         "element_height_mm": 6.6,
         "element_pattern_exponent": 1.0,
+        # Powered-off elements still reflect structurally: a uniform magnitude
+        # calibrated so the switched-off setup peaks near -80 dBm on the default grid.
         "off_state_magnitude": 0.157,
         "off_state_phase_deg": 0.0,
     },
@@ -360,12 +362,12 @@ def read_config_csv(
     be one of its states and every state index >= 0 must match it; -1 (no
     known alphabet when written) matches any state.
     """
-    header = stream.readline().rstrip("\n")
+    header = stream.readline().rstrip("\r\n")
     if not header.startswith("# "):
         raise ValidationError("configuration file must start with '# <alphabet>'")
     name = header[2:]
     alphabet = (alphabets or {}).get(name)
-    columns = stream.readline().rstrip("\n")
+    columns = stream.readline().rstrip("\r\n")
     if columns != "m,state,magnitude,phase_deg":
         raise ValidationError(f"unexpected configuration columns: {columns!r}")
     coeffs = []
@@ -415,7 +417,7 @@ def _grid_template(spec: GridSpec) -> str:
 
 def write_power_grid_csv(grid: PowerGrid, stream) -> None:
     s = grid.spec
-    if "\n" in grid.label:
+    if "\n" in grid.label or "\r" in grid.label:
         raise ValidationError("grid label must not contain newlines")
     stream.write(
         f"# {_fmt(s.x0)},{_fmt(s.y0)},{_fmt(s.dx)},{_fmt(s.dy)},{s.nx},{s.ny},"
@@ -461,7 +463,7 @@ def read_power_grid_csv(stream) -> PowerGrid:
     cells out of range, fewer rows than cells, and cells given twice. The
     (nx, ny) array is allocated only after all of these checks.
     """
-    header = stream.readline().rstrip("\n")
+    header = stream.readline().rstrip("\r\n")
     if not header.startswith("# "):
         raise ValidationError("grid file must start with '# x0,y0,dx,dy,nx,ny,z_plane,label'")
     fields = header[2:].split(",", 7)
@@ -798,11 +800,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor-dbm", type=float, default=-90.0)
     p.set_defaults(func=_cmd_compare)
 
+    snd = DEFAULTS["sounder"]
     p = sub.add_parser("noise-floor", help="thermal noise floor in dBm")
-    p.add_argument("--temp-k", type=float, default=293.0)
-    p.add_argument("--bw-mhz", type=float, default=155.0)
-    p.add_argument("--q", type=int, default=50)
-    p.add_argument("--nf-db", type=float, default=9.0)
+    p.add_argument("--temp-k", type=float, default=snd["temperature_k"])
+    p.add_argument("--bw-mhz", type=float, default=snd["bandwidth_mhz"])
+    p.add_argument("--q", type=int, default=snd["averages"])
+    p.add_argument("--nf-db", type=float, default=snd["noise_figure_db"])
     p.set_defaults(func=_cmd_noise_floor)
 
     return parser

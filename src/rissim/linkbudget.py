@@ -263,6 +263,8 @@ def noise_floor(
     """Thermal noise floor in dBm after coherent averaging.
 
     10*log10(k*T*B / (1 mW * Q)) + NF, with Q the number of averaged records.
+    k*T*B/Q must be finite and > 0 as a float: an infinite bandwidth or a
+    product that underflows to zero has no floor in dBm.
     """
     if not temperature_k > 0.0:
         raise ValidationError(f"temperature must be > 0, got {temperature_k}")
@@ -272,7 +274,10 @@ def noise_floor(
         raise ValidationError(f"averages must be >= 1, got {averages}")
     if not math.isfinite(noise_figure_db):
         raise ValidationError("noise figure must be finite")
-    return 10.0 * math.log10(BOLTZMANN * temperature_k * bandwidth_hz / (1e-3 * averages)) + noise_figure_db
+    noise_mw = BOLTZMANN * temperature_k * bandwidth_hz / (1e-3 * averages)
+    if not (math.isfinite(noise_mw) and noise_mw > 0.0):
+        raise ValidationError(f"noise power k*T*B/Q must be finite and > 0, got {noise_mw} mW")
+    return 10.0 * math.log10(noise_mw) + noise_figure_db
 
 
 def config_fingerprint(config: RisConfig) -> str:

@@ -18,12 +18,6 @@ from .errors import ValidationError
 from .geom import RisLayout, Vec3
 from .linkbudget import ReflectionCoefficient, RisConfig, Scenario, element_phasor_matrix
 
-# Powered-off elements still reflect structurally. Uniform magnitude
-# calibrated so the default switched-off setup peaks near -80 dBm on the
-# default measurement grid; overridable per scenario.
-OFF_STRUCTURAL_MAGNITUDE = 0.157
-OFF_STRUCTURAL_PHASE_DEG = 0.0
-
 # Arcs whose swept objective lies this close to the best are re-evaluated
 # exactly (the running sum carries rounding); candidates within _TIE_RTOL of
 # the best exact objective count as ties.
@@ -62,12 +56,6 @@ ACTIVE = ReflectionAlphabet(
     "active",
     (ReflectionCoefficient(1.25, 0.0), ReflectionCoefficient(0.0, 0.0)),
 )
-OFF_STRUCTURAL = ReflectionAlphabet(
-    "off_structural",
-    (ReflectionCoefficient(OFF_STRUCTURAL_MAGNITUDE, OFF_STRUCTURAL_PHASE_DEG),),
-)
-
-BUILTIN_ALPHABETS = {a.name: a for a in (REFLECTIVE, ACTIVE, OFF_STRUCTURAL)}
 
 
 def uniform_config(

@@ -55,13 +55,9 @@ class FocusEllipse:
         if not (self.rho_a > 0.0 and self.rho_r > 0.0):
             raise ValidationError("ellipse semi-axes must be > 0")
 
-    def contains(self, point: Vec3 | np.ndarray) -> bool | np.ndarray:
-        """Whether a point, or each row of an (N, 3) array of points, lies inside."""
-        if isinstance(point, Vec3):
-            x, y = point.x, point.y
-        else:
-            x, y = point[:, 0], point[:, 1]
-        dx, dy = x - self.center.x, y - self.center.y
+    def contains(self, point: np.ndarray) -> bool | np.ndarray:
+        """Whether a (3,) point, or each row of an (N, 3) array of points, lies inside."""
+        dx, dy = point[..., 0] - self.center.x, point[..., 1] - self.center.y
         ur_x, ur_y = self.orientation.x, self.orientation.y
         a = (-dx * ur_y + dy * ur_x) / self.rho_a
         r = (dx * ur_x + dy * ur_y) / self.rho_r

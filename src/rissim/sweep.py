@@ -72,14 +72,6 @@ class GridSpec:
         if self.nx < 1 or self.ny < 1:
             raise ValidationError("grid must contain at least one cell")
 
-    @staticmethod
-    def default() -> "GridSpec":
-        """31 x 46 cells, 2 cm steps: x in [0.92, 1.52], y in [0.02, 0.92], z = -0.39."""
-        return GridSpec(x0=0.92, y0=0.02, dx=0.02, dy=0.02, nx=31, ny=46, z_plane=-0.39)
-
-    def x_coords(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.nx)
-
     def y_coords(self) -> np.ndarray:
         return self.y0 + self.dy * np.arange(self.ny)
 

@@ -328,7 +328,7 @@ def plan_updates_stepwise(
     for k in range(1, steps + 1):
         t = k * time_step_s
         position = _position_at(pts, cumulative, t * trajectory.speed_mps)
-        if not ellipse.contains(position):
+        if not ellipse.contains(position.as_array()):
             event, ellipse = reconfigure(t, position)
             events.append(event)
 
@@ -352,7 +352,7 @@ def write_power_grid_csv_reference(grid: PowerGrid, stream) -> None:
     write_power_grid_csv must write these bytes for every grid.
     """
     s = grid.spec
-    if "\n" in grid.label:
+    if "\n" in grid.label or "\r" in grid.label:
         raise ValidationError("grid label must not contain newlines")
     stream.write(
         f"# {_fmt_reference(s.x0)},{_fmt_reference(s.y0)},{_fmt_reference(s.dx)},"

@@ -28,7 +28,7 @@ from rissim.io_cli import (
     write_power_grid_csv,
     write_schedule_csv,
 )
-from rissim.linkbudget import BELOW_FLOOR_DBM, ReflectionCoefficient
+from rissim.linkbudget import BELOW_FLOOR_DBM, ReflectionCoefficient, noise_floor
 from rissim.optimizer import REFLECTIVE, optimize_config, uniform_config
 from rissim.planner import UpdateEvent, UpdateSchedule
 from rissim.sweep import (
@@ -139,6 +139,10 @@ class TestScenarioLoading:
         assert set(doc.alphabets) == {"reflective", "active", "off_structural"}
         assert doc.alphabet_name == "reflective"
         assert doc.grid == GridSpec(0.92, 0.02, 0.02, 0.02, 31, 46, -0.39)
+
+    def test_default_sounder_is_the_class_default(self):
+        # the benchmark builds SounderParams() from the class defaults
+        assert resolve_scenario({}).sounder == SounderParams()
 
     def test_none_matches_empty(self, tmp_path):
         path = tmp_path / "empty.yaml"
@@ -267,6 +271,19 @@ class TestCsvFormats:
         write_power_grid_csv(grid, buf)
         assert read_power_grid_csv(io.StringIO(buf.getvalue())).label == "a,b,c"
 
+    def test_grid_read_strips_crlf_from_the_header(self):
+        grid = read_power_grid_csv(io.StringIO("# 0,0,0.1,0.1,1,1,0,lab\r\n0,0,0,0,-60\r\n"))
+        assert grid.label == "lab"
+        buf = io.StringIO()
+        write_power_grid_csv(grid, buf)
+        assert buf.getvalue() == "# 0,0,0.1,0.1,1,1,0,lab\n0,0,0,0,-60\n"
+
+    @pytest.mark.parametrize("label", ["a\nb", "a\rb", "lab\r"])
+    def test_grid_label_with_line_break_rejected(self, label):
+        grid = PowerGrid(GridSpec(0.0, 0.0, 0.1, 0.1, 1, 1, 0.0), np.array([[-60.0]]), label=label)
+        with pytest.raises(ValidationError, match="newlines"):
+            write_power_grid_csv(grid, io.StringIO())
+
     def test_grid_read_rejects_partial_cover(self):
         text = "# 0,0,0.1,0.1,2,1,0,x\n0,0,0,0,-60\n"
         with pytest.raises(ValidationError, match="every cell"):
@@ -277,6 +294,12 @@ class TestCsvFormats:
         write_config_csv(refl_p1, buf, REFLECTIVE)
         back = read_config_csv(io.StringIO(buf.getvalue()))
         assert back == refl_p1
+
+    def test_config_read_accepts_crlf(self):
+        text = "# reflective\r\nm,state,magnitude,phase_deg\r\n0,1,0.3,165\r\n"
+        config = read_config_csv(io.StringIO(text), {"reflective": REFLECTIVE})
+        assert config.alphabet_name == "reflective"
+        assert config.coefficients == (REFLECTIVE.states[1],)
 
     @pytest.mark.parametrize("index", ["1", "00", "x"])
     def test_config_read_requires_row_ordinal(self, index):
@@ -507,6 +530,31 @@ class TestCli:
         )
         assert code == 0
         assert capsys.readouterr().out == "-100.0 dBm\n"
+
+    def test_noise_floor_defaults_are_the_scenario_sounder(self, doc, capsys):
+        s = doc.sounder
+        floor = noise_floor(s.temperature_k, s.bandwidth_hz, s.averages, s.noise_figure_db)
+        assert cli_dispatch(["noise-floor"]) == 0
+        assert capsys.readouterr().out == f"{floor:.1f} dBm\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--bw-mhz", "inf"], ["--temp-k", "1e-300", "--bw-mhz", "1e-300"]],
+        ids=["infinite", "underflow"],
+    )
+    def test_noise_floor_without_a_finite_value_rejected(self, flags, capsys):
+        assert cli_dispatch(["noise-floor", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: noise power k*T*B/Q must be finite and > 0")
+
+    def test_scenario_sounder_without_a_finite_floor_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("sounder: {temperature_k: 1.0e-300, bandwidth_mhz: 1.0e-300}\n")
+        assert cli_dispatch(["--scenario", str(bad), "emulate", "--all-off"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: noise power k*T*B/Q must be finite and > 0" in err
 
     def test_layout_row_count(self, tmp_path, capsys):
         out = tmp_path / "layout.csv"

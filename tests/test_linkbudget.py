@@ -299,6 +299,15 @@ class TestNoiseFloor:
         with pytest.raises(ValidationError):
             noise_floor(293.0, 155e6, 0, 9.0)
 
+    @pytest.mark.parametrize(
+        "temperature_k, bandwidth_hz",
+        [(293.0, math.inf), (1e300, 1e300), (1e-300, 1e-294)],
+        ids=["infinite-bandwidth", "overflow", "underflow"],
+    )
+    def test_rejects_noise_power_without_a_dbm_value(self, temperature_k, bandwidth_hz):
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            noise_floor(temperature_k, bandwidth_hz, 50, 9.0)
+
 
 class TestTypes:
     def test_zero_magnitude_clears_phase(self):

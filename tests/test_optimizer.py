@@ -14,7 +14,6 @@ from rissim.linkbudget import (
 )
 from rissim.optimizer import (
     ACTIVE,
-    OFF_STRUCTURAL,
     REFLECTIVE,
     ReflectionAlphabet,
     optimize_config,
@@ -35,7 +34,7 @@ def _assert_matches_brute_force(scenario, target, alphabet):
 
 
 class TestAlphabets:
-    def test_builtin_states(self):
+    def test_builtin_states(self, doc):
         assert REFLECTIVE.states == (
             ReflectionCoefficient(0.3, -15.0),
             ReflectionCoefficient(0.3, 165.0),
@@ -44,7 +43,7 @@ class TestAlphabets:
             ReflectionCoefficient(1.25, 0.0),
             ReflectionCoefficient(0.0, 0.0),
         )
-        assert len(OFF_STRUCTURAL.states) == 1
+        assert len(doc.alphabets["off_structural"].states) == 1
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -69,11 +68,12 @@ class TestUniformConfig:
 
 
 class TestOptimize:
-    def test_single_state_alphabet_returns_uniform(self):
+    def test_single_state_alphabet_returns_uniform(self, doc):
+        off = doc.alphabets["off_structural"]
         rng = np.random.default_rng(3)
         scenario, target = make_random_scenario(rng, 9)
-        config = optimize_config(scenario, target, OFF_STRUCTURAL)
-        assert config.coefficients == (OFF_STRUCTURAL.states[0],) * 9
+        config = optimize_config(scenario, target, off)
+        assert config.coefficients == (off.states[0],) * 9
 
     def test_single_element_tie_takes_first_state(self):
         rng = np.random.default_rng(4)

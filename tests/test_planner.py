@@ -124,7 +124,7 @@ class TestFocusEllipse:
 
     def test_contains_its_center(self, scenario, active_p2, p2):
         ellipse = focus_ellipse(scenario, active_p2, p2)
-        assert ellipse.contains(ellipse.center)
+        assert ellipse.contains(ellipse.center.as_array())
         # boundary behavior along both axes
         on_r = Vec3(
             ellipse.center.x + 0.999 * ellipse.rho_r * ellipse.orientation.x,
@@ -136,8 +136,8 @@ class TestFocusEllipse:
             ellipse.center.y + 1.001 * ellipse.rho_r * ellipse.orientation.y,
             ellipse.center.z,
         )
-        assert ellipse.contains(on_r)
-        assert not ellipse.contains(out_r)
+        assert ellipse.contains(on_r.as_array())
+        assert not ellipse.contains(out_r.as_array())
 
     def test_unresolved_beam_propagates(self):
         layout = RisLayout((Vec3(0.0, 0.0, 0.0),), pitch=1e-2, d_y=6.6e-3, d_z=6.6e-3, rings=0)
@@ -227,7 +227,7 @@ class TestPlanUpdates:
                 beta_deg=math.nan,
             )
             for t in np.linspace(a.t_s, b.t_s - 1e-3, 7):
-                assert ellipse.contains(pos_at(float(t)))
+                assert ellipse.contains(pos_at(float(t)).as_array())
 
     def test_trajectory_validation(self):
         p = Vec3(1.0, 0.5, -0.4)

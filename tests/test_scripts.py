@@ -9,15 +9,17 @@ import rissim
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def _run_script(name, *args):
-    """`python scripts/NAME ARGS` in a child that imports the same rissim as the tests."""
+def _child_env():
+    """The environment of a child that imports the same rissim as the tests."""
     src = str(Path(rissim.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _run_script(name, *args):
+    """`python scripts/NAME ARGS` in a child that imports the same rissim as the tests."""
     return subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, str(SCRIPTS / name), *args], capture_output=True, text=True, env=_child_env()
     )
 
 
@@ -45,3 +47,22 @@ def test_power_patterns_script_is_byte_reproducible(tmp_path):
     assert len(outputs[0]) == 24
     assert outputs[0] == outputs[1]
     assert all(outputs[0].values())
+
+
+def test_power_patterns_script_uses_the_scenario_sounder(tmp_path):
+    scenario = tmp_path / "s.yaml"
+    scenario.write_text("sounder: {averages: 5, rng_seed: 4}\n")
+    for seed in ([], ["--seed", "7"]):
+        outdir = tmp_path / f"out{len(seed)}"
+        cp = _run_script("run_power_patterns.py", "--scenario", str(scenario), "--outdir", str(outdir), *seed)
+        assert cp.returncode == 0, cp.stderr
+        cli = tmp_path / f"cli{len(seed)}.csv"
+        cp = subprocess.run(
+            [sys.executable, "-m", "rissim", "--scenario", str(scenario), "emulate", "--all-off",
+             *seed, "--label", "meas:no_ris", "--out", str(cli)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert cp.returncode == 0, cp.stderr
+        assert (outdir / "no_ris_meas.csv").read_bytes() == cli.read_bytes()

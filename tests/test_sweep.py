@@ -61,11 +61,11 @@ def kernel_rows(monkeypatch):
 
 
 class TestGridSpec:
-    def test_default_matches_measurement_area(self):
-        g = GridSpec.default()
+    def test_default_matches_measurement_area(self, doc):
+        g = doc.grid
         assert (g.x0, g.y0, g.dx, g.dy) == (0.92, 0.02, 0.02, 0.02)
         assert (g.nx, g.ny, g.z_plane) == (31, 46, -0.39)
-        assert g.x_coords()[-1] == pytest.approx(1.52)
+        assert g.cell_xy(g.nx - 1, 0)[0] == pytest.approx(1.52)
         assert g.y_coords()[-1] == pytest.approx(0.92)
         assert g.nx * g.ny == 1426
 
