@@ -14,7 +14,7 @@ from pathlib import Path
 
 from rissim.errors import NoPeakError
 from rissim.geom import spherical_to_cartesian
-from rissim.io_cli import export_heatmap, load_scenario, write_power_grid_csv
+from rissim.io_cli import HEATMAP_LEVELS_DBM, export_heatmap, load_scenario, write_power_grid_csv
 from rissim.linkbudget import ReflectionCoefficient
 from rissim.optimizer import optimize_config, uniform_config
 from rissim.sweep import emulate_measurement_grid, find_peak, sweep_power
@@ -58,7 +58,7 @@ def main() -> None:
         for kind, grid in (("sim", sim), ("meas", meas)):
             with open(outdir / f"{name}_{kind}.csv", "w", newline="") as f:
                 write_power_grid_csv(grid, f)
-            export_heatmap(grid, -100.0, -50.0, outdir / f"{name}_{kind}.pgm")
+            export_heatmap(grid, *HEATMAP_LEVELS_DBM, outdir / f"{name}_{kind}.pgm")
 
         def peak_text(grid):
             try:

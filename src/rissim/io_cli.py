@@ -535,6 +535,10 @@ def write_schedule_csv(schedule: UpdateSchedule, stream) -> None:
         )
 
 
+# Default (black, white) levels of a heatmap in dBm: the sounder floor to a focused peak.
+HEATMAP_LEVELS_DBM = (-100.0, -50.0)
+
+
 def export_heatmap(grid: PowerGrid, min_dbm: float, max_dbm: float, path: str | Path) -> None:
     """Write an 8-bit binary PGM, one pixel per cell.
 
@@ -737,8 +741,8 @@ def _add_grid_command(sub, name: str, help_text: str) -> argparse.ArgumentParser
     p.add_argument("--alphabet", metavar="NAME", help="alphabet for --target")
     p.add_argument("--out", metavar="FILE", help="grid CSV output (default stdout)")
     p.add_argument("--pgm", metavar="FILE", help="also write a PGM heatmap")
-    p.add_argument("--min-dbm", type=float, default=-100.0, help="heatmap black level")
-    p.add_argument("--max-dbm", type=float, default=-50.0, help="heatmap white level")
+    p.add_argument("--min-dbm", type=float, default=HEATMAP_LEVELS_DBM[0], help="heatmap black level")
+    p.add_argument("--max-dbm", type=float, default=HEATMAP_LEVELS_DBM[1], help="heatmap white level")
     p.add_argument(
         "--points-compat",
         action="store_true",

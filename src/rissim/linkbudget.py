@@ -184,11 +184,14 @@ def prefactor_mw(scenario: Scenario) -> float:
     )
 
 
-def element_phasor_matrix(scenario: Scenario, positions: np.ndarray) -> np.ndarray:
+def element_phasor_matrix(
+    scenario: Scenario, positions: np.ndarray, elements: np.ndarray | None = None
+) -> np.ndarray:
     """(N, M) complex phasors sqrt(F)*exp(-j2pi(d1+d2)/lambda)/(d1*d2).
 
-    positions: (N, 3) user positions in meters. Raises GeometryError when a
-    position coincides with an element center.
+    positions: (N, 3) user positions in meters. elements, an optional index
+    array, selects the columns to compute, each with the full matrix's bits.
+    Raises GeometryError when a position coincides with any element center.
 
     The element-to-user offsets are three (N, M) arrays, one per axis, summed
     in the order a reduction over a length-3 axis uses, and the phase is
@@ -203,22 +206,36 @@ def element_phasor_matrix(scenario: Scenario, positions: np.ndarray) -> np.ndarr
     d1, amp_bs = scenario.bs_side
 
     # element -> user offsets, per position and axis
-    dx, dy, dz = (pos[:, k, None] - u[None, :, k] for k in range(3))
-    d2 = np.sqrt(dx * dx + dy * dy + dz * dz)
-    if np.any(d2 == 0.0):
+    dx, dy, dz = (np.subtract.outer(pos[:, k], u[:, k]) for k in range(3))
+    d2 = dx * dx
+    d2 += np.multiply(dy, dy, out=dy)
+    d2 += np.multiply(dz, dz, out=dy)
+    np.sqrt(d2, out=d2)
+    if not d2.all():
         n, m = np.argwhere(d2 == 0.0)[0]
         raise GeometryError(
             f"user position {tuple(pos[n])} coincides with element {m} center"
         )
-    cos_out = dx / d2
-    f_out = np.where(cos_out <= 0.0, 0.0, scenario.element_pattern.value_at(cos_out))
-    cos_ue = -dz / d2  # UE antenna boresight is +z
-    f_ue = scenario.ue_pattern.value_at(cos_ue)
+    if elements is not None:
+        dx, dz, d2 = (np.take(a, elements, axis=1) for a in (dx, dz, d2))
+        d1, amp_bs = d1[elements], amp_bs[elements]
 
-    lam = wavelength(scenario)
-    amp = amp_bs[None, :] * np.sqrt(f_out * f_ue) / d2
-    phase = (-2.0 * np.pi) * (d1[None, :] + d2) * (1.0 / lam)
-    return amp * np.exp(1j * phase)
+    cos_out = np.divide(dx, d2, out=dx)
+    taper = np.where(cos_out <= 0.0, 0.0, scenario.element_pattern.value_at(cos_out))
+    if scenario.ue_pattern.exponent != 0.0:  # an isotropic UE multiplies by 1.0
+        cos_ue = np.negative(np.divide(dz, d2, out=dz), out=dz)  # UE boresight is +z
+        taper *= scenario.ue_pattern.value_at(cos_ue)
+
+    amp = np.sqrt(taper, out=taper)
+    amp *= amp_bs
+    amp /= d2
+    phase = np.add(d2, d1, out=d2)
+    phase *= -2.0 * np.pi
+    phase *= 1.0 / wavelength(scenario)
+    phasors = np.multiply(phase, 1j)
+    np.exp(phasors, out=phasors)
+    phasors *= amp
+    return phasors
 
 
 def require_config_size(scenario: Scenario, config: RisConfig) -> None:
@@ -238,9 +255,18 @@ def apply_config(phasors: np.ndarray, config: RisConfig) -> np.ndarray:
 
 
 def coherent_sums(scenario: Scenario, config: RisConfig, positions: np.ndarray) -> np.ndarray:
-    """(N,) complex element sums sum_m Gamma_m g_m at each position."""
+    """(N,) complex element sums sum_m Gamma_m g_m at each position.
+
+    Only elements with Gamma_m != 0 get phasors; the other columns stay 0, so
+    apply_config gives the full kernel's bits, bar the sign of an exact zero.
+    """
     require_config_size(scenario, config)
-    return apply_config(element_phasor_matrix(scenario, positions), config)
+    on = np.flatnonzero(config.as_complex_array)
+    if len(on) == len(config):
+        return apply_config(element_phasor_matrix(scenario, positions), config)
+    phasors = np.zeros((len(positions), len(config)), dtype=complex)
+    phasors[:, on] = element_phasor_matrix(scenario, positions, on)
+    return apply_config(phasors, config)
 
 
 def dbm_from_sums(scenario: Scenario, sums: np.ndarray) -> np.ndarray:

@@ -30,9 +30,7 @@ from .linkbudget import (
     RisConfig,
     Scenario,
     apply_config,
-    # Not called here; kept bound because benchmark/test_benchmark.py wraps
-    # and restores rissim.sweep.coherent_sums.
-    coherent_sums,  # noqa: F401
+    coherent_sums,
     db_to_linear,
     dbm_from_sums,
     element_phasor_matrix,
@@ -121,8 +119,8 @@ class SounderParams:
     noise_enabled: bool = True
 
     def __post_init__(self):
-        if self.averages < 1:
-            raise ValidationError("averages must be >= 1")
+        # raises unless the closed-form floor exists, averages >= 1 included
+        noise_floor(self.temperature_k, self.bandwidth_hz, self.averages, self.noise_figure_db)
         if not 1 <= self.window_start <= self.window_stop:
             raise ValidationError("window taps must satisfy 1 <= start <= stop")
         if self.rng_seed < 0:
@@ -284,14 +282,14 @@ def _interval_bounds(
     config: RisConfig,
     target: SphericalCoord,
     axis: str,
-    ends_deg: np.ndarray,
+    widths: np.ndarray,
+    ends: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per arc interval: a bound on |dS/dtheta| (per radian) and on sum_m |Gamma_m| A_m.
 
-    ends_deg holds the J + 1 arc offsets bounding the J intervals. The
-    derivation is in hpbw's docstring.
+    widths holds the J interval widths in radians and ends the (J + 1, 3)
+    arc positions bounding them. The derivation is in hpbw's docstring.
     """
-    widths = np.radians(np.diff(ends_deg))
     weight = np.abs(config.as_complex_array) * scenario.bs_side[1]  # |Gamma_m| c_m
     on = weight > 0.0
     w, u = weight[on], scenario.layout.positions[on]
@@ -301,7 +299,6 @@ def _interval_bounds(
         return np.full(len(widths), np.inf), np.full(len(widths), np.inf)
     speed = target.r * (math.cos(math.radians(target.elevation_deg)) if axis == "azimuth" else 1.0)
     reach = (0.5 * speed * widths)[:, None]
-    ends = _arc_positions(target, axis, ends_deg)
     mid = 0.5 * (ends[:-1] + ends[1:])
 
     def cosine_range(numerator_mid):
@@ -311,24 +308,26 @@ def _interval_bounds(
             np.where(hi > 0.0, hi / near, hi / far),
         )
 
-    f_out, df_out = _taper_bounds(
+    taper, d_taper = _taper_bounds(
         scenario.element_pattern.exponent / 2.0,
         *cosine_range(mid[:, 0, None] - u[None, :, 0]),
         clamped=True,
     )
-    f_ue, df_ue = _taper_bounds(
-        scenario.ue_pattern.exponent / 2.0,
-        *cosine_range(u[None, :, 2] - mid[:, 2, None]),
-        clamped=scenario.ue_pattern.exponent > 0.0,
-    )
-    taper = f_out * f_ue
+    if scenario.ue_pattern.exponent > 0.0:  # else the UE taper is identically 1
+        f_ue, df_ue = _taper_bounds(
+            scenario.ue_pattern.exponent / 2.0,
+            *cosine_range(u[None, :, 2] - mid[:, 2, None]),
+            clamped=True,
+        )
+        with np.errstate(invalid="ignore"):  # 0 * inf where a taper is identically 0
+            d_taper = d_taper * f_ue + taper * df_ue
+        taper = taper * f_ue
+    # per element: slope <= taper alpha + |d taper / d cos| beta, amplitude <= taper w / D
     k = 2.0 * math.pi / wavelength(scenario)
-    with np.errstate(invalid="ignore"):  # 0 * inf where the taper is identically 0
-        d_taper = (df_out * f_ue + f_out * df_ue) * (speed / near)
-        amp = w * taper / near
-        d_amp = w * (d_taper / near + taper * u_norm * speed / near**2)
-        slope = np.where(taper > 0.0, k * amp * u_norm * speed / near + d_amp, 0.0)
-    return slope.sum(axis=-1), amp.sum(axis=-1)
+    alpha = w * u_norm * speed * (k / near**2 + 1.0 / near**3)
+    beta = w * speed / near**2
+    slope = taper @ alpha + np.where(taper > 0.0, d_taper, 0.0) @ beta
+    return slope, taper @ (w / near)
 
 
 def hpbw(
@@ -342,9 +341,10 @@ def hpbw(
     interpolated. The definition is relative, so constant power offsets do
     not change the result.
 
-    Only the samples that can affect the result are evaluated. Each kernel
-    row is computed independently, so the result has the same bits as a
-    scan of every sample:
+    Only the samples that can affect the result are evaluated, each with the
+    phasors of the elements with Gamma_m != 0 only (coherent_sums). Each
+    kernel row is computed independently, so the result has the same bits as
+    a scan of every sample:
 
     1. Coarse pass: every 10th sample (1 degree steps) plus the last one.
     2. Certified peak search: on a coarse interval [a, b] of width w, |S| of
@@ -367,7 +367,7 @@ def hpbw(
         |d2'| = |u_m . b'| / d2 <= |u_m| v / D_m,
         |dS/dtheta| <= sum_m |Gamma_m| (k A_m |d2'| + |A_m'|),
         A_m <= c_m h_hi / D_m,
-        |A_m'| <= c_m (|h_m'| / D_m + h_hi |u_m| v / D_m^2).
+        |A_m'| <= c_m (|h_m'| / D_m + h_hi |u_m| v / D_m^3).
 
     The numerators of both cosines (b_x - u_x and u_z - b_z) move at most v
     per radian and d2 lies in [D_m, r + |u_m|], which bounds each cosine on
@@ -389,8 +389,8 @@ def hpbw(
     """
     if axis not in ("azimuth", "elevation"):
         raise ValidationError(f"axis must be 'azimuth' or 'elevation', got {axis!r}")
-    require_config_size(scenario, config)
     offsets = _hpbw_offsets(target, axis)
+    positions = _arc_positions(target, axis, offsets)
     n = len(offsets)
     powers = np.full(n, np.nan)  # NaN marks a sample not evaluated
     amps = np.full(n, np.nan)
@@ -398,8 +398,7 @@ def hpbw(
     def evaluate(idx: np.ndarray) -> None:
         idx = idx[np.isnan(powers[idx])]
         if idx.size:
-            positions = _arc_positions(target, axis, offsets[idx])
-            sums = apply_config(element_phasor_matrix(scenario, positions), config)
+            sums = coherent_sums(scenario, config, positions[idx])
             powers[idx] = dbm_from_sums(scenario, sums)
             amps[idx] = np.abs(sums)
 
@@ -408,7 +407,7 @@ def hpbw(
     evaluate(coarse)
     # 2. certified peak search
     widths = np.radians(np.diff(offsets[coarse]))
-    slope, incoherent = _interval_bounds(scenario, config, target, axis, offsets[coarse])
+    slope, incoherent = _interval_bounds(scenario, config, target, axis, widths, positions[coarse])
     bound = 0.5 * (amps[coarse[:-1]] + amps[coarse[1:]] + slope * widths)
     pending = np.ones(len(widths), dtype=bool)
     while True:

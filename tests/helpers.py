@@ -16,7 +16,6 @@ from rissim.linkbudget import (
     AntennaPattern,
     RisConfig,
     Scenario,
-    coherent_sums,
     config_fingerprint,
     db_to_linear,
     dbm_from_sums,
@@ -190,9 +189,9 @@ def hpbw_full_scan(
             target.elevation_deg + offsets <= 90.0
         )
         offsets = offsets[valid]
-    powers = dbm_from_sums(
-        scenario, coherent_sums(scenario, config, _arc_positions(target, axis, offsets))
-    )
+    # every element's phasor, off or not: independent of coherent_sums' subset path
+    phasors = element_phasor_matrix(scenario, _arc_positions(target, axis, offsets))
+    powers = dbm_from_sums(scenario, np.sum(phasors * config.as_complex_array, axis=-1))
     k = int(np.argmax(powers))
     ref = powers[k] - 3.0
 

@@ -548,10 +548,15 @@ class TestCli:
         assert out == ""
         assert err.startswith("error: noise power k*T*B/Q must be finite and > 0")
 
-    def test_scenario_sounder_without_a_finite_floor_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command", [["emulate", "--all-off"], ["sweep", "--all-off"], ["layout"]],
+        ids=["emulate", "sweep", "layout"],
+    )
+    def test_scenario_sounder_without_a_finite_floor_rejected(self, tmp_path, capsys, command):
+        # rejected at load, also by the commands that never read the sounder
         bad = tmp_path / "bad.yaml"
         bad.write_text("sounder: {temperature_k: 1.0e-300, bandwidth_mhz: 1.0e-300}\n")
-        assert cli_dispatch(["--scenario", str(bad), "emulate", "--all-off"]) == 1
+        assert cli_dispatch(["--scenario", str(bad), *command]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert "error: noise power k*T*B/Q must be finite and > 0" in err

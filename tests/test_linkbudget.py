@@ -17,13 +17,15 @@ from rissim.linkbudget import (
     ReflectionCoefficient,
     RisConfig,
     Scenario,
+    apply_config,
+    coherent_sums,
     element_phasor_matrix,
     is_below_floor,
     noise_floor,
     received_power,
     wavelength,
 )
-from rissim.optimizer import uniform_config
+from rissim.optimizer import ACTIVE, uniform_config
 
 
 def _scenario_with(layout, bs, q_bs=0.0, q_e=0.0, q_ue=0.0, tx_dbm=10.0):
@@ -112,6 +114,7 @@ _KERNEL_SCENARIOS = {
         "ue": {"pattern_exponent": 2.5},
         "ris": {"element_pattern_exponent": 0.7},
     },
+    "element_step": {"ris": {"element_pattern_exponent": 0.0}},
 }
 
 
@@ -142,6 +145,61 @@ class TestKernelMatchesReference:
             element_phasor_matrix(scenario, positions)
         with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
             reference_phasor_matrix(scenario, positions)
+
+
+def _random_positions(rng, n):
+    return np.column_stack(
+        [rng.uniform(0.3, 2.0, n), rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 0.5, n)]
+    )
+
+
+class TestCoherentSumsSkipsOffElements:
+    """coherent_sums computes phasors for the elements with Gamma_m != 0 only."""
+
+    def _configs(self, scenario, active_p1, active_p2):
+        m = len(scenario.layout)
+        on, off = ACTIVE.states
+        rng = np.random.default_rng(4501)
+        configs = {
+            "all_off": uniform_config(scenario.layout, off, ACTIVE.name),
+            "one_on": RisConfig((off,) * 60 + (on,) + (off,) * (m - 61), ACTIVE.name),
+            "all_on": uniform_config(scenario.layout, on, ACTIVE.name),
+            "active_p1": active_p1,
+            "active_p2": active_p2,
+        }
+        for k in range(3):
+            states = rng.integers(0, 2, m)
+            configs[f"random_{k}"] = RisConfig(tuple(ACTIVE.states[s] for s in states), ACTIVE.name)
+        return configs
+
+    @pytest.mark.parametrize("n", [1, 46, 181])
+    def test_sums_equal_the_full_kernel(self, scenario, active_p1, active_p2, n):
+        positions = _random_positions(np.random.default_rng(n), n)
+        full = element_phasor_matrix(scenario, positions)
+        for name, config in self._configs(scenario, active_p1, active_p2).items():
+            got = coherent_sums(scenario, config, positions)
+            assert np.array_equal(got, apply_config(full, config)), name
+
+    def test_subset_columns_have_the_full_kernel_bits(self, scenario, active_p2):
+        positions = _random_positions(np.random.default_rng(7), 46)
+        full = element_phasor_matrix(scenario, positions)
+        for elements in (
+            np.flatnonzero(active_p2.as_complex_array),
+            np.array([5]),
+            np.array([], dtype=int),
+            np.arange(len(scenario.layout)),
+        ):
+            got = element_phasor_matrix(scenario, positions, elements)
+            assert got.shape == (46, len(elements))
+            assert np.ascontiguousarray(full[:, elements]).tobytes() == got.tobytes()
+
+    def test_position_on_an_off_element_center_rejected(self, scenario):
+        on, off = ACTIVE.states
+        config = RisConfig((on,) * 5 + (off,) + (on,) * 121, ACTIVE.name)
+        positions = np.array([[1.0, 0.2, -0.3], scenario.layout.positions[5]])
+        message = f"user position {tuple(positions[1])} coincides with element 5 center"
+        with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+            coherent_sums(scenario, config, positions)
 
 
 class TestCombinedPattern:

@@ -30,6 +30,7 @@ from rissim.linkbudget import (
     noise_floor,
     received_power,
 )
+import rissim.linkbudget
 import rissim.sweep
 from rissim.io_cli import resolve_scenario
 from rissim.linkbudget import RisConfig, coherent_sums
@@ -48,15 +49,17 @@ from rissim.sweep import (
 
 @pytest.fixture
 def kernel_rows(monkeypatch):
-    """Position counts of the element_phasor_matrix calls made through rissim.sweep."""
-    kernel = rissim.sweep.element_phasor_matrix
+    """Position counts of the element_phasor_matrix calls made through rissim.sweep
+    and through rissim.linkbudget (coherent_sums)."""
+    kernel = rissim.linkbudget.element_phasor_matrix
     rows = []
 
-    def counting(scenario, positions):
+    def counting(scenario, positions, elements=None):
         rows.append(len(positions))
-        return kernel(scenario, positions)
+        return kernel(scenario, positions, elements)
 
     monkeypatch.setattr(rissim.sweep, "element_phasor_matrix", counting)
+    monkeypatch.setattr(rissim.linkbudget, "element_phasor_matrix", counting)
     return rows
 
 
@@ -465,19 +468,20 @@ class TestHpbwMatchesFullScan:
     @pytest.mark.parametrize("axis", ["azimuth", "elevation"])
     def test_interval_bound_holds_at_every_fine_sample(self, scenario, doc, axis):
         rng = np.random.default_rng(4403)
-        for target in (doc.targets["P1"], SphericalCoord(0.9, -50.0, 20.0)):
+        # the last target is nearer than 1 m, where 1 / D**3 exceeds 1 / D**2
+        near = SphericalCoord(0.35, 30.0, -20.0)
+        for target in (doc.targets["P1"], SphericalCoord(0.9, -50.0, 20.0), near):
             offsets = rissim.sweep._hpbw_offsets(target, axis)
+            positions = rissim.sweep._arc_positions(target, axis, offsets)
             coarse = np.unique(np.append(np.arange(0, len(offsets), 10), len(offsets) - 1))
             widths = np.radians(np.diff(offsets[coarse]))
             for alphabet in (REFLECTIVE, ACTIVE):
                 for _ in range(3):
                     states = rng.integers(0, len(alphabet.states), len(scenario.layout))
                     config = RisConfig(tuple(alphabet.states[k] for k in states), alphabet.name)
-                    amps = np.abs(coherent_sums(
-                        scenario, config, rissim.sweep._arc_positions(target, axis, offsets)
-                    ))
+                    amps = np.abs(coherent_sums(scenario, config, positions))
                     slope, _ = rissim.sweep._interval_bounds(
-                        scenario, config, target, axis, offsets[coarse]
+                        scenario, config, target, axis, widths, positions[coarse]
                     )
                     for j, (a, b) in enumerate(zip(coarse[:-1], coarse[1:])):
                         bound = 0.5 * (amps[a] + amps[b] + slope[j] * widths[j])
@@ -559,3 +563,5 @@ def test_sounder_params_validation():
         SounderParams(window_start=0)
     with pytest.raises(ValidationError, match="rng_seed"):
         SounderParams(rng_seed=-1)
+    with pytest.raises(ValidationError, match="noise power"):
+        SounderParams(temperature_k=1e-300, bandwidth_hz=1e-300)
