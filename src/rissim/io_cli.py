@@ -14,8 +14,8 @@ File formats (all deterministic byte-for-byte for identical inputs):
   `-inf` for below-floor cells, 6 significant digits;
 * element layout CSV: `m,x,y,z` header plus one row per element;
 * configuration CSV: `# <alphabet>` then `m,state,magnitude,phase_deg` rows,
-  m = 0, 1, 2, ... in file order, state the index in the named alphabet or
-  -1 when no alphabet was known;
+  m = 0, 1, 2, ... in file order, state the index in the named alphabet
+  (the reader also accepts -1, which matches any state);
 * update schedule CSV: `t_s,x,y,z,config_hash,rho_a,rho_r` rows per event;
 * heatmaps: binary 8-bit PGM, one pixel per cell, x left to right, y bottom
   to top, linear dB-to-intensity mapping clamped to [min_dbm, max_dbm].
@@ -72,6 +72,7 @@ from .sweep import (
 
 # Horn exponent q solving 2*(q+1) = linear gain of the 19 dBi feed.
 _BS_DEFAULT_EXPONENT = 10.0**1.9 / 2.0 - 1.0
+_SOUNDER = SounderParams()  # the sounder defaults are SounderParams' field defaults
 
 DEFAULTS: dict = {
     "frequency_ghz": 23.8,
@@ -108,13 +109,13 @@ DEFAULTS: dict = {
         "z_plane_m": -0.39,
     },
     "sounder": {
-        "averages": 50,
-        "window_start_tap": 7,
-        "window_stop_tap": 13,
-        "noise_figure_db": 9.0,
-        "temperature_k": 293.0,
-        "bandwidth_mhz": 155.0,
-        "rng_seed": 0,
+        "averages": _SOUNDER.averages,
+        "window_start_tap": _SOUNDER.window_start,
+        "window_stop_tap": _SOUNDER.window_stop,
+        "noise_figure_db": _SOUNDER.noise_figure_db,
+        "temperature_k": _SOUNDER.temperature_k,
+        "bandwidth_mhz": _SOUNDER.bandwidth_hz / 1e6,
+        "rng_seed": _SOUNDER.rng_seed,
     },
     "targets": {
         "P1": {"range_m": 1.4, "azimuth_deg": 40.0, "elevation_deg": -16.0},
@@ -141,10 +142,7 @@ _STATE_INDEX = re.compile(r"-1|0|[1-9][0-9]*")  # canonical integers >= -1
 
 
 def _fmt(value: float) -> str:
-    v = float(value)
-    if v == 0.0:  # normalize -0.0
-        v = 0.0
-    return f"{v:.6g}"
+    return f"{float(value) + 0.0:.6g}"  # + 0.0 turns -0.0 into 0.0
 
 
 _LEAF_TYPES = {float: ((int, float), "a number"), int: (int, "an integer"), str: (str, "a string")}
@@ -345,12 +343,11 @@ def write_layout_csv(layout: RisLayout, stream) -> None:
         stream.write(f"{m},{_fmt(e.x)},{_fmt(e.y)},{_fmt(e.z)}\n")
 
 
-def write_config_csv(config: RisConfig, stream, alphabet: ReflectionAlphabet | None = None) -> None:
+def write_config_csv(config: RisConfig, stream, alphabet: ReflectionAlphabet) -> None:
     stream.write(f"# {config.alphabet_name}\n")
     stream.write("m,state,magnitude,phase_deg\n")
     for m, c in enumerate(config.coefficients):
-        state = alphabet.index_of(c) if alphabet is not None else -1
-        stream.write(f"{m},{state},{_fmt(c.magnitude)},{_fmt(c.phase_deg)}\n")
+        stream.write(f"{m},{alphabet.index_of(c)},{_fmt(c.magnitude)},{_fmt(c.phase_deg)}\n")
 
 
 def read_config_csv(
@@ -359,8 +356,8 @@ def read_config_csv(
     """Read a configuration file; state indices must be integers >= -1.
 
     When alphabets holds the alphabet the header names, every coefficient must
-    be one of its states and every state index >= 0 must match it; -1 (no
-    known alphabet when written) matches any state.
+    be one of its states and every state index >= 0 must match it; -1
+    matches any state.
     """
     header = stream.readline().rstrip("\r\n")
     if not header.startswith("# "):

@@ -69,8 +69,6 @@ class AntennaPattern:
 
     def value_at(self, cos_angle):
         """Pattern value for the cosine of the off-boresight angle."""
-        if self.exponent == 0.0:
-            return np.ones_like(np.asarray(cos_angle, dtype=float))
         return np.clip(np.asarray(cos_angle, dtype=float), 0.0, None) ** self.exponent
 
 

@@ -30,7 +30,13 @@ from rissim.io_cli import (
 )
 from rissim.linkbudget import BELOW_FLOOR_DBM, ReflectionCoefficient, noise_floor
 from rissim.optimizer import REFLECTIVE, optimize_config, uniform_config
-from rissim.planner import UpdateEvent, UpdateSchedule
+from rissim.planner import (
+    Trajectory,
+    UpdateEvent,
+    UpdateSchedule,
+    plan_updates,
+    radial_waypoints,
+)
 from rissim.sweep import (
     GridSpec,
     PowerGrid,
@@ -238,6 +244,33 @@ class TestScenarioLoading:
         state = doc.alphabets["off_structural"].states[0]
         assert (state.magnitude, state.phase_deg) == (0.2, 10.0)
 
+    @pytest.mark.parametrize(
+        "user, message",
+        [
+            (["frequency_ghz"], "scenario file must contain a mapping at the top level"),
+            ({"grid": {"step_m": 0.0}}, "grid.step_m: must be > 0"),
+            ({"grid": {"x_stop_m": 1.53}}, "grid.x_stop_m: span not an integer number of steps"),
+            (
+                {"alphabet": "bogus"},
+                "alphabet: 'bogus' is not one of ['active', 'off_structural', 'reflective']",
+            ),
+        ],
+        ids=["top-level-list", "zero-step", "half-step-span", "unknown-alphabet"],
+    )
+    def test_resolve_rejections(self, user, message):
+        with pytest.raises(ValidationError) as exc:
+            resolve_scenario(user)
+        assert str(exc.value) == message
+
+    def test_missing_scenario_file_exits_one(self, tmp_path, capsys):
+        missing = tmp_path / "missing.yaml"
+        assert cli_dispatch(["--scenario", str(missing), "layout"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: cannot read scenario file: [Errno 2] No such file or directory: '{missing}'\n"
+        )
+
 
 class TestCsvFormats:
     def test_layout_golden(self):
@@ -324,6 +357,34 @@ class TestCsvFormats:
             read_config_csv(io.StringIO("# reflective\n" + row.format("0")), alphabets)
         # an alphabet the reader does not know cannot contradict the index
         assert len(read_config_csv(io.StringIO("# custom\n" + row.format("0")), alphabets)) == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("reflective\n", "configuration file must start with '# <alphabet>'"),
+            (
+                "# reflective\nm,state,mag,phase\n",
+                "unexpected configuration columns: 'm,state,mag,phase'",
+            ),
+            ("# reflective\nm,state,magnitude,phase_deg\n0,0,0.3\n",
+             "configuration line 3: expected 4 fields"),
+            ("# reflective\nm,state,magnitude,phase_deg\n0,0,abc,-15\n",
+             "configuration line 3: could not convert string to float: 'abc'"),
+            ("# reflective\nm,state,magnitude,phase_deg\n\n",
+             "configuration file contains no coefficients"),
+        ],
+        ids=["first-line", "columns", "three-fields", "magnitude", "no-rows"],
+    )
+    def test_config_read_rejections(self, text, message):
+        with pytest.raises(ValidationError) as exc:
+            read_config_csv(io.StringIO(text), {"reflective": REFLECTIVE})
+        assert str(exc.value) == message
+
+    def test_negative_zero_written_as_zero(self):
+        event = UpdateEvent(-0.0, Vec3(-0.0, 0.5, -0.0), "abc123def456", 0.1, -0.0)
+        buf = io.StringIO()
+        write_schedule_csv(UpdateSchedule((event,), None), buf)
+        assert buf.getvalue().splitlines()[1] == "0,0,0.5,0,abc123def456,0.1,0"
 
     def test_schedule_golden(self):
         events = (
@@ -676,6 +737,45 @@ class TestCli:
         assert cli_dispatch(["plan", "--start", "P2", "--motion", motion]) == 1
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == f"error: --motion {motion} requires --end"
+
+    def test_plan_radial_without_distance_rejected(self, capsys):
+        assert cli_dispatch(["plan", "--start", "P2", "--motion", "radial"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == "error: --motion radial requires --distance"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--end", "P1", "--motion", "line"], ["--motion", "radial", "--distance", "0.8"]],
+        ids=["line", "radial"],
+    )
+    def test_plan_motions_match_the_library(self, doc, p1, p2, argv, capsys):
+        if "line" in argv:
+            path = (spherical_to_cartesian(p2), spherical_to_cartesian(p1))
+        else:
+            path = radial_waypoints(p2, 0.8)
+        schedule = plan_updates(doc.scenario, Trajectory(path, 1.0), REFLECTIVE)
+        want = io.StringIO()
+        write_schedule_csv(schedule, want)
+        assert cli_dispatch(["plan", "--start", "P2", *argv]) == 0
+        assert capsys.readouterr().out == want.getvalue()
+
+    @pytest.mark.parametrize("command", ["sweep", "emulate"])
+    def test_off_structural_grid_matches_the_library(self, command, tmp_path, capsys):
+        small = tmp_path / "small.yaml"
+        small.write_text("grid: {x_stop_m: 1.12, y_stop_m: 0.22}\n")
+        doc = load_scenario(small)
+        off = doc.alphabets["off_structural"]
+        config = uniform_config(doc.scenario.layout, off.states[0], off.name)
+        label = f"{command}:off_structural"
+        if command == "sweep":
+            grid = sweep_power(doc.scenario, config, doc.grid, label=label)
+        else:
+            grid = emulate_measurement_grid(doc.scenario, config, doc.grid, doc.sounder, label=label)
+        want = io.StringIO()
+        write_power_grid_csv(grid, want)
+        assert cli_dispatch(["--scenario", str(small), command, "--off-structural"]) == 0
+        assert capsys.readouterr().out == want.getvalue()
 
     def test_tampered_named_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.csv"

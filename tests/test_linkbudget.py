@@ -9,7 +9,7 @@ import pytest
 from helpers import combined_pattern, element_phasor, reference_phasor_matrix
 from rissim.errors import GeometryError, ValidationError
 from rissim.geom import RisLayout, Vec3, spherical_to_cartesian
-from rissim.io_cli import resolve_scenario
+from rissim.io_cli import echo_scenario, load_scenario, resolve_scenario
 from rissim.linkbudget import (
     BELOW_FLOOR_DBM,
     SPEED_OF_LIGHT,
@@ -23,6 +23,7 @@ from rissim.linkbudget import (
     is_below_floor,
     noise_floor,
     received_power,
+    scenario_fingerprint,
     wavelength,
 )
 from rissim.optimizer import ACTIVE, uniform_config
@@ -396,3 +397,22 @@ class TestTypes:
             )
         with pytest.raises(ValidationError):
             AntennaPattern(10.0, -1.0)
+
+
+class TestScenarioFingerprint:
+    def test_stable_across_resolves_and_the_echo(self, tmp_path):
+        doc = resolve_scenario({})
+        fingerprint = scenario_fingerprint(doc.scenario)
+        assert scenario_fingerprint(resolve_scenario({}).scenario) == fingerprint
+        echoed = tmp_path / "echo.yaml"
+        echoed.write_text(echo_scenario(doc))
+        assert scenario_fingerprint(load_scenario(echoed).scenario) == fingerprint
+
+    @pytest.mark.parametrize(
+        "user",
+        [{"frequency_ghz": 24.0}, {"bs": {"azimuth_deg": -35.0}}, {"ris": {"pitch_mm": 8.8}}],
+        ids=["frequency", "bs-azimuth", "pitch"],
+    )
+    def test_changes_with_the_physical_scenario(self, user):
+        default = scenario_fingerprint(resolve_scenario({}).scenario)
+        assert scenario_fingerprint(resolve_scenario(user).scenario) != default

@@ -465,6 +465,27 @@ class TestHpbwMatchesFullScan:
                     got = _hpbw_or_error(hpbw, variant, config, target, axis)
                     assert got == _hpbw_or_error(hpbw_full_scan, variant, config, target, axis)
 
+    @pytest.mark.parametrize(
+        "target",
+        [SphericalCoord(0.04, 20.0, -16.0), SphericalCoord(0.045, 10.0, -5.0)],
+        ids=["r40mm", "r45mm"],
+    )
+    def test_no_bound_inside_the_surface_radius_scans_every_sample(self, scenario, target):
+        # closer than the outermost element (0.0522 m) there is no bound and no interval is skipped
+        for alphabet in (REFLECTIVE, ACTIVE):
+            config = optimize_config(scenario, spherical_to_cartesian(target), alphabet)
+            for axis in ("azimuth", "elevation"):
+                offsets = rissim.sweep._hpbw_offsets(target, axis)
+                positions = rissim.sweep._arc_positions(target, axis, offsets)
+                coarse = np.unique(np.append(np.arange(0, len(offsets), 10), len(offsets) - 1))
+                widths = np.radians(np.diff(offsets[coarse]))
+                slope, incoherent = rissim.sweep._interval_bounds(
+                    scenario, config, target, axis, widths, positions[coarse]
+                )
+                assert np.isinf(slope).all() and np.isinf(incoherent).all()
+                got = _hpbw_or_error(hpbw, scenario, config, target, axis)
+                assert got == _hpbw_or_error(hpbw_full_scan, scenario, config, target, axis)
+
     @pytest.mark.parametrize("axis", ["azimuth", "elevation"])
     def test_interval_bound_holds_at_every_fine_sample(self, scenario, doc, axis):
         rng = np.random.default_rng(4403)
