@@ -596,8 +596,11 @@ def _resolve_config(doc: ScenarioDoc, args) -> RisConfig:
 
     That is the --config file, else --all-off or --off-structural (sweep and
     emulate only), else the optimum for --target. The model checks the
-    configuration's length where it applies it.
+    configuration's length where it applies it. --alphabet goes with --target only.
     """
+    given = [f for f in ("config", "all_off", "off_structural") if getattr(args, f, None)]
+    if given and args.alphabet is not None:
+        raise ValidationError(f"--alphabet does not apply to --{given[0].replace('_', '-')}")
     if getattr(args, "config", None) is not None:
         with open(args.config) as f:
             return read_config_csv(f, doc.alphabets)
@@ -687,6 +690,9 @@ def _cmd_plan(args) -> int:
     start = _parse_target(doc, args.start)
     if args.motion != "radial" and args.end is None:
         raise ValidationError(f"--motion {args.motion} requires --end")
+    unread = "--end" if args.motion == "radial" else "--distance"
+    if getattr(args, unread[2:]) is not None:
+        raise ValidationError(f"--motion {args.motion} does not take {unread}")
     if args.motion == "arc":
         waypoints = arc_waypoints(start, _parse_target(doc, args.end))
     elif args.motion == "line":

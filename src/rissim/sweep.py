@@ -292,35 +292,33 @@ def _interval_bounds(
     """
     weight = np.abs(config.as_complex_array) * scenario.bs_side[1]  # |Gamma_m| c_m
     on = weight > 0.0
+    if not on.any():  # nothing reflects: |S| is 0 everywhere
+        return np.zeros(len(widths)), np.zeros(len(widths))
     w, u = weight[on], scenario.layout.positions[on]
     u_norm = np.sqrt(np.sum(u * u, axis=-1))
-    near, far = target.r - u_norm, target.r + u_norm  # near <= d2 <= far
-    if np.any(near <= 0.0):
+    near, d_min, d_max = target.r - u_norm, target.r - u_norm.max(), target.r + u_norm.max()
+    if d_min <= 0.0:  # D_m <= d2 and every d2 lies in [d_min, d_max]
         return np.full(len(widths), np.inf), np.full(len(widths), np.inf)
     speed = target.r * (math.cos(math.radians(target.elevation_deg)) if axis == "azimuth" else 1.0)
-    reach = (0.5 * speed * widths)[:, None]
-    mid = 0.5 * (ends[:-1] + ends[1:])
+    reach = 0.5 * speed * widths
 
-    def cosine_range(numerator_mid):
-        lo, hi = numerator_mid - reach, numerator_mid + reach
-        return lo / np.where(lo > 0.0, far, near), hi / np.where(hi > 0.0, near, far)
+    def cosine_range(axis, sign):  # of sign (b - u_m)[axis] / d2 over all m, per interval
+        b, v = sign * 0.5 * (ends[:-1, axis] + ends[1:, axis]), sign * u[:, axis]
+        lo, hi = b - v.max() - reach, b - v.min() + reach
+        return lo / np.where(lo > 0.0, d_max, d_min), hi / np.where(hi > 0.0, d_min, d_max)
 
-    taper, d_taper = _taper_bounds(
-        scenario.element_pattern.exponent / 2.0, *cosine_range(mid[:, 0, None] - u[None, :, 0])
-    )
+    taper, d_taper = _taper_bounds(scenario.element_pattern.exponent / 2.0, *cosine_range(0, 1.0))
     if scenario.ue_pattern.exponent > 0.0:  # else the UE taper is identically 1
-        f_ue, df_ue = _taper_bounds(
-            scenario.ue_pattern.exponent / 2.0, *cosine_range(u[None, :, 2] - mid[:, 2, None])
-        )
+        f_ue, df_ue = _taper_bounds(scenario.ue_pattern.exponent / 2.0, *cosine_range(2, -1.0))
         with np.errstate(invalid="ignore"):  # 0 * inf where a taper is identically 0
             d_taper = d_taper * f_ue + taper * df_ue
         taper = taper * f_ue
-    # per element: slope <= taper alpha + |d taper / d cos| beta, amplitude <= taper w / D
+    # every element's taper is within (taper, d_taper), so only the element sums remain
     k = 2.0 * math.pi / wavelength(scenario)
     alpha = w * u_norm * speed * (k / near**2 + 1.0 / near**3)
     beta = w * speed / near**2
-    slope = taper @ alpha + np.where(taper > 0.0, d_taper, 0.0) @ beta
-    return slope, taper @ (w / near)
+    slope = taper * alpha.sum() + np.where(taper > 0.0, d_taper, 0.0) * beta.sum()
+    return slope, taper * (w / near).sum()
 
 
 def hpbw(
@@ -362,16 +360,19 @@ def hpbw(
         A_m <= c_m h_hi / D_m,
         |A_m'| <= c_m (|h_m'| / D_m + h_hi |u_m| v / D_m^3).
 
-    The numerators of both cosines (b_x - u_x and u_z - b_z) move at most v
-    per radian and d2 lies in [D_m, r + |u_m|], which bounds each cosine on
-    the interval; the cosines themselves move at most v / D_m per radian.
-    That gives h_hi, the largest taper, and |h_m'| through |d(c^p)/dc| <=
-    p c_hi^(p - 1) for p >= 1 and p c_lo^(p - 1) for 0 < p < 1. There is no
-    bound, and the interval is always evaluated, where D_m <= 0 or where a
-    cosine may reach 0 inside the interval under a factor with a step
-    (element exponent 0) or an infinite slope (0 < p < 1). Elements with
-    Gamma_m = 0, c_m = 0 or a taper that is 0 on the whole interval add
-    nothing.
+    The taper is bounded once per interval from the surface's extremes over
+    the elements with Gamma_m c_m != 0. The cosine numerators (b_x - u_x and
+    u_z - b_z) move at most v per radian, so their range on the interval
+    follows from the min and max of u_x and u_z, and every d2 lies in
+    [r - max |u_m|, r + max |u_m|]. That bounds every element's cosines and
+    gives one H >= h_hi and one H' >= |dh/dc| for all m, through |d(c^p)/dc|
+    <= p c_hi^(p - 1) for p >= 1 and p c_lo^(p - 1) for 0 < p < 1. The cosines
+    move at most v / D_m per radian, so the sums above need only the sums over
+    m of |Gamma_m| c_m |u_m| v (k / D_m^2 + 1 / D_m^3), |Gamma_m| c_m v / D_m^2
+    and |Gamma_m| c_m / D_m. There is no bound, and the interval is always
+    evaluated, where r <= max |u_m| or where a cosine may reach 0 inside the
+    interval under a factor with a step (element exponent 0) or an infinite
+    slope (0 < p < 1).
 
     Rounding: an interval reaches the best amplitude A* when its bound is
     >= A* - 1e-9 (A* + sum_m |Gamma_m| A_m). Kernel rounding moves an

@@ -760,6 +760,51 @@ class TestCli:
         assert cli_dispatch(["plan", "--start", "P2", *argv]) == 0
         assert capsys.readouterr().out == want.getvalue()
 
+    @pytest.mark.parametrize(
+        "motion, flags, unread",
+        [
+            ("radial", ["--end", "P1", "--distance", "0.8"], "--end"),
+            ("arc", ["--end", "P1", "--distance", "0.8"], "--distance"),
+            ("line", ["--end", "P1", "--distance", "0.8"], "--distance"),
+            ("radial", ["--end", "P1"], "--end"),
+        ],
+        ids=["radial-end", "arc-distance", "line-distance", "radial-end-only"],
+    )
+    def test_plan_flag_the_motion_does_not_read_rejected(self, motion, flags, unread, capsys):
+        assert cli_dispatch(["plan", "--start", "P2", "--motion", motion, *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: --motion {motion} does not take {unread}"
+
+    @pytest.mark.parametrize(
+        "argv, source",
+        [
+            (["sweep", "--all-off"], "--all-off"),
+            (["sweep", "--off-structural"], "--off-structural"),
+            (["sweep", "--config", "CFG"], "--config"),
+            (["emulate", "--all-off"], "--all-off"),
+            (["emulate", "--off-structural"], "--off-structural"),
+            (["emulate", "--config", "CFG"], "--config"),
+            (["hpbw", "--target", "P1", "--axis", "azimuth", "--config", "CFG"], "--config"),
+            (["ellipse", "--target", "P1", "--config", "CFG"], "--config"),
+        ],
+        ids=[
+            f"{command}-{source}"
+            for command in ("sweep", "emulate")
+            for source in ("all-off", "off-structural", "config")
+        ] + ["hpbw-config", "ellipse-config"],
+    )
+    @pytest.mark.parametrize("alphabet", ["bogus", "reflective"])
+    def test_alphabet_without_target_rejected(self, argv, source, alphabet, tmp_path, capsys):
+        cfg = tmp_path / "cfg.csv"
+        assert cli_dispatch(["optimize", "--target", "P1", "--out", str(cfg)]) == 0
+        capsys.readouterr()
+        argv = [str(cfg) if a == "CFG" else a for a in argv]
+        assert cli_dispatch([*argv, "--alphabet", alphabet]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: --alphabet does not apply to {source}"
+
     @pytest.mark.parametrize("command", ["sweep", "emulate"])
     def test_off_structural_grid_matches_the_library(self, command, tmp_path, capsys):
         small = tmp_path / "small.yaml"

@@ -21,7 +21,13 @@ from rissim.errors import (
     NoPeakError,
     ValidationError,
 )
-from rissim.geom import RisLayout, SphericalCoord, Vec3, spherical_to_cartesian
+from rissim.geom import (
+    RisLayout,
+    SphericalCoord,
+    Vec3,
+    cartesian_to_spherical,
+    spherical_to_cartesian,
+)
 from rissim.linkbudget import (
     BELOW_FLOOR_DBM,
     AntennaPattern,
@@ -519,6 +525,107 @@ class TestHpbwMatchesFullScan:
             kernel_rows.clear()
             hpbw(scenario, config, target, axis)
             assert 0 < sum(kernel_rows) <= 300, (axis, sum(kernel_rows))
+
+
+def _assert_interval_bounds_hold(scenario, config, target, axis):
+    """Both halves of hpbw's certificate at every fine sample of every coarse interval:
+    |S| under the Lipschitz bound and sum_m |Gamma_m| |g_m| under the incoherent bound."""
+    offsets = rissim.sweep._hpbw_offsets(target, axis)
+    positions = rissim.sweep._arc_positions(target, axis, offsets)
+    coarse = np.unique(np.append(np.arange(0, len(offsets), 10), len(offsets) - 1))
+    widths = np.radians(np.diff(offsets[coarse]))
+    phasors = rissim.linkbudget.element_phasor_matrix(scenario, positions)
+    gamma = config.as_complex_array
+    amps = np.abs(np.sum(phasors * gamma, axis=-1))
+    incoherent_amps = np.abs(phasors) @ np.abs(gamma)
+    slope, incoherent = rissim.sweep._interval_bounds(
+        scenario, config, target, axis, widths, positions[coarse]
+    )
+    for j, (a, b) in enumerate(zip(coarse[:-1], coarse[1:])):
+        bound = 0.5 * (amps[a] + amps[b] + slope[j] * widths[j])
+        assert amps[a:b + 1].max() <= bound * (1.0 + 1e-12), (axis, j)
+        assert incoherent_amps[a:b + 1].max() <= incoherent[j] * (1.0 + 1e-12), (axis, j)
+
+
+def _random_configs(rng, m_count, count=2):
+    for alphabet in (REFLECTIVE, ACTIVE):
+        for _ in range(count):
+            states = rng.integers(0, len(alphabet.states), m_count)
+            yield RisConfig(tuple(alphabet.states[k] for k in states), alphabet.name)
+
+
+class TestPeakCertificate:
+    """_interval_bounds bounds each interval from the surface's extremes; both of its
+    bounds must hold on every surface, pattern and target."""
+
+    # the last target is nearer than 1 m, where 1 / D**3 exceeds 1 / D**2
+    TARGETS = [
+        SphericalCoord(1.4, 10.0, -16.0),
+        SphericalCoord(0.9, -50.0, 20.0),
+        SphericalCoord(0.35, 30.0, -20.0),
+    ]
+
+    @pytest.mark.parametrize("axis", ["azimuth", "elevation"])
+    @pytest.mark.parametrize(
+        "element_q, ue_q",
+        [(None, None), (0.0, 0.0), (1.0, 0.5), (3.0, 2.5)],
+        ids=["default", "element-step", "ue-root-taper", "smooth-tapers"],
+    )
+    def test_both_bounds_hold_under_pattern_exponents(self, scenario, element_q, ue_q, axis):
+        if element_q is not None:
+            scenario = replace(
+                scenario,
+                element_pattern=AntennaPattern(0.0, element_q),
+                ue_pattern=AntennaPattern(3.2, ue_q),
+            )
+        rng = np.random.default_rng(4404)
+        for target in self.TARGETS:
+            for config in _random_configs(rng, len(scenario.layout)):
+                _assert_interval_bounds_hold(scenario, config, target, axis)
+
+    @pytest.mark.parametrize("axis", ["azimuth", "elevation"])
+    def test_both_bounds_hold_with_elements_off_the_surface_plane(self, scenario, axis):
+        # every element 2 mm in front of or behind the plane, so max u_x and min u_x differ
+        elements = tuple(
+            Vec3(0.002 if m % 2 else -0.002, e.y, e.z) for m, e in enumerate(scenario.layout.elements)
+        )
+        shifted = replace(scenario, layout=replace(scenario.layout, elements=elements))
+        assert np.ptp(shifted.layout.positions[:, 0]) == pytest.approx(0.004)
+        rng = np.random.default_rng(4405)
+        for target in self.TARGETS:
+            for config in _random_configs(rng, len(elements)):
+                _assert_interval_bounds_hold(shifted, config, target, axis)
+
+    @pytest.mark.parametrize("m_count", [7, 60])
+    def test_both_bounds_hold_on_random_layouts(self, m_count):
+        rng = np.random.default_rng(4406 + m_count)
+        for _ in range(3):
+            scenario, target = make_random_scenario(rng, m_count)
+            target = cartesian_to_spherical(target)
+            for config in _random_configs(rng, m_count, count=1):
+                for axis in ("azimuth", "elevation"):
+                    _assert_interval_bounds_hold(scenario, config, target, axis)
+
+    @pytest.mark.parametrize(
+        "target_name, alphabet, rows",
+        [
+            ("P1", REFLECTIVE, {"azimuth": 190, "elevation": 163}),
+            ("P1", ACTIVE, {"azimuth": 190, "elevation": 199}),
+            ("P2", REFLECTIVE, {"azimuth": 163, "elevation": 163}),
+            ("P2", ACTIVE, {"azimuth": 163, "elevation": 163}),
+        ],
+        ids=["P1-reflective", "P1-active", "P2-reflective", "P2-active"],
+    )
+    def test_focused_cuts_evaluate_no_more_rows_than_per_element_bounds(
+        self, kernel_rows, scenario, doc, target_name, alphabet, rows
+    ):
+        # rows the certificate with per-element taper bounds evaluated on these cuts
+        target = doc.targets[target_name]
+        config = optimize_config(scenario, spherical_to_cartesian(target), alphabet)
+        for axis, most in rows.items():
+            kernel_rows.clear()
+            hpbw(scenario, config, target, axis)
+            assert sum(kernel_rows) <= most, (axis, sum(kernel_rows))
 
 
 class TestCompareGrids:
