@@ -544,6 +544,8 @@ def export_heatmap(grid: PowerGrid, min_dbm: float, max_dbm: float, path: str | 
     """
     if not min_dbm < max_dbm:
         raise ValidationError("heatmap needs min_dbm < max_dbm")
+    if not (math.isfinite(min_dbm) and math.isfinite(max_dbm)):
+        raise ValidationError("heatmap levels must be finite")
     norm = (np.clip(grid.values, min_dbm, max_dbm) - min_dbm) / (max_dbm - min_dbm)
     pixels = np.rint(norm * 255.0).astype(np.uint8)
     image = pixels.T[::-1, :]  # (ny, nx), top row = max y

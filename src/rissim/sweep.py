@@ -341,13 +341,16 @@ def hpbw(
     2. Certified peak search: on a coarse interval [a, b] of width w, |S| of
        S(theta) = sum_m Gamma_m g_m is Lipschitz with a constant L, so
        |S| <= (|S(a)| + |S(b)| + L w) / 2 inside it. Every interval whose
-       bound reaches the best amplitude evaluated so far is evaluated at
-       0.1 degree, until none is left. No skipped sample can then equal or
-       beat the maximum, so the first-maximum rule picks the full scan's.
+       bound reaches the best coarse amplitude is evaluated at 0.1 degree,
+       in one pass: the threshold (see Rounding below) only rises with the best
+       amplitude, so an interval that misses it here misses it for the final
+       maximum too. No skipped sample can then equal or beat the maximum, so
+       the first-maximum rule picks the full scan's.
     3. Exact crossings: every sample from the peak out to the nearest
        evaluated sample below the -3 dB reference on each side (the window
-       edge if there is none) is evaluated. The crossing search reads only
-       samples in that range.
+       edge if there is none) is evaluated. Each crossing lies between the
+       last sample below the reference before the peak (first after it) and
+       its neighbour toward the peak.
 
     The bound L. Write g_m = c_m h_m / d2 exp(-j k (d1 + d2)) with c_m the
     base-station side amplitude, d2 = |b - u_m|, k = 2 pi / lambda and
@@ -403,36 +406,29 @@ def hpbw(
     widths = np.radians(np.diff(offsets[coarse]))
     slope, incoherent = _interval_bounds(scenario, config, target, axis, widths, positions[coarse])
     bound = 0.5 * (amps[coarse[:-1]] + amps[coarse[1:]] + slope * widths)
-    pending = np.ones(len(widths), dtype=bool)
-    while True:
-        best = np.nanmax(amps)
-        hit = pending & (bound >= best - _CERTIFICATE_RTOL * (best + incoherent))
-        if not hit.any():
-            break
-        pending &= ~hit
-        evaluate(np.concatenate([np.arange(coarse[j], coarse[j + 1]) for j in np.flatnonzero(hit)]))
+    best = np.nanmax(amps)
+    hit = bound >= best - _CERTIFICATE_RTOL * (best + incoherent)
+    evaluate(np.flatnonzero(np.repeat(hit, np.diff(coarse))))
 
     k = int(np.argmax(np.where(np.isnan(powers), -np.inf, powers)))
     ref = powers[k] - _HALF_POWER_DB
     # 3. exact crossings: fill in up to the nearest evaluated sample below ref
     below = np.flatnonzero(powers < ref)  # NaN compares False
     evaluate(np.arange(below[below < k].max(initial=0), below[below > k].min(initial=n - 1) + 1))
-
-    def crossing(side: int) -> float | None:
-        """Interpolated -3 dB offset walking from the peak toward side (-1 or +1)."""
-        for t in range(k, n - 1 if side > 0 else 0, side):
-            if powers[t + side] < ref <= powers[t]:
-                frac = (powers[t] - ref) / (powers[t] - powers[t + side])
-                return offsets[t] + side * (frac * _HPBW_STEP_DEG)
-        return None
-
-    lo, hi = crossing(-1), crossing(+1)
-    if lo is None or hi is None:
+    below = np.flatnonzero(powers < ref)
+    left, right = below[below < k], below[below > k]
+    if not (left.size and right.size):
         raise BeamNotResolvedError(
             f"beam not resolved: no -3 dB crossing within +/-{_HPBW_WINDOW_DEG} deg "
             f"({axis} cut)"
         )
-    return float(hi - lo)
+
+    def crossing(t: int, side: int) -> float:
+        """Interpolated -3 dB offset between sample t (at or above ref) and t + side."""
+        frac = (powers[t] - ref) / (powers[t] - powers[t + side])
+        return offsets[t] + side * (frac * _HPBW_STEP_DEG)
+
+    return float(crossing(right[0] - 1, +1) - crossing(left[-1] + 1, -1))
 
 
 def compare_grids(a: PowerGrid, b: PowerGrid, threshold_dbm: float = -90.0) -> GridComparison:

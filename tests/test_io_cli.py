@@ -370,10 +370,15 @@ class TestCsvFormats:
              "configuration line 3: expected 4 fields"),
             ("# reflective\nm,state,magnitude,phase_deg\n0,0,abc,-15\n",
              "configuration line 3: could not convert string to float: 'abc'"),
+            ("# reflective\nm,state,magnitude,phase_deg\n0,0,inf,-15\n",
+             "configuration line 3: magnitude must be finite and >= 0, got inf"),
+            ("# reflective\nm,state,magnitude,phase_deg\n0,0,0.3,nan\n",
+             "configuration line 3: phase must be finite"),
             ("# reflective\nm,state,magnitude,phase_deg\n\n",
              "configuration file contains no coefficients"),
         ],
-        ids=["first-line", "columns", "three-fields", "magnitude", "no-rows"],
+        ids=["first-line", "columns", "three-fields", "magnitude", "inf-magnitude", "nan-phase",
+             "no-rows"],
     )
     def test_config_read_rejections(self, text, message):
         with pytest.raises(ValidationError) as exc:
@@ -579,9 +584,19 @@ class TestHeatmap:
         assert abs(col - peak.i) <= 1
         assert abs((ny - 1 - row) - peak.j) <= 1
 
-    def test_bad_range_rejected(self, sweep_refl_p1, tmp_path):
-        with pytest.raises(ValidationError):
-            export_heatmap(sweep_refl_p1, -50.0, -50.0, tmp_path / "x.pgm")
+    @pytest.mark.parametrize(
+        "levels, message",
+        [
+            ((-50.0, -50.0), "heatmap needs min_dbm < max_dbm"),
+            ((-100.0, math.inf), "heatmap levels must be finite"),
+            ((-math.inf, -50.0), "heatmap levels must be finite"),
+        ],
+        ids=["empty", "max-inf", "min-inf"],
+    )
+    def test_bad_range_rejected(self, levels, message, sweep_refl_p1, tmp_path):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            export_heatmap(sweep_refl_p1, *levels, tmp_path / "x.pgm")
+        assert not (tmp_path / "x.pgm").exists()
 
 
 class TestCli:
@@ -641,22 +656,59 @@ class TestCli:
     def test_help_exits_zero(self, capsys):
         assert cli_dispatch(["--help"]) == 0
 
-    def test_validation_error_exits_one(self, tmp_path, capsys):
-        bad = tmp_path / "bad.yaml"
-        bad.write_text("frequency_ghz: -3\n")
-        assert cli_dispatch(["--scenario", str(bad), "layout"]) == 1
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--scenario", "BAD", "layout"], "frequency_ghz: must be > 0, got -3.0"),
+            (
+                ["optimize", "--target", "P7"],
+                "target 'P7': use a named target (P1, P2) or 'range_m,azimuth_deg,elevation_deg'",
+            ),
+            (["sweep", "--all-off", "--pgm", "MISSING/h.pgm"], "cannot write heatmap: "),
+            (
+                ["--scenario", "ONE_ROW", "sweep", "--all-off", "--points-compat"],
+                "--points-compat needs at least two x rows",
+            ),
+            (["plan", "--start", "P2", "--end", "1.2,40,-16", "--motion", "arc"],
+             "arc motion needs equal range and elevation at both ends"),
+            (["plan", "--start", "P2", "--end", "1.4,40,-10", "--motion", "arc"],
+             "arc motion needs equal range and elevation at both ends"),
+            (["noise-floor", "--nf-db", "inf"], "noise figure must be finite"),
+            (["sweep", "--target", "P1", "--max-dbm", "inf", "--pgm", "h.pgm"],
+             "heatmap levels must be finite"),
+            (["sweep", "--target", "P1", "--min-dbm=-inf", "--pgm", "h.pgm"],
+             "heatmap levels must be finite"),
+        ],
+        ids=["scenario", "target", "pgm-dir", "points-compat", "arc-range", "arc-elevation",
+             "noise-figure", "max-dbm-inf", "min-dbm-inf"],
+    )
+    def test_validation_error_exits_one(self, argv, message, tmp_path, capsys):
+        (tmp_path / "BAD").write_text("frequency_ghz: -3\n")
+        (tmp_path / "ONE_ROW").write_text("grid: {x_start_m: 1.0, x_stop_m: 1.0}\n")
+        names = ("BAD", "ONE_ROW", "MISSING/h.pgm", "h.pgm")
+        argv = [str(tmp_path / a) if a in names else a for a in argv]
+        assert cli_dispatch(argv) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {message}")
+        assert not (tmp_path / "h.pgm").exists()
 
-    def test_geometry_error_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--scenario", "ISO", "hpbw", "--target", "P2", "--axis", "azimuth"],
+             "beam not resolved"),
+            (["plan", "--start", "0,0,0", "--motion", "radial", "--distance", "0.8"],
+             "radial motion undefined on the surface axis"),
+        ],
+        ids=["hpbw", "radial-on-axis"],
+    )
+    def test_geometry_error_exits_two(self, argv, message, tmp_path, capsys):
         iso = tmp_path / "iso.yaml"
         iso.write_text(
             "ris: {rings: 0, element_pattern_exponent: 0.0}\n"
             "bs: {pattern_exponent: 0.0}\n"
         )
-        code = cli_dispatch(
-            ["--scenario", str(iso), "hpbw", "--target", "P2", "--axis", "azimuth"]
-        )
-        assert code == 2
-        assert "beam not resolved" in capsys.readouterr().err
+        assert cli_dispatch([str(iso) if a == "ISO" else a for a in argv]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {message}")
 
     def test_sweep_all_off_writes_sentinels(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
@@ -857,7 +909,11 @@ class TestCli:
                              "--config", str(cfg)]) == 1
         assert "state 0 does not match" in capsys.readouterr().err
 
-    def test_compare_identical_grids(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "floor, rmse", [([], "rmse_db=0"), (["--floor-dbm", "0"], "rmse_db=nan")],
+        ids=["default-floor", "no-cell-above-floor"],
+    )
+    def test_compare_identical_grids(self, floor, rmse, tmp_path, capsys):
         small = tmp_path / "small.yaml"
         small.write_text("grid: {x_stop_m: 1.12, y_stop_m: 0.22}\n")
         out = tmp_path / "g.csv"
@@ -871,11 +927,11 @@ class TestCli:
             == 0
         )
         capsys.readouterr()
-        assert cli_dispatch(["compare", str(out), str(out)]) == 0
+        assert cli_dispatch(["compare", str(out), str(out), *floor]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert "peak_offset_m=0" in lines
         assert "peak_delta_db=0" in lines
-        assert "rmse_db=0" in lines
+        assert rmse in lines
 
     def test_target_coordinate_form(self, capsys):
         assert cli_dispatch(["hpbw", "--target", "1.4,10,-16", "--axis", "azimuth",

@@ -147,6 +147,12 @@ class TestKernelMatchesReference:
         with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
             reference_phasor_matrix(scenario, positions)
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (1, 3, 1)])
+    def test_positions_not_n_by_3_rejected(self, scenario, shape):
+        message = f"positions must be (N, 3), got {shape}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            element_phasor_matrix(scenario, np.ones(shape))
+
 
 def _random_positions(rng, n):
     return np.column_stack(

@@ -59,6 +59,9 @@ class TestRhoRadial:
             rho_radial(0.0, -0.39, 88.0, 7.0)  # upper edge past vertical
         with pytest.raises(GeometryError):
             rho_radial(0.0, 0.39, 16.0, 7.0)  # user plane above the surface
+        for beta in (0.0, -7.0):
+            with pytest.raises(GeometryError, match=f"^beamwidth must be > 0, got {beta}$"):
+                rho_radial(0.0, -0.39, 16.0, beta)
 
     def test_monotone_in_beamwidth(self):
         widths = np.linspace(1.0, 20.0, 30)
@@ -229,7 +232,7 @@ class TestPlanUpdates:
             for t in np.linspace(a.t_s, b.t_s - 1e-3, 7):
                 assert ellipse.contains(pos_at(float(t)).as_array())
 
-    def test_trajectory_validation(self):
+    def test_trajectory_validation(self, scenario):
         p = Vec3(1.0, 0.5, -0.4)
         with pytest.raises(ValidationError):
             Trajectory((p,), 1.0)
@@ -237,6 +240,9 @@ class TestPlanUpdates:
             Trajectory((p, p), 0.0)
         with pytest.raises(ValidationError):
             Trajectory((p, Vec3(1.0, 0.5, 0.4)), 1.0)
+        for step in (0.0, -1e-3):
+            with pytest.raises(ValidationError, match="^time step must be > 0$"):
+                plan_updates(scenario, Trajectory((p, p), 1.0), ACTIVE, time_step_s=step)
 
 
 def _line(start: Vec3, toward: Vec3, length: float) -> tuple[Vec3, Vec3]:

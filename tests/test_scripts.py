@@ -1,4 +1,4 @@
-"""Smoke tests for the experiment scripts, run as separate processes."""
+"""Smoke tests for the experiment scripts and the package imports, run as separate processes."""
 import os
 import subprocess
 import sys
@@ -66,3 +66,13 @@ def test_power_patterns_script_uses_the_scenario_sounder(tmp_path):
         )
         assert cp.returncode == 0, cp.stderr
         assert (outdir / "no_ris_meas.csv").read_bytes() == cli.read_bytes()
+
+
+def test_model_modules_import_without_the_cli():
+    code = (
+        "import sys, rissim.planner; "
+        "print(sorted(m for m in ('rissim.io_cli', 'yaml', 'argparse') if m in sys.modules))"
+    )
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "[]\n"

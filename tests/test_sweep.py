@@ -88,6 +88,10 @@ class TestGridSpec:
                 fields = {"x0": 0, "y0": 0, "dx": 0.02, "dy": 0.02, "nx": 3, "ny": 3, "z_plane": 0.0}
                 with pytest.raises(ValidationError, match=f"grid {field} must be finite"):
                     GridSpec(**{**fields, field: value})
+        spec = GridSpec(0, 0, 0.02, 0.02, 3, 2, 0.0)
+        for shape in ((2, 3), (6,), (3, 2, 1)):
+            with pytest.raises(ValidationError, match=r"does not match grid \(3, 2\)$"):
+                PowerGrid(spec, np.zeros(shape))
 
 
 class TestSweepPower:
