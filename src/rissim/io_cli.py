@@ -33,7 +33,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .errors import GeometryError, ValidationError
 from .geom import RisLayout, SphericalCoord, hex_layout, spherical_to_cartesian
@@ -318,6 +317,7 @@ def load_scenario(path: str | Path | None) -> ScenarioDoc:
     """Load a scenario file; None or an empty file yields the full defaults."""
     if path is None:
         return resolve_scenario({})
+    import yaml
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -331,6 +331,7 @@ def load_scenario(path: str | Path | None) -> ScenarioDoc:
 
 def echo_scenario(doc: ScenarioDoc) -> str:
     """Canonical text of the fully resolved scenario; load/echo is idempotent."""
+    import yaml
     return yaml.safe_dump(doc.resolved, sort_keys=False, default_flow_style=False)
 
 
@@ -536,16 +537,20 @@ def write_schedule_csv(schedule: UpdateSchedule, stream) -> None:
 HEATMAP_LEVELS_DBM = (-100.0, -50.0)
 
 
+def _check_heatmap_levels(min_dbm: float, max_dbm: float) -> None:
+    if not min_dbm < max_dbm:
+        raise ValidationError("heatmap needs min_dbm < max_dbm")
+    if not (math.isfinite(min_dbm) and math.isfinite(max_dbm)):
+        raise ValidationError("heatmap levels must be finite")
+
+
 def export_heatmap(grid: PowerGrid, min_dbm: float, max_dbm: float, path: str | Path) -> None:
     """Write an 8-bit binary PGM, one pixel per cell.
 
     Pixel columns run along +x and rows top-down along -y (top row is the
     largest y). Below-floor cells clamp to min_dbm (black).
     """
-    if not min_dbm < max_dbm:
-        raise ValidationError("heatmap needs min_dbm < max_dbm")
-    if not (math.isfinite(min_dbm) and math.isfinite(max_dbm)):
-        raise ValidationError("heatmap levels must be finite")
+    _check_heatmap_levels(min_dbm, max_dbm)
     norm = (np.clip(grid.values, min_dbm, max_dbm) - min_dbm) / (max_dbm - min_dbm)
     pixels = np.rint(norm * 255.0).astype(np.uint8)
     image = pixels.T[::-1, :]  # (ny, nx), top row = max y
@@ -656,6 +661,8 @@ def _cmd_grid(args) -> int:
         if grid.nx < 2:
             raise ValidationError("--points-compat needs at least two x rows")
         grid = replace(grid, nx=grid.nx - 1)
+    if args.pgm is not None:
+        _check_heatmap_levels(args.min_dbm, args.max_dbm)
     label = args.label if args.label is not None else f"{args.command}:{config.alphabet_name}"
     if args.command == "sweep":
         result = sweep_power(doc.scenario, config, grid, label=label)

@@ -113,7 +113,13 @@ class RisConfig:
 
     @cached_property
     def as_complex_array(self) -> np.ndarray:
-        arr = np.array([c.as_complex for c in self.coefficients])
+        mag = np.array([c.magnitude for c in self.coefficients], dtype=float)
+        rad = np.radians([c.phase_deg for c in self.coefficients])
+        cos, sin = np.cos(rad), np.sin(rad)
+        # as_complex's float * complex product, term for term (keeps the signed zeros)
+        arr = np.empty(len(mag), dtype=complex)
+        arr.real = mag * cos - 0.0 * sin
+        arr.imag = mag * sin + 0.0 * cos
         arr.flags.writeable = False
         return arr
 
@@ -212,7 +218,7 @@ def element_phasor_matrix(
     if not d2.all():
         n, m = np.argwhere(d2 == 0.0)[0]
         raise GeometryError(
-            f"user position {tuple(pos[n])} coincides with element {m} center"
+            f"user position {tuple(pos[n].tolist())} coincides with element {m} center"
         )
     if elements is not None:
         dx, dz, d2 = (np.take(a, elements, axis=1) for a in (dx, dz, d2))

@@ -85,20 +85,21 @@ def optimize_config(
     cols = np.arange(m_count)
 
     # Own tie angles in [0, 2 pi), sorted per element; own arc t starts at own[t].
-    a, b = np.triu_indices(len(states), 1)
-    ties = np.angle(contrib[a] - contrib[b])
+    k = len(states)
+    ties = np.angle(np.array([contrib[a] - contrib[b] for a in range(k) for b in range(a + 1, k)]))
     own = np.sort(np.concatenate((ties + np.pi / 2, ties - np.pi / 2)) % (2 * np.pi), axis=0)
-    mid = 0.5 * (own + np.roll(own, -1, axis=0))
+    mid = 0.5 * (own + np.concatenate((own[1:], own[:1])))
     mid[-1] += np.pi  # the last own arc wraps through 2 pi
     scores = contrib.real[None] * np.cos(mid)[:, None] + contrib.imag[None] * np.sin(mid)[:, None]
     choice = np.argmax(scores, axis=1)  # (K(K-1), M) greedy state on each own arc
+    picked = contrib[choice, cols]  # (K(K-1), M) contribution on each own arc
     # the event at own[t] moves its element from own arc t-1 into own arc t
-    delta = contrib[choice, cols] - contrib[np.roll(choice, 1, axis=0), cols]
+    delta = picked - np.concatenate((picked[-1:], picked[:-1]))
 
     # Global sweep from phi = 0, where every element sits in its last own arc.
     order = np.argsort(own.ravel(), kind="stable")  # keeps each element's events in arc order
     deltas = delta.ravel()[order]
-    sums = contrib[choice[-1], cols].sum() + np.cumsum(deltas)
+    sums = picked[-1].sum() + np.cumsum(deltas)
     objs = sums.real**2 + sums.imag**2
     near = np.flatnonzero((objs >= objs.max() * (1.0 - _CANDIDATE_RTOL)) & (deltas != 0))
     if len(near) == 0:  # all phasors zero: every configuration ties
@@ -107,8 +108,7 @@ def optimize_config(
     # After global event i, an element that has seen n of its events sits in own arc n-1.
     entered = np.array([np.bincount(order[: i + 1] % m_count, minlength=m_count) for i in near])
     candidates = choice[(entered - 1) % len(own), cols]
-    candidates = candidates[np.lexsort(candidates.T[::-1])]  # lexicographic order
     exact = np.sum(states[candidates] * g, axis=1)
     exact = exact.real**2 + exact.imag**2
-    best = candidates[np.argmax(exact >= exact.max() * (1.0 - _TIE_RTOL))]
-    return RisConfig(tuple(alphabet.states[i] for i in best), alphabet.name)
+    best = min(candidates[exact >= exact.max() * (1.0 - _TIE_RTOL)].tolist())  # lexicographic
+    return RisConfig(tuple([alphabet.states[i] for i in best]), alphabet.name)

@@ -142,12 +142,12 @@ def focus_ellipse(
     scenario: Scenario, config: RisConfig, target: SphericalCoord
 ) -> FocusEllipse:
     """Measure both beamwidths for the given configuration and build the ellipse."""
-    alpha = hpbw(scenario, config, target, "azimuth")
-    beta = hpbw(scenario, config, target, "elevation")
     center = spherical_to_cartesian(target)
     horizontal = math.hypot(center.x, center.y)
     if horizontal == 0.0:
         raise GeometryError("target sits on the surface axis; no radial direction")
+    alpha = hpbw(scenario, config, target, "azimuth")
+    beta = hpbw(scenario, config, target, "elevation")
     orientation = Vec3(center.x / horizontal, center.y / horizontal, 0.0)
     return FocusEllipse(
         center=center,

@@ -124,7 +124,7 @@ def reference_phasor_matrix(scenario: Scenario, positions: np.ndarray) -> np.nda
     if np.any(d2 == 0.0):
         n, m = np.argwhere(d2 == 0.0)[0]
         raise GeometryError(
-            f"user position {tuple(pos[n])} coincides with element {m} center"
+            f"user position {tuple(pos[n].tolist())} coincides with element {m} center"
         )
     cos_out = dv[..., 0] / d2
     f_out = np.where(cos_out <= 0.0, 0.0, scenario.element_pattern.value_at(cos_out))

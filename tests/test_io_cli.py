@@ -692,6 +692,22 @@ class TestCli:
         assert not (tmp_path / "h.pgm").exists()
 
     @pytest.mark.parametrize(
+        "levels, message",
+        [
+            (["--max-dbm", "inf"], "heatmap levels must be finite"),
+            (["--min-dbm=-50", "--max-dbm=-50"], "heatmap needs min_dbm < max_dbm"),
+        ],
+        ids=["max-dbm-inf", "equal-levels"],
+    )
+    def test_bad_heatmap_levels_write_no_file(self, levels, message, tmp_path, capsys):
+        grid, pgm = tmp_path / "g.csv", tmp_path / "h.pgm"
+        argv = ["sweep", "--target", "P1", *levels, "--pgm", str(pgm), "--out", str(grid)]
+        assert cli_dispatch(argv) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+        assert not grid.exists()
+        assert not pgm.exists()
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["--scenario", "ISO", "hpbw", "--target", "P2", "--axis", "azimuth"],

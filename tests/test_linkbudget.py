@@ -141,7 +141,7 @@ class TestKernelMatchesReference:
 
     def test_position_on_an_element_center_rejected(self, scenario):
         positions = np.array([[1.0, 0.2, -0.3], scenario.layout.positions[5]])
-        message = f"user position {tuple(positions[1])} coincides with element 5 center"
+        message = f"user position {tuple(positions[1].tolist())} coincides with element 5 center"
         with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
             element_phasor_matrix(scenario, positions)
         with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
@@ -204,7 +204,7 @@ class TestCoherentSumsSkipsOffElements:
         on, off = ACTIVE.states
         config = RisConfig((on,) * 5 + (off,) + (on,) * 121, ACTIVE.name)
         positions = np.array([[1.0, 0.2, -0.3], scenario.layout.positions[5]])
-        message = f"user position {tuple(positions[1])} coincides with element 5 center"
+        message = f"user position {tuple(positions[1].tolist())} coincides with element 5 center"
         with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
             coherent_sums(scenario, config, positions)
 
@@ -386,6 +386,24 @@ class TestTypes:
         c = ReflectionCoefficient(0.3, -15.0).as_complex
         assert abs(c) == pytest.approx(0.3, rel=1e-12)
         assert math.degrees(cmath.phase(c)) == pytest.approx(-15.0, rel=1e-12)
+
+    def test_as_complex_array_has_the_bits_of_as_complex(self, doc):
+        rng = np.random.default_rng(21)
+        builtin = [s for alphabet in doc.alphabets.values() for s in alphabet.states]
+        edge = [
+            ReflectionCoefficient(m, p)
+            for m in (0.0, -0.0, 0.3, 1.25)
+            for p in (180.0, -180.0, 90.0, -90.0, 165.0, -15.0)
+        ]
+        drawn = [
+            ReflectionCoefficient(float(m), float(p))
+            for m, p in zip(rng.uniform(0.0, 2.0, 2000), rng.uniform(-540.0, 540.0, 2000))
+        ]
+        coeffs = tuple(builtin + edge + drawn)
+        got = RisConfig(coeffs, "mixed").as_complex_array
+        want = np.array([c.as_complex for c in coeffs])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_scenario_validation(self):
         layout = _single_element_layout()

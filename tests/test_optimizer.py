@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from rissim.linkbudget import (
     element_phasor_matrix,
 )
 from rissim.optimizer import (
+    _TIE_RTOL,
     ACTIVE,
     REFLECTIVE,
     ReflectionAlphabet,
@@ -20,11 +22,28 @@ from rissim.optimizer import (
     uniform_config,
 )
 
+THREE_STATE = ReflectionAlphabet(
+    "three", tuple(ReflectionCoefficient(1.0, p) for p in (0.0, 120.0, -120.0))
+)
+
 
 def _objective_dbm_free(scenario, config, target):
     g = element_phasor_matrix(scenario, target.as_array()[None, :])[0]
     s = np.sum(config.as_complex_array * g)
     return float(abs(s) ** 2)
+
+
+def _smallest_tied_config(scenario, target, alphabet):
+    """Exhaustive oracle for the optimizer's tie rule: the lexicographically
+    smallest state vector whose objective is within _TIE_RTOL of the maximum."""
+    g = element_phasor_matrix(scenario, target.as_array()[None, :])[0]
+    states = np.array([c.as_complex for c in alphabet.states])
+    combos = np.array(list(itertools.product(range(len(states)), repeat=len(g))))
+    sums = np.sum(states[combos] * g, axis=1)
+    objs = sums.real**2 + sums.imag**2
+    # itertools.product enumerates in lexicographic order: argmax takes the first tie
+    best = combos[np.argmax(objs >= objs.max() * (1.0 - _TIE_RTOL))]
+    return tuple(alphabet.states[i] for i in best)
 
 
 def _assert_matches_brute_force(scenario, target, alphabet):
@@ -218,13 +237,23 @@ class TestBruteForce:
             scenario, target = make_random_scenario(rng, 10)
             _assert_matches_brute_force(scenario, target, REFLECTIVE)
 
+    @pytest.mark.parametrize(
+        "alphabet, m_max, seed",
+        [(REFLECTIVE, 12, 15), (THREE_STATE, 8, 16)],
+        ids=["reflective", "three"],
+    )
+    def test_returns_the_smallest_tied_configuration(self, alphabet, m_max, seed):
+        # reflective ties come in complement pairs, the symmetric 3-state
+        # alphabet's in threes (a common phase rotation)
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            scenario, target = make_random_scenario(rng, int(rng.integers(1, m_max + 1)))
+            config = optimize_config(scenario, target, alphabet)
+            assert config.coefficients == _smallest_tied_config(scenario, target, alphabet)
+
     def test_matches_brute_force_objective_multistate(self):
         # the sweep is general in the alphabet size: a symmetric 3-state
         # phase alphabet and an irregular 4-state one
-        three = ReflectionAlphabet(
-            "three",
-            tuple(ReflectionCoefficient(1.0, p) for p in (0.0, 120.0, -120.0)),
-        )
         four = ReflectionAlphabet(
             "four",
             (
@@ -236,6 +265,6 @@ class TestBruteForce:
         )
         rng = np.random.default_rng(13)
         for _ in range(20):
-            for alphabet, m_max in ((three, 9), (four, 7)):
+            for alphabet, m_max in ((THREE_STATE, 9), (four, 7)):
                 scenario, target = make_random_scenario(rng, int(rng.integers(1, m_max + 1)))
                 _assert_matches_brute_force(scenario, target, alphabet)

@@ -157,6 +157,10 @@ class TestFocusEllipse:
         with pytest.raises(BeamNotResolvedError):
             focus_ellipse(scenario, config, SphericalCoord(1.4, 10.0, -16.0))
 
+    def test_target_on_the_surface_axis_rejected(self, scenario, active_p2):
+        with pytest.raises(GeometryError, match="^target sits on the surface axis"):
+            focus_ellipse(scenario, active_p2, SphericalCoord(0.0, 0.0, 0.0))
+
     def test_semi_axis_validation(self):
         with pytest.raises(ValidationError):
             FocusEllipse(Vec3(1, 0, 0), 0.0, 0.3, Vec3(1, 0, 0), 10.0, 10.0)

@@ -76,3 +76,7 @@ def test_model_modules_import_without_the_cli():
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout == "[]\n"
+    code = "import sys, rissim.io_cli; print('yaml' in sys.modules)"
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "False\n"
