@@ -415,8 +415,6 @@ def _grid_template(spec: GridSpec) -> str:
 
 def write_power_grid_csv(grid: PowerGrid, stream) -> None:
     s = grid.spec
-    if "\n" in grid.label or "\r" in grid.label:
-        raise ValidationError("grid label must not contain newlines")
     stream.write(
         f"# {_fmt(s.x0)},{_fmt(s.y0)},{_fmt(s.dx)},{_fmt(s.dy)},{s.nx},{s.ny},"
         f"{_fmt(s.z_plane)},{grid.label}\n"
@@ -432,25 +430,6 @@ _GRID_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("power", np.float64)])
 def _parse_grid_rows(rows: list[str]) -> np.ndarray:
     """(i, j, power) of each `i,j,x,y,power` row in one pass; x and y are not read."""
     return np.loadtxt(rows, delimiter=",", usecols=(0, 1, 4), dtype=_GRID_ROW, comments=None, ndmin=1)
-
-
-def _first_bad_row(rows: list[str]) -> tuple[int, str]:
-    """Index of the first row that is not five fields that _parse_grid_rows reads, and why.
-
-    Bisects with the bulk parse, so each reason is the one it gives.
-    """
-    wrong_count = np.flatnonzero(np.char.count(np.array(rows), ",") != 4)
-    end = int(wrong_count[0]) if wrong_count.size else len(rows)
-    lo, hi, reason = 0, end + 1, "expected 5 fields"
-    while hi - lo > 1:  # rows[:lo] parse and rows[:hi] do not
-        mid = (lo + hi) // 2
-        try:
-            _parse_grid_rows(rows[lo:mid])
-        except ValueError as exc:
-            hi, reason = mid, re.sub(r" at row \d+", "", str(exc))
-        else:
-            lo = mid
-    return lo, reason
 
 
 def read_power_grid_csv(stream) -> PowerGrid:
@@ -495,8 +474,14 @@ def read_power_grid_csv(stream) -> PowerGrid:
         cells = None
     # a row with more than five fields parses, but adds commas
     if cells is None or text.count(",") != 4 * cells.size:
-        row, reason = _first_bad_row(rows)
-        raise ValidationError(f"grid line {line_of(row)}: {reason}")
+        for k, row in enumerate(rows):  # name the first bad row in file order
+            if row.count(",") != 4:
+                raise ValidationError(f"grid line {line_of(k)}: expected 5 fields")
+            try:
+                _parse_grid_rows([row])
+            except ValueError as exc:
+                reason = re.sub(r" at row \d+", "", str(exc))
+                raise ValidationError(f"grid line {line_of(k)}: {reason}") from None
     i, j, power = cells["i"], cells["j"], cells["power"]
 
     bad = np.flatnonzero(np.isnan(power) | (power == np.inf))

@@ -76,7 +76,7 @@ class AntennaPattern:
 class ReflectionCoefficient:
     """Complex element response: magnitude and phase in degrees (-180, 180].
 
-    Magnitude 0 means the element is off; its phase is stored as 0.
+    Magnitude 0 (or -0) means the element is off; it is stored as 0 at phase 0.
     """
 
     magnitude: float
@@ -89,6 +89,7 @@ class ReflectionCoefficient:
             raise ValidationError("phase must be finite")
         phase = 0.0 if self.magnitude == 0.0 else _wrap_phase_deg(self.phase_deg)
         object.__setattr__(self, "phase_deg", phase)
+        object.__setattr__(self, "magnitude", self.magnitude + 0.0)  # -0.0 + 0.0 is 0.0
 
     @property
     def as_complex(self) -> complex:
@@ -115,11 +116,8 @@ class RisConfig:
     def as_complex_array(self) -> np.ndarray:
         mag = np.array([c.magnitude for c in self.coefficients], dtype=float)
         rad = np.radians([c.phase_deg for c in self.coefficients])
-        cos, sin = np.cos(rad), np.sin(rad)
-        # as_complex's float * complex product, term for term (keeps the signed zeros)
-        arr = np.empty(len(mag), dtype=complex)
-        arr.real = mag * cos - 0.0 * sin
-        arr.imag = mag * sin + 0.0 * cos
+        # as_complex's bits, bar the sign of a zero part where m*cos or m*sin underflows
+        arr = mag * np.exp(1j * rad)
         arr.flags.writeable = False
         return arr
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -91,6 +91,8 @@ class PowerGrid:
                 f"values shape {self.values.shape} does not match grid "
                 f"({self.spec.nx}, {self.spec.ny})"
             )
+        if "\n" in self.label or "\r" in self.label:  # the grid CSV header is one line
+            raise ValidationError("grid label must not contain newlines")
         self.values.flags.writeable = False
 
 
@@ -99,7 +101,7 @@ class SounderParams:
     """Measurement-pipeline emulation parameters.
 
     averages is the record count Q. The emulator draws each cell's window sum
-    directly, with the closed-form noise floor noise_floor(T, B, Q, NF) as its
+    directly, with the closed-form noise floor floor_mw (in mW) as its
     variance. window_start/window_stop (the impulse-response taps
     [start, stop]) are validated and kept for compatibility with the scenario
     format, but the emulator does not read them: the window's length and
@@ -119,12 +121,20 @@ class SounderParams:
     noise_enabled: bool = True
 
     def __post_init__(self):
-        # raises unless the closed-form floor exists, averages >= 1 included
-        noise_floor(self.temperature_k, self.bandwidth_hz, self.averages, self.noise_figure_db)
+        self.floor_mw  # raises unless the closed-form floor exists, averages >= 1 included
         if not 1 <= self.window_start <= self.window_stop:
             raise ValidationError("window taps must satisfy 1 <= start <= stop")
         if self.rng_seed < 0:
             raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
+
+    @cached_property
+    def floor_mw(self) -> float:
+        """The closed-form noise floor noise_floor(T, B, Q, NF) in mW; it must be a float."""
+        dbm = noise_floor(self.temperature_k, self.bandwidth_hz, self.averages, self.noise_figure_db)
+        try:
+            return db_to_linear(dbm)
+        except OverflowError:
+            raise ValidationError(f"noise floor {dbm} dBm is too large for a power in mW") from None
 
 
 class Peak(NamedTuple):
@@ -208,16 +218,8 @@ def emulate_measurement_grid(
     """
     sums = _grid_sums(scenario, config, grid)
     if sounder.noise_enabled:
-        floor_mw = db_to_linear(
-            noise_floor(
-                sounder.temperature_k,
-                sounder.bandwidth_hz,
-                sounder.averages,
-                sounder.noise_figure_db,
-            )
-        )
         z = np.random.default_rng(sounder.rng_seed).standard_normal((grid.nx, grid.ny, 2))
-        scale = math.sqrt(floor_mw / (2.0 * prefactor_mw(scenario)))
+        scale = math.sqrt(sounder.floor_mw / (2.0 * prefactor_mw(scenario)))
         sums = sums + scale * (z[..., 0] + 1j * z[..., 1])
     values = dbm_from_sums(scenario, sums)
     return PowerGrid(grid, values, label=label)

@@ -2,14 +2,32 @@
 checked against: exhaustive configuration search, the (N, M, 3) phasor
 kernel, scalar per-element phasor and pattern products, the full-scan
 beamwidth, the record-level sounder, the step-by-step planner and the per-cell
-grid CSV writer."""
+grid CSV writer; and the golden-output manifest of the CLI and the scripts."""
+import contextlib
+import hashlib
+import io
 import itertools
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
+import rissim
 from rissim.errors import BeamNotResolvedError, GeometryError, ValidationError
-from rissim.geom import RisLayout, SphericalCoord, Vec3, cartesian_to_spherical
+from rissim.geom import (
+    RisLayout,
+    SphericalCoord,
+    Vec3,
+    cartesian_to_spherical,
+    spherical_to_cartesian,
+)
+from rissim.io_cli import cli_dispatch, load_scenario
 from rissim.linkbudget import (
     _BELOW_FLOOR_MW,
     BELOW_FLOOR_DBM,
@@ -30,9 +48,18 @@ from rissim.planner import (
     UpdateEvent,
     UpdateSchedule,
     _polyline,
+    arc_waypoints,
     focus_ellipse,
+    plan_updates,
 )
-from rissim.sweep import PowerGrid, SounderParams, _arc_positions
+from rissim.sweep import (
+    PowerGrid,
+    SounderParams,
+    _arc_positions,
+    emulate_measurement_grid,
+    hpbw,
+    sweep_power,
+)
 
 
 def make_random_scenario(rng: np.random.Generator, m_count: int):
@@ -351,8 +378,6 @@ def write_power_grid_csv_reference(grid: PowerGrid, stream) -> None:
     write_power_grid_csv must write these bytes for every grid.
     """
     s = grid.spec
-    if "\n" in grid.label or "\r" in grid.label:
-        raise ValidationError("grid label must not contain newlines")
     stream.write(
         f"# {_fmt_reference(s.x0)},{_fmt_reference(s.y0)},{_fmt_reference(s.dx)},"
         f"{_fmt_reference(s.dy)},{s.nx},{s.ny},{_fmt_reference(s.z_plane)},{grid.label}\n"
@@ -366,3 +391,211 @@ def write_power_grid_csv_reference(grid: PowerGrid, stream) -> None:
             for (j, y), v in zip(ys, row)
         )
     stream.write("".join(lines))
+
+
+# ----------------------------- golden outputs -----------------------------
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "golden_outputs.json"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+# Inputs the golden commands read, written to the working directory first.
+GOLDEN_INPUTS = {
+    "ue_exponent_2_5.yaml": "ue: {pattern_exponent: 2.5}\n",
+    "isotropic_elements.yaml": "ris: {element_pattern_exponent: 0.0}\n",
+}
+# The active P1 optimum with every off element written as -0, made once the CLI writes it.
+_NEGATIVE_ZERO = ("active_P1.csv", "negative_zero_active_P1.csv")
+
+
+def _golden_commands() -> list[str]:
+    commands = [
+        "layout --out layout.csv",
+        "layout --rings 2 --pitch-mm 10",
+        "noise-floor",
+        "noise-floor --temp-k 300 --bw-mhz 100 --q 10 --nf-db 5",
+    ]
+    for alphabet in ("reflective", "active"):
+        for target in ("P1", "P2"):
+            tag = f"{alphabet}_{target}"
+            pick = f"--target {target} --alphabet {alphabet}"
+            commands += [
+                f"optimize {pick} --out {tag}.csv",
+                f"sweep {pick} --out sweep_{tag}.csv --pgm sweep_{tag}.pgm",
+                f"emulate {pick} --seed 7 --out emulate_{tag}.csv --pgm emulate_{tag}.pgm",
+                f"hpbw {pick} --axis azimuth",
+                f"hpbw {pick} --axis elevation",
+                f"ellipse {pick}",
+                f"ellipse --target {target} --config {tag}.csv",
+            ]
+        commands += [
+            f"plan --start P2 --end P1 --motion arc --alphabet {alphabet} --out arc_{alphabet}.csv",
+            f"plan --start P2 --end P1 --motion line --alphabet {alphabet}",
+            f"plan --start P2 --motion radial --distance 0.8 --alphabet {alphabet}",
+        ]
+    negative_zero = _NEGATIVE_ZERO[1]
+    commands += [
+        "sweep --all-off --out all_off.csv",
+        "emulate --all-off --seed 7 --out all_off_meas.csv --pgm all_off_meas.pgm",
+        "emulate --target P1 --no-noise --out no_noise_P1.csv",
+        "sweep --off-structural --points-compat --out off_structural.csv --pgm off_structural.pgm",
+        f"sweep --config {negative_zero} --out sweep_negative_zero.csv",
+        f"hpbw --target P1 --axis azimuth --config {negative_zero}",
+        f"ellipse --target P1 --config {negative_zero}",
+        "compare sweep_reflective_P1.csv emulate_reflective_P1.csv",
+        "compare sweep_active_P2.csv emulate_active_P2.csv --floor-dbm -80",
+        "optimize --target 0,0,0",
+        "sweep --target P1 --max-dbm inf --pgm bad_levels.pgm --out bad_levels.csv",
+    ]
+    for scenario in GOLDEN_INPUTS:
+        commands += [
+            f"--scenario {scenario} sweep --target P1 --out sweep_{Path(scenario).stem}.csv",
+            f"--scenario {scenario} ellipse --target P1",
+        ]
+    return commands
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_golden_commands() -> dict:
+    """Run the golden command set in process in the working directory.
+
+    Every path is relative, so no output names the directory, and every
+    command writes files of its own. Returns, per command line, its exit code
+    and the sha256 of its stdout, its stderr and each file it writes.
+    """
+    for name, text in GOLDEN_INPUTS.items():
+        Path(name).write_text(text)
+    results = {}
+    for line in _golden_commands():
+        before = set(os.listdir())
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_dispatch(line.split())
+        written = sorted(set(os.listdir()) - before)
+        results[line] = {
+            "exit": code,
+            "stdout": _sha256(out.getvalue().encode()),
+            "stderr": _sha256(err.getvalue().encode()),
+            "files": {name: _sha256(Path(name).read_bytes()) for name in written},
+        }
+        source, target = _NEGATIVE_ZERO
+        if source in written:
+            Path(target).write_text(Path(source).read_text().replace(",1,0,0\n", ",1,-0,0\n"))
+    return results
+
+
+def _hex(*values) -> str:
+    return " ".join(float(v).hex() for v in values)
+
+
+def golden_model_results() -> dict:
+    """Full-precision results of the default setup, which the 6-digit CLI outputs round away.
+
+    Per alphabet and target: the configuration fingerprint, the sha256 of the
+    sweep and emulated grids' float64 bytes, both beamwidths and the focus
+    ellipse as float.hex text; per alphabet, the sha256 of the arc schedule.
+    """
+    doc = load_scenario(None)
+    scenario = doc.scenario
+    results = {}
+    for alphabet_name in ("reflective", "active"):
+        alphabet = doc.alphabets[alphabet_name]
+        for name in ("P1", "P2"):
+            target = doc.targets[name]
+            config = optimize_config(scenario, spherical_to_cartesian(target), alphabet)
+            tag = f"{alphabet_name} {name}"
+            grids = (
+                sweep_power(scenario, config, doc.grid),
+                emulate_measurement_grid(scenario, config, doc.grid, doc.sounder),
+            )
+            ellipse = focus_ellipse(scenario, config, target)
+            c = ellipse.center
+            results[f"config {tag}"] = config_fingerprint(config)
+            results[f"sweep {tag}"] = _sha256(grids[0].values.tobytes())
+            results[f"emulate {tag}"] = _sha256(grids[1].values.tobytes())
+            results[f"hpbw {tag}"] = _hex(
+                hpbw(scenario, config, target, "azimuth"), hpbw(scenario, config, target, "elevation")
+            )
+            results[f"ellipse {tag}"] = _hex(
+                ellipse.rho_a, ellipse.rho_r, ellipse.alpha_deg, ellipse.beta_deg, c.x, c.y, c.z
+            )
+        trajectory = Trajectory(arc_waypoints(doc.targets["P2"], doc.targets["P1"]), 1.0)
+        schedule = plan_updates(scenario, trajectory, alphabet)
+        events = [
+            f"{_hex(e.t_s, e.position.x, e.position.y, e.position.z, e.rho_a, e.rho_r)} {e.config_hash}"
+            for e in schedule.events
+        ]
+        results[f"plan arc {alphabet_name}"] = _sha256("\n".join(events).encode())
+    return results
+
+
+def script_output_hashes(outdir: Path) -> dict:
+    return {p.name: _sha256(p.read_bytes()) for p in sorted(Path(outdir).iterdir())}
+
+
+def child_env() -> dict:
+    """The environment of a child process that imports the same rissim as the tests."""
+    src = str(Path(rissim.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_script(name: str, *args) -> subprocess.CompletedProcess:
+    """`python scripts/NAME ARGS` in a child that imports the same rissim as the tests."""
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args], capture_output=True, text=True, env=child_env()
+    )
+
+
+def golden_environment() -> dict:
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+    }
+
+
+def assert_matches_golden(section: str, got: dict) -> None:
+    """Compare got with one section of the golden manifest, naming what differs.
+
+    The message says so when the manifest was recorded under another Python,
+    numpy or platform, since the bits may then differ without a fault.
+    """
+    manifest = json.loads(GOLDEN_PATH.read_text())
+    want = manifest[section]
+    differ = [key for key in {**want, **got} if want.get(key) != got.get(key)]
+    if not differ:
+        return
+    message = f"{len(differ)} of {len(want)} golden {section} entries differ, first {differ[:5]}"
+    if manifest["environment"] != golden_environment():
+        message += (
+            f"; the manifest was recorded under {manifest['environment']}, "
+            f"this run is {golden_environment()}"
+        )
+    raise AssertionError(message)
+
+
+def regenerate_golden_outputs() -> None:
+    """Rewrite the golden manifest from the code as it stands: the CLI set, the
+    full-precision model results and both scripts.
+
+    From the repository root:
+    PYTHONPATH=src:tests python -c "import helpers; helpers.regenerate_golden_outputs()"
+    """
+    manifest = {"environment": golden_environment(), "model": golden_model_results()}
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            manifest["cli"] = run_golden_commands()
+        finally:
+            os.chdir(home)
+        for script in ("run_update_planning.py", "run_power_patterns.py"):
+            outdir = Path(tmp) / script
+            cp = run_script(script, "--outdir", str(outdir))
+            if cp.returncode != 0:
+                raise RuntimeError(cp.stderr)
+            manifest[script] = script_output_hashes(outdir)
+    GOLDEN_PATH.write_text(json.dumps(manifest, indent=1) + "\n")

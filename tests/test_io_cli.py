@@ -28,8 +28,13 @@ from rissim.io_cli import (
     write_power_grid_csv,
     write_schedule_csv,
 )
-from rissim.linkbudget import BELOW_FLOOR_DBM, ReflectionCoefficient, noise_floor
-from rissim.optimizer import REFLECTIVE, optimize_config, uniform_config
+from rissim.linkbudget import (
+    BELOW_FLOOR_DBM,
+    ReflectionCoefficient,
+    config_fingerprint,
+    noise_floor,
+)
+from rissim.optimizer import ACTIVE, REFLECTIVE, optimize_config, uniform_config
 from rissim.planner import (
     Trajectory,
     UpdateEvent,
@@ -313,9 +318,8 @@ class TestCsvFormats:
 
     @pytest.mark.parametrize("label", ["a\nb", "a\rb", "lab\r"])
     def test_grid_label_with_line_break_rejected(self, label):
-        grid = PowerGrid(GridSpec(0.0, 0.0, 0.1, 0.1, 1, 1, 0.0), np.array([[-60.0]]), label=label)
         with pytest.raises(ValidationError, match="newlines"):
-            write_power_grid_csv(grid, io.StringIO())
+            PowerGrid(GridSpec(0.0, 0.0, 0.1, 0.1, 1, 1, 0.0), np.array([[-60.0]]), label=label)
 
     def test_grid_read_rejects_partial_cover(self):
         text = "# 0,0,0.1,0.1,2,1,0,x\n0,0,0,0,-60\n"
@@ -327,6 +331,16 @@ class TestCsvFormats:
         write_config_csv(refl_p1, buf, REFLECTIVE)
         back = read_config_csv(io.StringIO(buf.getvalue()))
         assert back == refl_p1
+
+    def test_negative_zero_magnitude_reads_and_fingerprints_as_zero(self):
+        head = "# active\nm,state,magnitude,phase_deg\n0,0,1.25,0\n"
+        configs = [
+            read_config_csv(io.StringIO(head + f"1,1,{zero},0\n"), {"active": ACTIVE})
+            for zero in ("-0", "0")
+        ]
+        assert configs[0] == configs[1]
+        assert config_fingerprint(configs[0]) == config_fingerprint(configs[1])
+        assert math.copysign(1, ReflectionCoefficient(-0.0, 30).magnitude) == 1
 
     def test_config_read_accepts_crlf(self):
         text = "# reflective\r\nm,state,magnitude,phase_deg\r\n0,1,0.3,165\r\n"
@@ -408,6 +422,13 @@ _GRID_HEADER = "# 0,0,0.1,0.1,2,1,0,x\n"
 _GRID_ROWS = "0,0,0,0,-60\n1,0,0.1,0,-61\n"
 
 
+def _full_grid_with_bad_last_row() -> str:
+    """The default 31 x 46 grid whose last row's power does not parse (file line 1427)."""
+    rows = [f"{i},{j},0,0,-60\n" for i in range(31) for j in range(46)]
+    rows[-1] = "30,45,0,0,-60dB\n"
+    return "# 0.92,0.02,0.02,0.02,31,46,-0.39,x\n" + "".join(rows)
+
+
 class TestGridCsvReader:
     @pytest.mark.parametrize(
         "text, message",
@@ -426,11 +447,15 @@ class TestGridCsvReader:
             (_GRID_HEADER + "0,0,0,0,-60\n1,-1,0.1,0,-61\n", r"grid line 3: cell \(1, -1\) out of range"),
             (_GRID_HEADER + "0,0,0,0,-60\n\n  \n1,0,0.1,0,x\n", r"grid line 5\b"),
             (_GRID_HEADER + "\n \n", "every cell"),
+            (_GRID_HEADER + "0,0,0,0,-60,7\n1,zero,0.1,0,-61\n", r"grid line 2: expected 5 fields"),
+            (_GRID_HEADER + "0,zero,0,0,-60\n1,0,0.1,0,-61,7\n", r"grid line 2: could not convert"),
+            (_full_grid_with_bad_last_row(), r"grid line 1427: could not convert"),
         ],
         ids=[
             "no-hash", "header-7-fields", "header-x0-text", "header-nx-text", "4-fields", "6-fields",
             "i-float", "j-text", "power-text", "power-empty", "i-too-large", "j-negative",
-            "line-after-blanks", "no-rows",
+            "line-after-blanks", "no-rows", "6-fields-before-parse-error",
+            "parse-error-before-6-fields", "last-row-of-full-grid",
         ],
     )
     def test_malformed_file_rejected(self, text, message):
@@ -637,6 +662,17 @@ class TestCli:
         assert out == ""
         assert "error: noise power k*T*B/Q must be finite and > 0" in err
 
+    @pytest.mark.parametrize(
+        "command", [["emulate", "--all-off"], ["layout"]], ids=["emulate", "layout"]
+    )
+    def test_scenario_sounder_floor_beyond_a_float_in_mw_rejected(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("sounder: {noise_figure_db: 4000.0}\n")
+        assert cli_dispatch(["--scenario", str(bad), *command]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("dBm is too large for a power in mW\n")
+
     def test_layout_row_count(self, tmp_path, capsys):
         out = tmp_path / "layout.csv"
         code = cli_dispatch(["layout", "--rings", "6", "--pitch-mm", "8.7", "--out", str(out)])
@@ -704,6 +740,15 @@ class TestCli:
         argv = ["sweep", "--target", "P1", *levels, "--pgm", str(pgm), "--out", str(grid)]
         assert cli_dispatch(argv) == 1
         assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+        assert not grid.exists()
+        assert not pgm.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "emulate"])
+    def test_label_with_line_break_writes_no_file(self, command, tmp_path, capsys):
+        grid, pgm = tmp_path / "g.csv", tmp_path / "h.pgm"
+        argv = [command, "--all-off", "--label", "a\nb", "--out", str(grid), "--pgm", str(pgm)]
+        assert cli_dispatch(argv) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "error: grid label must not contain newlines"
         assert not grid.exists()
         assert not pgm.exists()
 

@@ -1,52 +1,36 @@
 """Smoke tests for the experiment scripts and the package imports, run as separate processes."""
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-import rissim
-
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-def _child_env():
-    """The environment of a child that imports the same rissim as the tests."""
-    src = str(Path(rissim.__file__).parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return {**os.environ, "PYTHONPATH": path}
-
-
-def _run_script(name, *args):
-    """`python scripts/NAME ARGS` in a child that imports the same rissim as the tests."""
-    return subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *args], capture_output=True, text=True, env=_child_env()
-    )
+from helpers import assert_matches_golden, child_env, run_script, script_output_hashes
 
 
 def test_update_planning_script_is_byte_reproducible(tmp_path):
     outputs = []
     for tag in ("a", "b"):
         outdir = tmp_path / tag
-        cp = _run_script("run_update_planning.py", "--outdir", str(outdir))
+        cp = run_script("run_update_planning.py", "--outdir", str(outdir))
         assert cp.returncode == 0, cp.stderr
         outputs.append(
             {name: (outdir / name).read_bytes() for name in ("arc_p2_to_p1.csv", "radial_from_p2.csv")}
         )
     assert outputs[0] == outputs[1]
     assert all(outputs[0].values())
+    assert_matches_golden("run_update_planning.py", script_output_hashes(tmp_path / "a"))
 
 
 def test_power_patterns_script_is_byte_reproducible(tmp_path):
     outputs = []
     for tag in ("a", "b"):
         outdir = tmp_path / tag
-        cp = _run_script("run_power_patterns.py", "--outdir", str(outdir))
+        cp = run_script("run_power_patterns.py", "--outdir", str(outdir))
         assert cp.returncode == 0, cp.stderr
         outputs.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
     # six cases, a simulated and an emulated grid each, as CSV and PGM
     assert len(outputs[0]) == 24
     assert outputs[0] == outputs[1]
     assert all(outputs[0].values())
+    assert_matches_golden("run_power_patterns.py", script_output_hashes(tmp_path / "a"))
 
 
 def test_power_patterns_script_uses_the_scenario_sounder(tmp_path):
@@ -54,7 +38,7 @@ def test_power_patterns_script_uses_the_scenario_sounder(tmp_path):
     scenario.write_text("sounder: {averages: 5, rng_seed: 4}\n")
     for seed in ([], ["--seed", "7"]):
         outdir = tmp_path / f"out{len(seed)}"
-        cp = _run_script("run_power_patterns.py", "--scenario", str(scenario), "--outdir", str(outdir), *seed)
+        cp = run_script("run_power_patterns.py", "--scenario", str(scenario), "--outdir", str(outdir), *seed)
         assert cp.returncode == 0, cp.stderr
         cli = tmp_path / f"cli{len(seed)}.csv"
         cp = subprocess.run(
@@ -62,7 +46,7 @@ def test_power_patterns_script_uses_the_scenario_sounder(tmp_path):
              *seed, "--label", "meas:no_ris", "--out", str(cli)],
             capture_output=True,
             text=True,
-            env=_child_env(),
+            env=child_env(),
         )
         assert cp.returncode == 0, cp.stderr
         assert (outdir / "no_ris_meas.csv").read_bytes() == cli.read_bytes()
@@ -73,10 +57,10 @@ def test_model_modules_import_without_the_cli():
         "import sys, rissim.planner; "
         "print(sorted(m for m in ('rissim.io_cli', 'yaml', 'argparse') if m in sys.modules))"
     )
-    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout == "[]\n"
     code = "import sys, rissim.io_cli; print('yaml' in sys.modules)"
-    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert cp.returncode == 0, cp.stderr
     assert cp.stdout == "False\n"
