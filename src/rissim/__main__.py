@@ -1,4 +1,4 @@
-from .io_cli import main
+from .cli import main
 
 if __name__ == "__main__":
     main()

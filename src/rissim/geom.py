@@ -118,10 +118,10 @@ def hex_layout(rings: int, pitch: float, d_y: float, d_z: float) -> RisLayout:
     """
     if rings < 0:
         raise ValidationError(f"rings must be >= 0, got {rings}")
-    if not pitch > 0.0:
-        raise ValidationError(f"pitch must be > 0, got {pitch}")
-    if not (d_y > 0.0 and d_z > 0.0):
-        raise ValidationError("element dimensions must be > 0")
+    if not (math.isfinite(pitch) and pitch > 0.0):
+        raise ValidationError(f"pitch must be finite and > 0, got {pitch}")
+    if not all(math.isfinite(d) and d > 0.0 for d in (d_y, d_z)):
+        raise ValidationError("element dimensions must be finite and > 0")
 
     steps = [(_HEX_COS[j] * pitch, _HEX_SIN[j] * pitch) for j in range(6)]
     pts: list[Vec3] = [Vec3(0.0, 0.0, 0.0)]

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 import rissim
+from rissim.cli import cli_dispatch
 from rissim.errors import BeamNotResolvedError, GeometryError, ValidationError
 from rissim.geom import (
     RisLayout,
@@ -27,7 +28,7 @@ from rissim.geom import (
     cartesian_to_spherical,
     spherical_to_cartesian,
 )
-from rissim.io_cli import cli_dispatch, load_scenario
+from rissim.io_cli import load_scenario
 from rissim.linkbudget import (
     _BELOW_FLOOR_MW,
     BELOW_FLOOR_DBM,

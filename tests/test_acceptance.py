@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from helpers import brute_force_config, linear_mean_dbm, make_random_scenario
+from rissim.cli import cli_dispatch
 from rissim.geom import Vec3, hex_layout, spherical_to_cartesian
-from rissim.io_cli import cli_dispatch
 from rissim.linkbudget import element_phasor_matrix, received_power
 from rissim.optimizer import (
     ACTIVE,

@@ -165,3 +165,7 @@ class TestHexLayout:
             hex_layout(-1, 1e-3, 6.6e-3, 6.6e-3)
         with pytest.raises(ValidationError):
             hex_layout(3, 1e-3, 0.0, 6.6e-3)
+        inf = math.inf
+        for args in ((inf, 6.6e-3, 6.6e-3), (8.7e-3, inf, 6.6e-3), (8.7e-3, 6.6e-3, inf)):
+            with pytest.raises(ValidationError, match="must be finite and > 0"):
+                hex_layout(6, *args)

@@ -12,11 +12,11 @@ import pytest
 from helpers import write_power_grid_csv_reference
 
 import rissim
+from rissim.cli import cli_dispatch
 from rissim.errors import ValidationError
 from rissim.geom import Vec3, hex_layout, spherical_to_cartesian
 from rissim.io_cli import (
     DEFAULTS,
-    cli_dispatch,
     echo_scenario,
     export_heatmap,
     load_scenario,
@@ -255,12 +255,17 @@ class TestScenarioLoading:
             (["frequency_ghz"], "scenario file must contain a mapping at the top level"),
             ({"grid": {"step_m": 0.0}}, "grid.step_m: must be > 0"),
             ({"grid": {"x_stop_m": 1.53}}, "grid.x_stop_m: span not an integer number of steps"),
+            ({"grid": {"x_stop_m": 0.5}}, "grid.x_stop_m: below grid.x_start_m"),
             (
                 {"alphabet": "bogus"},
                 "alphabet: 'bogus' is not one of ['active', 'off_structural', 'reflective']",
             ),
+            ({"targets": {"P1": {"azimuth_deg": 200.0}}}, "targets.P1: azimuth 200.0 outside (-180, 180]"),
+            ({"targets": {"P3": {"elevation_deg": -95.0}}}, "targets.P3: elevation -95.0 outside [-90, 90]"),
+            ({"bs": {"range_m": -1.0}}, "bs: range must be finite and >= 0, got -1.0"),
         ],
-        ids=["top-level-list", "zero-step", "half-step-span", "unknown-alphabet"],
+        ids=["top-level-list", "zero-step", "half-step-span", "negative-span", "unknown-alphabet",
+             "target-azimuth", "new-target-elevation", "bs-range"],
     )
     def test_resolve_rejections(self, user, message):
         with pytest.raises(ValidationError) as exc:
@@ -714,9 +719,15 @@ class TestCli:
              "heatmap levels must be finite"),
             (["sweep", "--target", "P1", "--min-dbm=-inf", "--pgm", "h.pgm"],
              "heatmap levels must be finite"),
+            (["hpbw", "--target", "1.4,200,-16", "--axis", "azimuth"],
+             "target '1.4,200,-16': azimuth 200.0 outside (-180, 180]"),
+            (["optimize", "--target", "nan,0,-16"], "target 'nan,0,-16': range must be finite and >= 0, got nan"),
+            (["ellipse", "--target", "1.4,40,-100"], "target '1.4,40,-100': elevation -100.0 outside [-90, 90]"),
+            (["layout", "--rings", "0", "--pitch-mm", "inf"], "pitch must be finite and > 0, got inf"),
         ],
         ids=["scenario", "target", "pgm-dir", "points-compat", "arc-range", "arc-elevation",
-             "noise-figure", "max-dbm-inf", "min-dbm-inf"],
+             "noise-figure", "max-dbm-inf", "min-dbm-inf", "inline-target-azimuth",
+             "inline-target-range", "inline-target-elevation", "layout-pitch-inf"],
     )
     def test_validation_error_exits_one(self, argv, message, tmp_path, capsys):
         (tmp_path / "BAD").write_text("frequency_ghz: -3\n")

@@ -1,6 +1,9 @@
-"""Smoke tests for the experiment scripts and the package imports, run as separate processes."""
+"""Smoke tests for the experiment scripts, the package imports and the entry points."""
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from helpers import assert_matches_golden, child_env, run_script, script_output_hashes
 
@@ -53,14 +56,23 @@ def test_power_patterns_script_uses_the_scenario_sounder(tmp_path):
 
 
 def test_model_modules_import_without_the_cli():
-    code = (
-        "import sys, rissim.planner; "
-        "print(sorted(m for m in ('rissim.io_cli', 'yaml', 'argparse') if m in sys.modules))"
-    )
-    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
-    assert cp.returncode == 0, cp.stderr
-    assert cp.stdout == "[]\n"
-    code = "import sys, rissim.io_cli; print('yaml' in sys.modules)"
-    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
-    assert cp.returncode == 0, cp.stderr
-    assert cp.stdout == "False\n"
+    imports = {
+        "rissim.geom, rissim.linkbudget, rissim.optimizer, rissim.sweep, rissim.planner":
+            ("rissim.io_cli", "rissim.cli", "yaml", "argparse"),
+        "rissim.io_cli": ("rissim.cli", "yaml", "argparse"),
+    }
+    for modules, absent in imports.items():
+        code = f"import sys, {modules}; print(sorted(m for m in {absent!r} if m in sys.modules))"
+        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout == "[]\n", modules
+
+
+def test_console_script_is_what_python_m_rissim_runs():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["scripts"] == {"rissim": "rissim.cli:main"}
+    import rissim.__main__
+    import rissim.cli
+
+    assert rissim.__main__.main is rissim.cli.main
