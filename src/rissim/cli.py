@@ -15,6 +15,7 @@ from .io_cli import (
     HEATMAP_LEVELS_DBM,
     ScenarioDoc,
     _check_heatmap_levels,
+    _coord,
     _fmt,
     echo_scenario,
     export_heatmap,
@@ -47,10 +48,8 @@ def _parse_target(doc: ScenarioDoc, text: str) -> SphericalCoord:
             f"target {text!r}: use a named target ({', '.join(sorted(doc.targets))}) "
             "or 'range_m,azimuth_deg,elevation_deg'"
         ) from None
-    try:
-        return SphericalCoord(r, azimuth, elevation)
-    except ValidationError as exc:
-        raise ValidationError(f"target {text!r}: {exc}") from None
+    values = {"range_m": r, "azimuth_deg": azimuth, "elevation_deg": elevation}
+    return _coord(values, f"target {text!r}")
 
 
 def _load_doc(args) -> ScenarioDoc:
@@ -101,9 +100,9 @@ def _emit(text_writer, path) -> None:
 
 def _cmd_layout(args) -> int:
     doc = _load_doc(args)
-    base = doc.scenario.layout
-    rings = args.rings if args.rings is not None else base.rings
-    pitch = args.pitch_mm * 1e-3 if args.pitch_mm is not None else base.pitch
+    base, ris = doc.scenario.layout, doc.resolved["ris"]
+    rings = args.rings if args.rings is not None else ris["rings"]
+    pitch = float(args.pitch_mm if args.pitch_mm is not None else ris["pitch_mm"]) * 1e-3
     layout = hex_layout(rings, pitch, base.d_y, base.d_z)
     _emit(lambda f: write_layout_csv(layout, f), args.out)
     return 0

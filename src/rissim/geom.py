@@ -66,17 +66,11 @@ class SphericalCoord:
 
 @dataclass(frozen=True)
 class RisLayout:
-    """Element center positions (all in the yz-plane) plus element metadata.
-
-    pitch is the smallest center-to-center distance, d_y/d_z the effective
-    element dimensions in meters.
-    """
+    """Element center positions and the effective element dimensions d_y, d_z in meters."""
 
     elements: tuple[Vec3, ...]
-    pitch: float
     d_y: float
     d_z: float
-    rings: int
 
     @cached_property
     def positions(self) -> np.ndarray:
@@ -132,4 +126,4 @@ def hex_layout(rings: int, pitch: float, d_y: float, d_z: float) -> RisLayout:
             for _ in range(k):
                 pts.append(Vec3(0.0, y, z))
                 y, z = y + dy, z + dz
-    return RisLayout(tuple(pts), pitch=pitch, d_y=d_y, d_z=d_z, rings=rings)
+    return RisLayout(tuple(pts), d_y, d_z)

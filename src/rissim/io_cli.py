@@ -236,6 +236,8 @@ def resolve_scenario(user: dict) -> ScenarioDoc:
         n = (float(g[f"{axis}_stop_m"]) - float(g[f"{axis}_start_m"])) / step
         if n < -1e-6:
             raise ValidationError(f"grid.{axis}_stop_m: below grid.{axis}_start_m")
+        if n == math.inf:
+            raise ValidationError(f"grid.{axis}_stop_m: span is not a finite number of steps")
         if abs(n - round(n)) > 1e-6:
             raise ValidationError(f"grid.{axis}_stop_m: span not an integer number of steps")
         return int(round(n)) + 1

@@ -91,11 +91,11 @@ class ReflectionCoefficient:
         object.__setattr__(self, "phase_deg", phase)
         object.__setattr__(self, "magnitude", self.magnitude + 0.0)  # -0.0 + 0.0 is 0.0
 
-    @property
-    def as_complex(self) -> complex:
-        return self.magnitude * complex(
-            math.cos(math.radians(self.phase_deg)), math.sin(math.radians(self.phase_deg))
-        )
+
+def complex_values(coefficients) -> np.ndarray:
+    """Complex values m * exp(j * phase) of a sequence of coefficients."""
+    mag = np.array([c.magnitude for c in coefficients], dtype=float)
+    return mag * np.exp(1j * np.radians([c.phase_deg for c in coefficients]))
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,7 @@ class RisConfig:
 
     @cached_property
     def as_complex_array(self) -> np.ndarray:
-        mag = np.array([c.magnitude for c in self.coefficients], dtype=float)
-        rad = np.radians([c.phase_deg for c in self.coefficients])
-        # as_complex's bits, bar the sign of a zero part where m*cos or m*sin underflows
-        arr = mag * np.exp(1j * rad)
+        arr = complex_values(self.coefficients)
         arr.flags.writeable = False
         return arr
 
@@ -146,6 +143,12 @@ class Scenario:
             raise ValidationError("tx power must be finite")
         if self.bs_position.x == 0.0:
             raise ValidationError("base station must not lie in the surface plane (x == 0)")
+        try:
+            prefactor = prefactor_mw(self)
+        except OverflowError:
+            prefactor = math.inf
+        if not math.isfinite(prefactor):
+            raise ValidationError("link-budget prefactor (tx power, gains, element size) not finite")
 
     @cached_property
     def bs_side(self) -> tuple[np.ndarray, np.ndarray]:
@@ -163,7 +166,7 @@ class Scenario:
         boresight = -a / np.linalg.norm(a)  # BS antenna aimed at the surface center
         cos_bs = (to_el @ boresight) / d1
         f_bs = self.bs_pattern.value_at(cos_bs)
-        cos_in = a[0] / d1  # element x is 0, so (a - u) . x_hat == a_x
+        cos_in = (a[0] - u[:, 0]) / d1  # (a - u) . x_hat over |a - u|
         f_in = np.where(cos_in <= 0.0, 0.0, self.element_pattern.value_at(cos_in))
         amp = np.sqrt(f_bs * f_in) / d1
         d1.flags.writeable = False
@@ -325,7 +328,7 @@ def scenario_fingerprint(scenario: Scenario) -> str:
         repr((scenario.bs_pattern.gain_dbi, scenario.bs_pattern.exponent)),
         repr((scenario.ue_pattern.gain_dbi, scenario.ue_pattern.exponent)),
         repr((scenario.element_pattern.gain_dbi, scenario.element_pattern.exponent)),
-        repr((scenario.layout.pitch, scenario.layout.d_y, scenario.layout.d_z)),
-        ";".join(f"{e.y!r},{e.z!r}" for e in scenario.layout.elements),
+        repr((scenario.layout.d_y, scenario.layout.d_z)),
+        ";".join(f"{e.x!r},{e.y!r},{e.z!r}" for e in scenario.layout.elements),
     ]
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:12]

@@ -16,7 +16,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .geom import RisLayout, Vec3
-from .linkbudget import ReflectionCoefficient, RisConfig, Scenario, element_phasor_matrix
+from .linkbudget import (
+    ReflectionCoefficient, RisConfig, Scenario, complex_values, element_phasor_matrix
+)
 
 # Arcs whose swept objective lies this close to the best are re-evaluated
 # exactly (the running sum carries rounding); candidates within _TIE_RTOL of
@@ -79,7 +81,7 @@ def optimize_config(
     if len(alphabet.states) == 1:
         return uniform_config(scenario.layout, alphabet.states[0], alphabet.name)
     g = element_phasor_matrix(scenario, target.as_array()[None, :])[0]
-    states = np.array([c.as_complex for c in alphabet.states])
+    states = complex_values(alphabet.states)
     contrib = states[:, None] * g[None, :]  # (K, M)
     m_count = len(g)
     cols = np.arange(m_count)

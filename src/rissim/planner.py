@@ -74,8 +74,8 @@ class Trajectory:
     def __post_init__(self):
         if len(self.waypoints) < 2:
             raise ValidationError("trajectory needs at least two waypoints")
-        if not self.speed_mps > 0.0:
-            raise ValidationError("speed must be > 0")
+        if not (math.isfinite(self.speed_mps) and self.speed_mps > 0.0):
+            raise ValidationError("speed must be finite and > 0")
         z0 = self.waypoints[0].z
         if any(abs(w.z - z0) > 1e-9 for w in self.waypoints):
             raise ValidationError("waypoints must lie on one horizontal plane")
@@ -217,10 +217,12 @@ def plan_updates(
     rest of the block is tested against the new ellipse, so the events are
     identical to testing one sample at a time.
     """
-    if not time_step_s > 0.0:
-        raise ValidationError("time step must be > 0")
+    if not (math.isfinite(time_step_s) and time_step_s > 0.0):
+        raise ValidationError("time step must be finite and > 0")
     pts, cumulative = _polyline(trajectory)
-    total_time = cumulative[-1] / trajectory.speed_mps
+    total_time = float(cumulative[-1]) / trajectory.speed_mps
+    if not math.isfinite(total_time / time_step_s):
+        raise ValidationError(f"trajectory time {total_time} s is not a finite number of steps")
 
     def reconfigure(t: float, position: Vec3) -> tuple[UpdateEvent, FocusEllipse]:
         config = optimize_config(scenario, position, alphabet)

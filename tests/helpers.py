@@ -33,6 +33,7 @@ from rissim.linkbudget import (
     _BELOW_FLOOR_MW,
     BELOW_FLOOR_DBM,
     AntennaPattern,
+    ReflectionCoefficient,
     RisConfig,
     Scenario,
     config_fingerprint,
@@ -72,7 +73,7 @@ def make_random_scenario(rng: np.random.Generator, m_count: int):
     """
     yz = rng.uniform(-0.05, 0.05, (m_count, 2))
     elements = tuple(Vec3(0.0, float(y), float(z)) for y, z in yz)
-    layout = RisLayout(elements, pitch=1e-3, d_y=6.6e-3, d_z=6.6e-3, rings=0)
+    layout = RisLayout(elements, d_y=6.6e-3, d_z=6.6e-3)
     bs = Vec3(float(rng.uniform(0.5, 3.0)), float(rng.uniform(-2, 2)), float(rng.uniform(-1, 1)))
     target = Vec3(float(rng.uniform(0.3, 2.5)), float(rng.uniform(-2, 2)), float(rng.uniform(-1, 1)))
     scenario = Scenario(
@@ -85,6 +86,16 @@ def make_random_scenario(rng: np.random.Generator, m_count: int):
         layout=layout,
     )
     return scenario, target
+
+
+def as_complex(c: ReflectionCoefficient) -> complex:
+    """Scalar complex value m * (cos + j sin) of one coefficient, in Python floats.
+
+    The oracle for rissim.linkbudget.complex_values, which must give its bits
+    bar the sign of a zero part where m*cos or m*sin underflows.
+    """
+    rad = math.radians(c.phase_deg)
+    return c.magnitude * complex(math.cos(rad), math.sin(rad))
 
 
 def linear_mean_dbm(values_dbm) -> float:
@@ -111,7 +122,7 @@ def brute_force_config(
             f"search space {n_states}^{m_count} exceeds the {max_search} guard"
         )
     g = element_phasor_matrix(scenario, target.as_array()[None, :])[0]
-    states = np.array([c.as_complex for c in alphabet.states])
+    states = np.array([as_complex(c) for c in alphabet.states])
 
     best_obj = -1.0
     best_combo: tuple[int, ...] | None = None
@@ -187,7 +198,7 @@ def combined_pattern(scenario: Scenario, m: int, ue_position: Vec3) -> float:
     cos_bs = float(to_el @ (-a / np.linalg.norm(a))) / d1
     f_bs = float(scenario.bs_pattern.value_at(cos_bs))
 
-    cos_in = a[0] / d1
+    cos_in = (a[0] - u[0]) / d1
     f_in = 0.0 if cos_in <= 0.0 else float(scenario.element_pattern.value_at(cos_in))
 
     dv = b - u

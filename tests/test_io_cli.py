@@ -175,7 +175,8 @@ class TestScenarioLoading:
 
     def test_element_count_derives_rings(self):
         doc = resolve_scenario({"ris": {"element_count": 37}})
-        assert doc.scenario.layout.rings == 3
+        assert doc.resolved["ris"]["rings"] == 3
+        assert len(doc.scenario.layout) == 37
 
     def test_inconsistent_element_count_rejected(self):
         with pytest.raises(ValidationError, match="element_count"):
@@ -263,9 +264,16 @@ class TestScenarioLoading:
             ({"targets": {"P1": {"azimuth_deg": 200.0}}}, "targets.P1: azimuth 200.0 outside (-180, 180]"),
             ({"targets": {"P3": {"elevation_deg": -95.0}}}, "targets.P3: elevation -95.0 outside [-90, 90]"),
             ({"bs": {"range_m": -1.0}}, "bs: range must be finite and >= 0, got -1.0"),
+            ({"grid": {"step_m": 1.0e-320}}, "grid.x_stop_m: span is not a finite number of steps"),
+            ({"tx_power_dbm": 4000.0}, "link-budget prefactor (tx power, gains, element size) not finite"),
+            (
+                {"ris": {"element_width_mm": 1.0e300, "element_height_mm": 1.0e300}},
+                "link-budget prefactor (tx power, gains, element size) not finite",
+            ),
         ],
         ids=["top-level-list", "zero-step", "half-step-span", "negative-span", "unknown-alphabet",
-             "target-azimuth", "new-target-elevation", "bs-range"],
+             "target-azimuth", "new-target-elevation", "bs-range", "tiny-step", "tx-power-overflow",
+             "element-size-overflow"],
     )
     def test_resolve_rejections(self, user, message):
         with pytest.raises(ValidationError) as exc:
@@ -724,15 +732,26 @@ class TestCli:
             (["optimize", "--target", "nan,0,-16"], "target 'nan,0,-16': range must be finite and >= 0, got nan"),
             (["ellipse", "--target", "1.4,40,-100"], "target '1.4,40,-100': elevation -100.0 outside [-90, 90]"),
             (["layout", "--rings", "0", "--pitch-mm", "inf"], "pitch must be finite and > 0, got inf"),
+            (["--scenario", "TINY_STEP", "layout"], "grid.x_stop_m: span is not a finite number of steps"),
+            (["--scenario", "LOUD", "optimize", "--target", "P1"], "link-budget prefactor (tx power, gains, element size) not finite"),
+            (["--scenario", "WIDE", "sweep", "--target", "P1"], "link-budget prefactor (tx power, gains, element size) not finite"),
+            (["plan", "--start", "P2", "--end", "P1", "--motion", "arc", "--speed", "inf"],
+             "speed must be finite and > 0"),
+            (["plan", "--start", "P2", "--end", "P1", "--motion", "arc", "--speed", "1e-320"],
+             "trajectory time inf s is not a finite number of steps"),
         ],
         ids=["scenario", "target", "pgm-dir", "points-compat", "arc-range", "arc-elevation",
              "noise-figure", "max-dbm-inf", "min-dbm-inf", "inline-target-azimuth",
-             "inline-target-range", "inline-target-elevation", "layout-pitch-inf"],
+             "inline-target-range", "inline-target-elevation", "layout-pitch-inf", "tiny-step",
+             "tx-power-overflow", "element-size-overflow", "plan-speed-inf", "plan-speed-tiny"],
     )
     def test_validation_error_exits_one(self, argv, message, tmp_path, capsys):
         (tmp_path / "BAD").write_text("frequency_ghz: -3\n")
         (tmp_path / "ONE_ROW").write_text("grid: {x_start_m: 1.0, x_stop_m: 1.0}\n")
-        names = ("BAD", "ONE_ROW", "MISSING/h.pgm", "h.pgm")
+        (tmp_path / "TINY_STEP").write_text("grid: {step_m: 1.0e-320}\n")
+        (tmp_path / "LOUD").write_text("tx_power_dbm: 4000.0\n")
+        (tmp_path / "WIDE").write_text("ris: {element_width_mm: 1.0e+300, element_height_mm: 1.0e+300}\n")
+        names = ("BAD", "ONE_ROW", "TINY_STEP", "LOUD", "WIDE", "MISSING/h.pgm", "h.pgm")
         argv = [str(tmp_path / a) if a in names else a for a in argv]
         assert cli_dispatch(argv) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {message}")

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import combined_pattern, element_phasor, reference_phasor_matrix
+from helpers import as_complex, combined_pattern, element_phasor, reference_phasor_matrix
 from rissim.errors import GeometryError, ValidationError
 from rissim.geom import RisLayout, Vec3, spherical_to_cartesian
 from rissim.io_cli import echo_scenario, load_scenario, resolve_scenario
@@ -19,6 +19,7 @@ from rissim.linkbudget import (
     Scenario,
     apply_config,
     coherent_sums,
+    complex_values,
     element_phasor_matrix,
     is_below_floor,
     noise_floor,
@@ -42,7 +43,7 @@ def _scenario_with(layout, bs, q_bs=0.0, q_e=0.0, q_ue=0.0, tx_dbm=10.0):
 
 
 def _single_element_layout(y=0.0, z=0.0):
-    return RisLayout((Vec3(0.0, y, z),), pitch=8.7e-3, d_y=6.6e-3, d_z=6.6e-3, rings=0)
+    return RisLayout((Vec3(0.0, y, z),), d_y=6.6e-3, d_z=6.6e-3)
 
 
 class TestWavelength:
@@ -227,6 +228,16 @@ class TestCombinedPattern:
         sc = _scenario_with(_single_element_layout(), Vec3(2.0, 0.0, 0.0), q_e=0.0)
         assert combined_pattern(sc, 0, Vec3(-0.5, 0.3, 0.0)) == 0.0
 
+    def test_off_plane_element_uses_its_own_x(self):
+        # incidence and exit cosines both measure the element's own offsets
+        u, bs, ue = Vec3(0.05, 0.02, -0.01), Vec3(1.2, -0.4, 0.1), Vec3(0.8, 0.5, -0.2)
+        sc = _scenario_with(RisLayout((u,), d_y=6.6e-3, d_z=6.6e-3), bs, q_e=1.0)
+        d1 = math.dist((bs.x, bs.y, bs.z), (u.x, u.y, u.z))
+        d2 = math.dist((ue.x, ue.y, ue.z), (u.x, u.y, u.z))
+        f = combined_pattern(sc, 0, ue)
+        assert f == pytest.approx(((bs.x - u.x) / d1) * (ue.x - u.x) / d2, rel=1e-12)
+        assert abs(element_phasor(sc, 0, ue)) == pytest.approx(math.sqrt(f) / (d1 * d2), rel=1e-12)
+
     def test_within_unit_interval(self, scenario, p1):
         values = [combined_pattern(scenario, m, spherical_to_cartesian(p1)) for m in (0, 1, 60, 126)]
         assert all(0.0 <= v <= 1.0 for v in values)
@@ -251,8 +262,8 @@ class TestReceivedPower:
         for k in range(6):
             ang = math.radians(60.0 * k)
             ring.append(Vec3(0.0, pitch * math.cos(ang), pitch * math.sin(ang)))
-        layout6 = RisLayout(tuple(ring), pitch=pitch, d_y=6.6e-3, d_z=6.6e-3, rings=0)
-        layout1 = RisLayout((ring[0],), pitch=pitch, d_y=6.6e-3, d_z=6.6e-3, rings=0)
+        layout6 = RisLayout(tuple(ring), d_y=6.6e-3, d_z=6.6e-3)
+        layout1 = RisLayout((ring[0],), d_y=6.6e-3, d_z=6.6e-3)
         bs, ue = Vec3(1.86, 0.0, 0.0), Vec3(1.4, 0.0, 0.0)
         state = ReflectionCoefficient(0.3, -15.0)
         p6 = received_power(_scenario_with(layout6, bs, q_e=1.0), uniform_config(layout6, state), ue)
@@ -328,11 +339,7 @@ class TestReceivedPower:
         # with isotropic patterns, swapping the two endpoints leaves each
         # summand magnitude unchanged
         layout = RisLayout(
-            (Vec3(0.0, 0.01, 0.0), Vec3(0.0, -0.02, 0.03)),
-            pitch=1e-2,
-            d_y=6.6e-3,
-            d_z=6.6e-3,
-            rings=0,
+            (Vec3(0.0, 0.01, 0.0), Vec3(0.0, -0.02, 0.03)), d_y=6.6e-3, d_z=6.6e-3
         )
         a, b = Vec3(1.5, -0.6, 0.2), Vec3(0.9, 0.8, -0.4)
         sc_fwd = _scenario_with(layout, a)
@@ -382,8 +389,8 @@ class TestTypes:
         assert ReflectionCoefficient(1.0, 345.0).phase_deg == pytest.approx(-15.0)
         assert ReflectionCoefficient(1.0, -180.0).phase_deg == 180.0
 
-    def test_as_complex(self):
-        c = ReflectionCoefficient(0.3, -15.0).as_complex
+    def test_complex_values(self):
+        c = complex_values((ReflectionCoefficient(0.3, -15.0),))[0]
         assert abs(c) == pytest.approx(0.3, rel=1e-12)
         assert math.degrees(cmath.phase(c)) == pytest.approx(-15.0, rel=1e-12)
 
@@ -401,9 +408,29 @@ class TestTypes:
         ]
         coeffs = tuple(builtin + edge + drawn)
         got = RisConfig(coeffs, "mixed").as_complex_array
-        want = np.array([c.as_complex for c in coeffs])
+        want = np.array([as_complex(c) for c in coeffs])
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_non_finite_gain_and_tx_power_rejected(self):
+        with pytest.raises(ValidationError, match="^gain must be finite$"):
+            AntennaPattern(math.inf, 0.0)
+        with pytest.raises(ValidationError, match="^tx power must be finite$"):
+            _scenario_with(_single_element_layout(), Vec3(1.0, 0.0, 0.0), tx_dbm=math.nan)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"tx_power_dbm": 4000.0},
+            {"bs_pattern": AntennaPattern(4000.0, 0.0)},
+            {"layout": RisLayout((Vec3(0.0, 0.0, 0.0),), d_y=1e297, d_z=1e297)},
+        ],
+        ids=["tx-power", "bs-gain", "element-size"],
+    )
+    def test_prefactor_must_be_finite(self, change):
+        sc = _scenario_with(_single_element_layout(), Vec3(1.0, 0.0, 0.0))
+        with pytest.raises(ValidationError, match="prefactor"):
+            replace(sc, **change)
 
     def test_scenario_validation(self):
         layout = _single_element_layout()

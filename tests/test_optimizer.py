@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_force_config, make_random_scenario
+from helpers import as_complex, brute_force_config, make_random_scenario
 from rissim.errors import ValidationError
 from rissim.geom import RisLayout, Vec3, spherical_to_cartesian
 from rissim.linkbudget import (
@@ -37,7 +37,7 @@ def _smallest_tied_config(scenario, target, alphabet):
     """Exhaustive oracle for the optimizer's tie rule: the lexicographically
     smallest state vector whose objective is within _TIE_RTOL of the maximum."""
     g = element_phasor_matrix(scenario, target.as_array()[None, :])[0]
-    states = np.array([c.as_complex for c in alphabet.states])
+    states = np.array([as_complex(c) for c in alphabet.states])
     combos = np.array(list(itertools.product(range(len(states)), repeat=len(g))))
     sums = np.sum(states[combos] * g, axis=1)
     objs = sums.real**2 + sums.imag**2
@@ -195,13 +195,7 @@ class TestBruteForce:
         # longer: the two phasors oppose and only the stronger element stays on
         lam = 299792458.0 / 23.8e9
         y = math.sqrt((1.0 + lam / 4.0) ** 2 - 1.0)
-        layout = RisLayout(
-            (Vec3(0.0, 0.0, 0.0), Vec3(0.0, y, 0.0)),
-            pitch=y,
-            d_y=6.6e-3,
-            d_z=6.6e-3,
-            rings=0,
-        )
+        layout = RisLayout((Vec3(0.0, 0.0, 0.0), Vec3(0.0, y, 0.0)), d_y=6.6e-3, d_z=6.6e-3)
         scenario = Scenario(
             frequency_hz=23.8e9,
             tx_power_dbm=10.0,
@@ -220,7 +214,7 @@ class TestBruteForce:
         g = element_phasor_matrix(scenario, target.as_array()[None, :])[0]
         objectives = {}
         for combo in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            coeffs = np.array([ACTIVE.states[k].as_complex for k in combo])
+            coeffs = np.array([as_complex(ACTIVE.states[k]) for k in combo])
             objectives[combo] = abs(np.sum(coeffs * g)) ** 2
         assert max(objectives, key=objectives.get) == (0, 1)
 

@@ -143,7 +143,7 @@ class TestFocusEllipse:
         assert not ellipse.contains(out_r.as_array())
 
     def test_unresolved_beam_propagates(self):
-        layout = RisLayout((Vec3(0.0, 0.0, 0.0),), pitch=1e-2, d_y=6.6e-3, d_z=6.6e-3, rings=0)
+        layout = RisLayout((Vec3(0.0, 0.0, 0.0),), d_y=6.6e-3, d_z=6.6e-3)
         scenario = Scenario(
             frequency_hz=23.8e9,
             tx_power_dbm=10.0,
@@ -240,13 +240,17 @@ class TestPlanUpdates:
         p = Vec3(1.0, 0.5, -0.4)
         with pytest.raises(ValidationError):
             Trajectory((p,), 1.0)
-        with pytest.raises(ValidationError):
-            Trajectory((p, p), 0.0)
+        for speed in (0.0, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="^speed must be finite and > 0$"):
+                Trajectory((p, p), speed)
         with pytest.raises(ValidationError):
             Trajectory((p, Vec3(1.0, 0.5, 0.4)), 1.0)
-        for step in (0.0, -1e-3):
-            with pytest.raises(ValidationError, match="^time step must be > 0$"):
+        for step in (0.0, -1e-3, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="^time step must be finite and > 0$"):
                 plan_updates(scenario, Trajectory((p, p), 1.0), ACTIVE, time_step_s=step)
+        path = Trajectory((p, Vec3(1.0, 1.5, -0.4)), 1.0)
+        with pytest.raises(ValidationError, match="^trajectory time 1.0 s is not a finite number"):
+            plan_updates(scenario, path, ACTIVE, time_step_s=1e-320)
 
 
 def _line(start: Vec3, toward: Vec3, length: float) -> tuple[Vec3, Vec3]:

@@ -129,7 +129,7 @@ class TestSweepPower:
         )
 
     def test_degenerate_cell_reports_coordinates(self):
-        layout = RisLayout((Vec3(0.0, 0.0, 0.0),), pitch=1e-2, d_y=6.6e-3, d_z=6.6e-3, rings=0)
+        layout = RisLayout((Vec3(0.0, 0.0, 0.0),), d_y=6.6e-3, d_z=6.6e-3)
         scenario = Scenario(
             frequency_hz=23.8e9,
             tx_power_dbm=10.0,
@@ -385,7 +385,7 @@ class TestHpbw:
         assert beta == pytest.approx(7.0, abs=2.0)
 
     def test_flat_pattern_is_unresolved(self):
-        layout = RisLayout((Vec3(0.0, 0.0, 0.0),), pitch=1e-2, d_y=6.6e-3, d_z=6.6e-3, rings=0)
+        layout = RisLayout((Vec3(0.0, 0.0, 0.0),), d_y=6.6e-3, d_z=6.6e-3)
         scenario = Scenario(
             frequency_hz=23.8e9,
             tx_power_dbm=10.0,
