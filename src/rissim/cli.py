@@ -11,7 +11,6 @@ from dataclasses import replace
 from .errors import GeometryError, ValidationError
 from .geom import SphericalCoord, hex_layout, spherical_to_cartesian
 from .io_cli import (
-    DEFAULTS,
     HEATMAP_LEVELS_DBM,
     ScenarioDoc,
     _check_heatmap_levels,
@@ -30,7 +29,7 @@ from .io_cli import (
 from .linkbudget import ReflectionCoefficient, RisConfig, noise_floor
 from .optimizer import ReflectionAlphabet, optimize_config, uniform_config
 from .planner import Trajectory, arc_waypoints, focus_ellipse, plan_updates, radial_waypoints
-from .sweep import compare_grids, emulate_measurement_grid, hpbw, sweep_power
+from .sweep import SounderParams, compare_grids, emulate_measurement_grid, hpbw, sweep_power
 
 
 class _Parser(argparse.ArgumentParser):
@@ -204,7 +203,14 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_noise_floor(args) -> int:
-    value = noise_floor(args.temp_k, args.bw_mhz * 1e6, args.q, args.nf_db)
+    """Each flag, else the --scenario file's sounder, else the built-in sounder."""
+    snd = _load_doc(args).sounder if args.scenario else SounderParams()
+    value = noise_floor(
+        snd.temperature_k if args.temp_k is None else args.temp_k,
+        snd.bandwidth_hz if args.bw_mhz is None else args.bw_mhz * 1e6,
+        snd.averages if args.q is None else args.q,
+        snd.noise_figure_db if args.nf_db is None else args.nf_db,
+    )
     print(f"{value:.1f} dBm")
     return 0
 
@@ -284,12 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor-dbm", type=float, default=-90.0)
     p.set_defaults(func=_cmd_compare)
 
-    snd = DEFAULTS["sounder"]
     p = sub.add_parser("noise-floor", help="thermal noise floor in dBm")
-    p.add_argument("--temp-k", type=float, default=snd["temperature_k"])
-    p.add_argument("--bw-mhz", type=float, default=snd["bandwidth_mhz"])
-    p.add_argument("--q", type=int, default=snd["averages"])
-    p.add_argument("--nf-db", type=float, default=snd["noise_figure_db"])
+    p.add_argument("--temp-k", type=float)
+    p.add_argument("--bw-mhz", type=float)
+    p.add_argument("--q", type=int)
+    p.add_argument("--nf-db", type=float)
     p.set_defaults(func=_cmd_noise_floor)
 
     return parser

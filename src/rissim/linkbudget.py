@@ -92,10 +92,16 @@ class ReflectionCoefficient:
         object.__setattr__(self, "magnitude", self.magnitude + 0.0)  # -0.0 + 0.0 is 0.0
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """The array itself, made read-only because it is shared or cached."""
+    array.flags.writeable = False
+    return array
+
+
 def complex_values(coefficients) -> np.ndarray:
-    """Complex values m * exp(j * phase) of a sequence of coefficients."""
+    """Read-only complex values m * exp(j * phase) of a sequence of coefficients."""
     mag = np.array([c.magnitude for c in coefficients], dtype=float)
-    return mag * np.exp(1j * np.radians([c.phase_deg for c in coefficients]))
+    return read_only(mag * np.exp(1j * np.radians([c.phase_deg for c in coefficients])))
 
 
 @dataclass(frozen=True)
@@ -114,9 +120,7 @@ class RisConfig:
 
     @cached_property
     def as_complex_array(self) -> np.ndarray:
-        arr = complex_values(self.coefficients)
-        arr.flags.writeable = False
-        return arr
+        return complex_values(self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -168,10 +172,7 @@ class Scenario:
         f_bs = self.bs_pattern.value_at(cos_bs)
         cos_in = (a[0] - u[:, 0]) / d1  # (a - u) . x_hat over |a - u|
         f_in = np.where(cos_in <= 0.0, 0.0, self.element_pattern.value_at(cos_in))
-        amp = np.sqrt(f_bs * f_in) / d1
-        d1.flags.writeable = False
-        amp.flags.writeable = False
-        return d1, amp
+        return read_only(d1), read_only(np.sqrt(f_bs * f_in) / d1)
 
 
 def wavelength(scenario: Scenario) -> float:
@@ -225,8 +226,9 @@ def element_phasor_matrix(
         dx, dz, d2 = (np.take(a, elements, axis=1) for a in (dx, dz, d2))
         d1, amp_bs = d1[elements], amp_bs[elements]
 
-    cos_out = np.divide(dx, d2, out=dx)
-    taper = np.where(cos_out <= 0.0, 0.0, scenario.element_pattern.value_at(cos_out))
+    cos_out = np.maximum(np.divide(dx, d2, out=dx), 0.0, out=dx)  # 0 behind the surface
+    exponent = scenario.element_pattern.exponent
+    taper = cos_out**exponent if exponent else np.sign(cos_out)  # exponent 0: a step
     if scenario.ue_pattern.exponent != 0.0:  # an isotropic UE multiplies by 1.0
         cos_ue = np.negative(np.divide(dz, d2, out=dz), out=dz)  # UE boresight is +z
         taper *= scenario.ue_pattern.value_at(cos_ue)
@@ -237,9 +239,11 @@ def element_phasor_matrix(
     phase = np.add(d2, d1, out=d2)
     phase *= -2.0 * np.pi
     phase *= 1.0 / wavelength(scenario)
-    phasors = np.multiply(phase, 1j)
+    phasors = np.zeros(phase.shape, dtype=complex)
+    phasors.imag = phase
     np.exp(phasors, out=phasors)
-    phasors *= amp
+    phasors.real *= amp
+    phasors.imag *= amp
     return phasors
 
 
@@ -259,19 +263,30 @@ def apply_config(phasors: np.ndarray, config: RisConfig) -> np.ndarray:
     return np.sum(phasors * config.as_complex_array, axis=-1)
 
 
+_block: tuple = (None, None, None)  # coherent_sums' last full block: scenario, key, phasors
+
+
 def coherent_sums(scenario: Scenario, config: RisConfig, positions: np.ndarray) -> np.ndarray:
     """(N,) complex element sums sum_m Gamma_m g_m at each position.
 
-    Only elements with Gamma_m != 0 get phasors; the other columns stay 0, so
-    apply_config gives the full kernel's bits, bar the sign of an exact zero.
+    The phasors of the last positions evaluated with every element on are kept,
+    keyed on the scenario's identity and the positions' shape and bytes, and
+    reused for any configuration there: at most one (N, M) complex array. A
+    miss with Gamma_m == 0 somewhere computes only the powered columns; the rest
+    stay 0, so apply_config gives the full kernel's bits, bar an exact zero's sign.
     """
+    global _block
     require_config_size(scenario, config)
-    on = np.flatnonzero(config.as_complex_array)
-    if len(on) == len(config):
-        return apply_config(element_phasor_matrix(scenario, positions), config)
-    phasors = np.zeros((len(positions), len(config)), dtype=complex)
-    phasors[:, on] = element_phasor_matrix(scenario, positions, on)
-    return apply_config(phasors, config)
+    pos = np.asarray(positions, dtype=float)
+    key = (pos.shape, pos.tobytes())
+    if _block[0] is not scenario or _block[1] != key:
+        on = np.flatnonzero(config.as_complex_array)
+        if len(on) < len(config):
+            phasors = np.zeros((len(pos), len(config)), dtype=complex)
+            phasors[:, on] = element_phasor_matrix(scenario, pos, on)
+            return apply_config(phasors, config)
+        _block = (scenario, key, read_only(element_phasor_matrix(scenario, pos)))
+    return apply_config(_block[2], config)
 
 
 def dbm_from_sums(scenario: Scenario, sums: np.ndarray) -> np.ndarray:

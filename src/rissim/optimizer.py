@@ -11,13 +11,14 @@ candidate: the search is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
 from .geom import RisLayout, Vec3
 from .linkbudget import (
-    ReflectionCoefficient, RisConfig, Scenario, complex_values, element_phasor_matrix
+    ReflectionCoefficient, RisConfig, Scenario, complex_values, element_phasor_matrix, read_only
 )
 
 # Arcs whose swept objective lies this close to the best are re-evaluated
@@ -48,6 +49,11 @@ class ReflectionAlphabet:
                 f"({coeff.magnitude}, {coeff.phase_deg} deg) is not a state of alphabet "
                 f"{self.name!r}"
             ) from None
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Read-only complex values of the states, computed once."""
+        return complex_values(self.states)
 
 
 REFLECTIVE = ReflectionAlphabet(
@@ -81,7 +87,7 @@ def optimize_config(
     if len(alphabet.states) == 1:
         return uniform_config(scenario.layout, alphabet.states[0], alphabet.name)
     g = element_phasor_matrix(scenario, target.as_array()[None, :])[0]
-    states = complex_values(alphabet.states)
+    states = alphabet.values
     contrib = states[:, None] * g[None, :]  # (K, M)
     m_count = len(g)
     cols = np.arange(m_count)
@@ -113,4 +119,7 @@ def optimize_config(
     exact = np.sum(states[candidates] * g, axis=1)
     exact = exact.real**2 + exact.imag**2
     best = min(candidates[exact >= exact.max() * (1.0 - _TIE_RTOL)].tolist())  # lexicographic
-    return RisConfig(tuple([alphabet.states[i] for i in best]), alphabet.name)
+    config = RisConfig(tuple([alphabet.states[i] for i in best]), alphabet.name)
+    # complex_values is elementwise: these are the bits as_complex_array would rebuild
+    object.__setattr__(config, "as_complex_array", read_only(states[best]))
+    return config

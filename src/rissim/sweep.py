@@ -37,6 +37,7 @@ from .linkbudget import (
     is_below_floor,
     noise_floor,
     prefactor_mw,
+    read_only,
     require_config_size,
     wavelength,
 )
@@ -170,13 +171,19 @@ def _grid_phasors(scenario: Scenario, grid: GridSpec) -> np.ndarray:
     on the same (scenario, grid) shares it. One entry is enough: sweep and
     emulation alternate on the same grid. The entry stays resident at
     nx * ny * M * 16 bytes: 2.9 MB on the default 31 x 46 grid with 127
-    elements, 10.7 MB with 469.
+    elements, 10.7 MB with 469. A grid too large to allocate is a ValidationError.
     """
-    phasors = np.empty((grid.nx, grid.ny, len(scenario.layout)), dtype=complex)
+    shape = (grid.nx, grid.ny, len(scenario.layout))
+    try:
+        phasors = np.empty(shape, dtype=complex)
+    except (ValueError, MemoryError):  # numpy: "array is too big" or a failed allocation
+        raise ValidationError(
+            "grid phasors of {} x {} cells x {} elements need {} bytes, more than can be "
+            "allocated".format(*shape, math.prod(shape) * 16)
+        ) from None
     for i in range(grid.nx):
         phasors[i] = element_phasor_matrix(scenario, _row_positions(grid, i))
-    phasors.flags.writeable = False
-    return phasors
+    return read_only(phasors)
 
 
 def _grid_sums(scenario: Scenario, config: RisConfig, grid: GridSpec) -> np.ndarray:

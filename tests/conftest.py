@@ -1,9 +1,28 @@
 import pytest
 
+import rissim.linkbudget
+import rissim.sweep
 from rissim.geom import spherical_to_cartesian
 from rissim.io_cli import load_scenario
 from rissim.optimizer import ACTIVE, REFLECTIVE, optimize_config
 from rissim.sweep import sweep_power
+
+
+@pytest.fixture
+def kernel_rows(monkeypatch):
+    """Position counts of the element_phasor_matrix calls made through rissim.sweep
+    and through rissim.linkbudget (coherent_sums), which starts with no block kept."""
+    kernel = rissim.linkbudget.element_phasor_matrix
+    rows = []
+
+    def counting(scenario, positions, elements=None):
+        rows.append(len(positions))
+        return kernel(scenario, positions, elements)
+
+    monkeypatch.setattr(rissim.sweep, "element_phasor_matrix", counting)
+    monkeypatch.setattr(rissim.linkbudget, "element_phasor_matrix", counting)
+    monkeypatch.setattr(rissim.linkbudget, "_block", (None, None, None))
+    return rows
 
 
 @pytest.fixture(scope="session")

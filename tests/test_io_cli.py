@@ -651,6 +651,14 @@ class TestCli:
         assert cli_dispatch(["noise-floor"]) == 0
         assert capsys.readouterr().out == f"{floor:.1f} dBm\n"
 
+    def test_noise_floor_reads_the_scenario_sounder(self, tmp_path, capsys):
+        five = tmp_path / "five.yaml"
+        five.write_text("sounder: {averages: 5}\n")
+        assert cli_dispatch(["--scenario", str(five), "noise-floor"]) == 0
+        assert capsys.readouterr().out == "-90.0 dBm\n"
+        assert cli_dispatch(["--scenario", str(five), "noise-floor", "--q", "50"]) == 0
+        assert capsys.readouterr().out == "-100.0 dBm\n"  # a flag still overrides
+
     @pytest.mark.parametrize(
         "flags",
         [["--bw-mhz", "inf"], ["--temp-k", "1e-300", "--bw-mhz", "1e-300"]],
@@ -739,11 +747,16 @@ class TestCli:
              "speed must be finite and > 0"),
             (["plan", "--start", "P2", "--end", "P1", "--motion", "arc", "--speed", "1e-320"],
              "trajectory time inf s is not a finite number of steps"),
+            (["--scenario", "NOWHERE", "noise-floor"], "cannot read scenario file: "),
+            (["--scenario", "FINE", "sweep", "--all-off"],
+             "grid phasors of 600000001 x 900000001 cells x 127 elements need "
+             "1097280003048000002032 bytes, more than can be allocated"),
         ],
         ids=["scenario", "target", "pgm-dir", "points-compat", "arc-range", "arc-elevation",
              "noise-figure", "max-dbm-inf", "min-dbm-inf", "inline-target-azimuth",
              "inline-target-range", "inline-target-elevation", "layout-pitch-inf", "tiny-step",
-             "tx-power-overflow", "element-size-overflow", "plan-speed-inf", "plan-speed-tiny"],
+             "tx-power-overflow", "element-size-overflow", "plan-speed-inf", "plan-speed-tiny",
+             "noise-floor-missing-scenario", "grid-too-large"],
     )
     def test_validation_error_exits_one(self, argv, message, tmp_path, capsys):
         (tmp_path / "BAD").write_text("frequency_ghz: -3\n")
@@ -751,7 +764,8 @@ class TestCli:
         (tmp_path / "TINY_STEP").write_text("grid: {step_m: 1.0e-320}\n")
         (tmp_path / "LOUD").write_text("tx_power_dbm: 4000.0\n")
         (tmp_path / "WIDE").write_text("ris: {element_width_mm: 1.0e+300, element_height_mm: 1.0e+300}\n")
-        names = ("BAD", "ONE_ROW", "TINY_STEP", "LOUD", "WIDE", "MISSING/h.pgm", "h.pgm")
+        (tmp_path / "FINE").write_text("grid: {step_m: 1.0e-9}\n")  # too large before allocating
+        names = ("BAD", "ONE_ROW", "TINY_STEP", "LOUD", "WIDE", "FINE", "NOWHERE", "MISSING/h.pgm", "h.pgm")
         argv = [str(tmp_path / a) if a in names else a for a in argv]
         assert cli_dispatch(argv) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {message}")

@@ -27,7 +27,8 @@ from rissim.linkbudget import (
     scenario_fingerprint,
     wavelength,
 )
-from rissim.optimizer import ACTIVE, uniform_config
+from rissim.optimizer import ACTIVE, REFLECTIVE, uniform_config
+import rissim.linkbudget
 
 
 def _scenario_with(layout, bs, q_bs=0.0, q_e=0.0, q_ue=0.0, tx_dbm=10.0):
@@ -208,6 +209,70 @@ class TestCoherentSumsSkipsOffElements:
         message = f"user position {tuple(positions[1].tolist())} coincides with element 5 center"
         with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
             coherent_sums(scenario, config, positions)
+
+
+def _block_configs(m):
+    """Ten configurations at one block: all on first, then both alphabets, some with
+    elements off."""
+    rng = np.random.default_rng(m)
+    on, off = ACTIVE.states
+    configs = [RisConfig((on,) * m, ACTIVE.name)]
+    for alphabet in (REFLECTIVE, ACTIVE, REFLECTIVE, ACTIVE):
+        for _ in range(2):
+            states = rng.integers(0, 2, m)
+            configs.append(RisConfig(tuple(alphabet.states[k] for k in states), alphabet.name))
+    configs.append(RisConfig((off,) * m, ACTIVE.name))
+    return configs
+
+
+class TestCoherentSumsKeepsTheLastBlock:
+    """coherent_sums reuses the phasors of the last block it computed in full."""
+
+    @pytest.mark.parametrize("rings", [6, 12], ids=["m127", "m469"])
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_one_kernel_call_per_block(self, kernel_rows, rings, n):
+        scenario = resolve_scenario({"ris": {"rings": rings}}).scenario
+        positions = _random_positions(np.random.default_rng(n), n)
+        configs = _block_configs(len(scenario.layout))
+        got = [coherent_sums(scenario, config, positions) for config in configs]
+        assert kernel_rows == [n]
+        full = element_phasor_matrix(scenario, positions)
+        for config, sums in zip(configs, got):
+            assert sums.tobytes() == apply_config(full, config).tobytes()
+
+    def test_a_block_with_elements_off_first_is_not_kept(self, kernel_rows, scenario, active_p1):
+        positions = _random_positions(np.random.default_rng(3), 8)
+        coherent_sums(scenario, active_p1, positions)
+        coherent_sums(scenario, active_p1, positions)
+        assert kernel_rows == [8, 8]
+        assert rissim.linkbudget._block == (None, None, None)
+
+    def test_other_positions_or_scenario_miss(self, kernel_rows, scenario, refl_p1):
+        positions = _random_positions(np.random.default_rng(5), 16)
+        want = coherent_sums(scenario, refl_p1, positions)
+        moved = positions.copy()
+        moved[7, 2] = np.nextafter(moved[7, 2], np.inf)  # one ulp
+        assert coherent_sums(scenario, refl_p1, moved).tobytes() == apply_config(
+            element_phasor_matrix(scenario, moved), refl_p1
+        ).tobytes()
+        assert kernel_rows == [16, 16]
+        twin = replace(scenario)
+        assert twin == scenario and twin is not scenario
+        assert coherent_sums(twin, refl_p1, positions).tobytes() == want.tobytes()
+        assert kernel_rows == [16, 16, 16]
+        assert coherent_sums(scenario, refl_p1, positions[:8]).tobytes() == want[:8].tobytes()
+        assert kernel_rows == [16, 16, 16, 8]
+
+    def test_mutating_the_positions_after_a_call_is_seen(self, kernel_rows, scenario, refl_p1):
+        positions = _random_positions(np.random.default_rng(9), 16)
+        coherent_sums(scenario, refl_p1, positions)
+        positions[3] += 0.05
+        got = coherent_sums(scenario, refl_p1, positions)
+        assert kernel_rows == [16, 16]
+        assert got.tobytes() == apply_config(
+            element_phasor_matrix(scenario, positions), refl_p1
+        ).tobytes()
+        assert not rissim.linkbudget._block[2].flags.writeable
 
 
 class TestCombinedPattern:

@@ -7,10 +7,13 @@ import pytest
 from helpers import as_complex, brute_force_config, make_random_scenario
 from rissim.errors import ValidationError
 from rissim.geom import RisLayout, Vec3, spherical_to_cartesian
+from rissim.io_cli import resolve_scenario
 from rissim.linkbudget import (
     AntennaPattern,
     ReflectionCoefficient,
+    RisConfig,
     Scenario,
+    complex_values,
     element_phasor_matrix,
 )
 from rissim.optimizer import (
@@ -72,6 +75,12 @@ class TestAlphabets:
                 "dup", (ReflectionCoefficient(0.3, 0.0), ReflectionCoefficient(0.3, 0.0))
             )
 
+    @pytest.mark.parametrize("alphabet", [REFLECTIVE, ACTIVE, THREE_STATE], ids=lambda a: a.name)
+    def test_values_are_computed_once_and_read_only(self, alphabet):
+        assert alphabet.values is alphabet.values
+        assert not alphabet.values.flags.writeable
+        assert alphabet.values.tobytes() == complex_values(alphabet.states).tobytes()
+
     def test_index_of(self):
         assert REFLECTIVE.index_of(ReflectionCoefficient(0.3, 165.0)) == 1
         with pytest.raises(ValidationError):
@@ -87,6 +96,20 @@ class TestUniformConfig:
 
 
 class TestOptimize:
+    @pytest.mark.parametrize("rings", [6, 12], ids=["m127", "m469"])
+    @pytest.mark.parametrize("alphabet", [REFLECTIVE, ACTIVE, THREE_STATE], ids=lambda a: a.name)
+    def test_config_carries_the_bits_of_its_complex_values(self, rings, alphabet):
+        scenario = resolve_scenario({"ris": {"rings": rings}}).scenario
+        rng = np.random.default_rng(rings)
+        for x, y in zip(rng.uniform(0.9, 1.5, 4), rng.uniform(0.0, 0.9, 4)):
+            config = optimize_config(scenario, Vec3(float(x), float(y), -0.39), alphabet)
+            got = config.as_complex_array
+            assert got.tobytes() == complex_values(config.coefficients).tobytes()
+            assert not got.flags.writeable
+            rebuilt = RisConfig(config.coefficients, config.alphabet_name)
+            assert config == rebuilt and hash(config) == hash(rebuilt)
+            assert repr(config) == repr(rebuilt)
+
     def test_single_state_alphabet_returns_uniform(self, doc):
         off = doc.alphabets["off_structural"]
         rng = np.random.default_rng(3)

@@ -53,22 +53,6 @@ from rissim.sweep import (
 )
 
 
-@pytest.fixture
-def kernel_rows(monkeypatch):
-    """Position counts of the element_phasor_matrix calls made through rissim.sweep
-    and through rissim.linkbudget (coherent_sums)."""
-    kernel = rissim.linkbudget.element_phasor_matrix
-    rows = []
-
-    def counting(scenario, positions, elements=None):
-        rows.append(len(positions))
-        return kernel(scenario, positions, elements)
-
-    monkeypatch.setattr(rissim.sweep, "element_phasor_matrix", counting)
-    monkeypatch.setattr(rissim.linkbudget, "element_phasor_matrix", counting)
-    return rows
-
-
 class TestGridSpec:
     def test_default_matches_measurement_area(self, doc):
         g = doc.grid
