@@ -19,7 +19,6 @@ antenna points along +z, each element along the surface normal +x.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -247,13 +246,6 @@ def element_phasor_matrix(
     return phasors
 
 
-def require_config_size(scenario: Scenario, config: RisConfig) -> None:
-    if len(config) != len(scenario.layout):
-        raise ValidationError(
-            f"configuration has {len(config)} coefficients for {len(scenario.layout)} elements"
-        )
-
-
 def apply_config(phasors: np.ndarray, config: RisConfig) -> np.ndarray:
     """Coherent sums sum_m Gamma_m g_m over the last axis of (..., M) element phasors.
 
@@ -263,30 +255,65 @@ def apply_config(phasors: np.ndarray, config: RisConfig) -> np.ndarray:
     return np.sum(phasors * config.as_complex_array, axis=-1)
 
 
-_block: tuple = (None, None, None)  # coherent_sums' last full block: scenario, key, phasors
+def allocate(shape: tuple, dtype, block: tuple) -> np.ndarray:
+    """np.empty(shape, dtype) for an (R, N, M) phasor block, or a ValidationError naming it."""
+    try:
+        return np.empty(shape, dtype)
+    except (ValueError, MemoryError):  # numpy: "array is too big" or a failed allocation
+        raise ValidationError(
+            "grid phasors of {} x {} cells x {} elements need {} bytes, more than can be "
+            "allocated".format(*block, math.prod(block) * 16)
+        ) from None
+
+
+_block: tuple = (None, None, None)  # last block computed with all elements on: scenario, key, phasors
 
 
 def coherent_sums(scenario: Scenario, config: RisConfig, positions: np.ndarray) -> np.ndarray:
-    """(N,) complex element sums sum_m Gamma_m g_m at each position.
+    """(...) complex element sums sum_m Gamma_m g_m at positions of shape (..., N, 3).
 
-    The phasors of the last positions evaluated with every element on are kept,
-    keyed on the scenario's identity and the positions' shape and bytes, and
-    reused for any configuration there: at most one (N, M) complex array. A
-    miss with Gamma_m == 0 somewhere computes only the powered columns; the rest
-    stay 0, so apply_config gives the full kernel's bits, bar an exact zero's sign.
+    Each row of N positions is one element_phasor_matrix call and one
+    apply_config call, so no temporary is larger than one row's (N, M): a
+    whole-grid temporary made grid sweeps about a third slower. The phasors
+    of the last block evaluated with every element on are kept, keyed on the
+    scenario's identity and the positions' shape and bytes, and reused for
+    any configuration there. A miss with Gamma_m == 0 somewhere computes only
+    the powered columns, one row at a time, and keeps nothing; the rest stay
+    0, so apply_config gives the full kernel's bits, bar an exact zero's sign.
     """
     global _block
-    require_config_size(scenario, config)
+    if len(config) != len(scenario.layout):
+        raise ValidationError(
+            f"configuration has {len(config)} coefficients for {len(scenario.layout)} elements"
+        )
     pos = np.asarray(positions, dtype=float)
+    rows = pos.reshape((math.prod(pos.shape[:-2]), *pos.shape[-2:]))  # (R, N, 3); -1 fails at N = 0
     key = (pos.shape, pos.tobytes())
-    if _block[0] is not scenario or _block[1] != key:
-        on = np.flatnonzero(config.as_complex_array)
-        if len(on) < len(config):
-            phasors = np.zeros((len(pos), len(config)), dtype=complex)
-            phasors[:, on] = element_phasor_matrix(scenario, pos, on)
-            return apply_config(phasors, config)
-        _block = (scenario, key, read_only(element_phasor_matrix(scenario, pos)))
-    return apply_config(_block[2], config)
+    if _block[0] is scenario and _block[1] == key:
+        block = _block[2]
+    elif (on := np.flatnonzero(config.as_complex_array)).size < len(config):
+        block = _powered_rows(scenario, rows, on)
+    else:
+        if len(rows) == 1:  # the kernel's own output, not a copy
+            block = element_phasor_matrix(scenario, rows[0])[None]
+        else:
+            shape = (*rows.shape[:-1], len(config))
+            block = allocate(shape, complex, shape)
+            for r, row in enumerate(rows):
+                block[r] = element_phasor_matrix(scenario, row)
+        _block = (scenario, key, read_only(block))
+    sums = np.empty(rows.shape[:-1], dtype=complex)
+    for r, phasors in enumerate(block):
+        sums[r] = apply_config(phasors, config)
+    return sums.reshape(pos.shape[:-1])
+
+
+def _powered_rows(scenario: Scenario, rows: np.ndarray, on: np.ndarray):
+    """Each row's (N, M) phasors with the columns in on computed and the rest 0, one buffer."""
+    phasors = np.zeros((*rows.shape[-2:-1], len(scenario.layout)), dtype=complex)
+    for row in rows:
+        phasors[:, on] = element_phasor_matrix(scenario, row, on)
+        yield phasors
 
 
 def dbm_from_sums(scenario: Scenario, sums: np.ndarray) -> np.ndarray:
@@ -328,6 +355,7 @@ def noise_floor(
 
 def config_fingerprint(config: RisConfig) -> str:
     """Short stable hash of a configuration (alphabet label + coefficients)."""
+    import hashlib
     text = config.alphabet_name + "|" + ";".join(
         f"{c.magnitude!r},{c.phase_deg!r}" for c in config.coefficients
     )
@@ -336,6 +364,7 @@ def config_fingerprint(config: RisConfig) -> str:
 
 def scenario_fingerprint(scenario: Scenario) -> str:
     """Short stable hash of the physical scenario."""
+    import hashlib
     parts = [
         repr(scenario.frequency_hz),
         repr(scenario.tx_power_dbm),

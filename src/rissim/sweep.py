@@ -1,11 +1,11 @@
 """Power patterns over the positioning-table plane and beamwidth extraction.
 
-sweep_power evaluates the deterministic model on a rectangular grid. The
-element phasors of the grid depend only on the scenario and the grid, not on
-the configuration, so they are built once (one kernel call per grid row) and
-cached; each configuration is then applied to them as a vector of reflection
-coefficients. emulate_measurement_grid reproduces the channel sounder, which
-averages Q impulse-response records coherently over the tap window [n1, n2],
+sweep_power evaluates the deterministic model on a rectangular grid: the
+grid's positions go to coherent_sums as one (nx, ny, 3) block, one kernel
+call per grid row, and the block's phasors are kept there for the next
+configuration on the same grid. emulate_measurement_grid reproduces the
+channel sounder, which averages Q impulse-response records coherently over
+the tap window [n1, n2],
 
     P(x, y) = P_tx / Q * | sum_{n=n1..n2} sum_{q=1..Q} h_q[n] |^2,
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -29,16 +29,13 @@ from .geom import SphericalCoord
 from .linkbudget import (
     RisConfig,
     Scenario,
-    apply_config,
+    allocate,
     coherent_sums,
     db_to_linear,
     dbm_from_sums,
-    element_phasor_matrix,
     is_below_floor,
     noise_floor,
     prefactor_mw,
-    read_only,
-    require_config_size,
     wavelength,
 )
 
@@ -154,53 +151,17 @@ class GridComparison:
     threshold_dbm: float
 
 
-def _row_positions(grid: GridSpec, i: int) -> np.ndarray:
-    x = grid.x0 + grid.dx * i
-    pts = np.empty((grid.ny, 3))
-    pts[:, 0] = x
-    pts[:, 1] = grid.y_coords()
-    pts[:, 2] = grid.z_plane
-    return pts
-
-
-@lru_cache(maxsize=1)
-def _grid_phasors(scenario: Scenario, grid: GridSpec) -> np.ndarray:
-    """(nx, ny, M) read-only element phasors of every grid cell, one kernel call per row.
-
-    The array depends on the geometry only, so every configuration evaluated
-    on the same (scenario, grid) shares it. One entry is enough: sweep and
-    emulation alternate on the same grid. The entry stays resident at
-    nx * ny * M * 16 bytes: 2.9 MB on the default 31 x 46 grid with 127
-    elements, 10.7 MB with 469. A grid too large to allocate is a ValidationError.
-    """
-    shape = (grid.nx, grid.ny, len(scenario.layout))
-    try:
-        phasors = np.empty(shape, dtype=complex)
-    except (ValueError, MemoryError):  # numpy: "array is too big" or a failed allocation
-        raise ValidationError(
-            "grid phasors of {} x {} cells x {} elements need {} bytes, more than can be "
-            "allocated".format(*shape, math.prod(shape) * 16)
-        ) from None
-    for i in range(grid.nx):
-        phasors[i] = element_phasor_matrix(scenario, _row_positions(grid, i))
-    return read_only(phasors)
-
-
 def _grid_sums(scenario: Scenario, config: RisConfig, grid: GridSpec) -> np.ndarray:
-    """(nx, ny) coherent sums sum_m Gamma_m g_m from the cached grid phasors.
+    """(nx, ny) coherent sums sum_m Gamma_m g_m, the grid's positions as one coherent_sums block.
 
-    Each row goes through apply_config, as coherent_sums does, so every cell
-    has the bits of received_power at that cell.
+    Each row is one kernel call and one apply_config, so every cell has the
+    bits of received_power at that cell.
     """
-    require_config_size(scenario, config)
-    phasors = _grid_phasors(scenario, grid)
-    sums = np.empty((grid.nx, grid.ny), dtype=complex)
-    # Row by row: a whole-grid apply_config gives the same bits, but its (nx, ny, M)
-    # temporary (2.9 MB on the default grid, against 93 KB per row) made the
-    # benchmark's patterns passes about a third slower.
-    for i in range(grid.nx):
-        sums[i] = apply_config(phasors[i], config)
-    return sums
+    pts = allocate((grid.nx, grid.ny, 3), float, (grid.nx, grid.ny, len(scenario.layout)))
+    pts[..., 0] = (grid.x0 + grid.dx * np.arange(grid.nx))[:, None]
+    pts[..., 1] = grid.y_coords()
+    pts[..., 2] = grid.z_plane
+    return coherent_sums(scenario, config, pts)
 
 
 def sweep_power(

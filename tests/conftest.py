@@ -1,7 +1,6 @@
 import pytest
 
 import rissim.linkbudget
-import rissim.sweep
 from rissim.geom import spherical_to_cartesian
 from rissim.io_cli import load_scenario
 from rissim.optimizer import ACTIVE, REFLECTIVE, optimize_config
@@ -10,8 +9,8 @@ from rissim.sweep import sweep_power
 
 @pytest.fixture
 def kernel_rows(monkeypatch):
-    """Position counts of the element_phasor_matrix calls made through rissim.sweep
-    and through rissim.linkbudget (coherent_sums), which starts with no block kept."""
+    """Position counts of the element_phasor_matrix calls made through coherent_sums,
+    which starts with no block kept."""
     kernel = rissim.linkbudget.element_phasor_matrix
     rows = []
 
@@ -19,7 +18,6 @@ def kernel_rows(monkeypatch):
         rows.append(len(positions))
         return kernel(scenario, positions, elements)
 
-    monkeypatch.setattr(rissim.sweep, "element_phasor_matrix", counting)
     monkeypatch.setattr(rissim.linkbudget, "element_phasor_matrix", counting)
     monkeypatch.setattr(rissim.linkbudget, "_block", (None, None, None))
     return rows

@@ -275,6 +275,36 @@ class TestCoherentSumsKeepsTheLastBlock:
         assert not rissim.linkbudget._block[2].flags.writeable
 
 
+class TestCoherentSumsOfRowBlocks:
+    """Positions of shape (..., N, 3) are rows of N: one kernel call and one apply per row."""
+
+    @pytest.mark.parametrize("lead", [(4,), (2, 2)], ids=["R4", "2x2"])
+    @pytest.mark.parametrize("config_name", ["refl_p1", "active_p1"])
+    def test_rows_have_the_bits_of_separate_calls(
+        self, kernel_rows, request, scenario, config_name, lead
+    ):
+        config = request.getfixturevalue(config_name)
+        rng = np.random.default_rng(11)
+        block = np.stack([_random_positions(rng, 6) for _ in range(4)]).reshape(*lead, 6, 3)
+        got = coherent_sums(scenario, config, block)
+        assert got.shape == (*lead, 6)
+        assert kernel_rows == [6] * 4
+        for row, sums in zip(block.reshape(4, 6, 3), got.reshape(4, 6)):
+            assert sums.tobytes() == coherent_sums(scenario, config, row).tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0, 3)])
+    def test_empty_rows(self, scenario, refl_p1, active_p1, shape):
+        for config in (refl_p1, active_p1):
+            assert coherent_sums(scenario, config, np.empty(shape)).shape == shape[:-1]
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2)])
+    def test_positions_not_rows_of_3_rejected(self, scenario, refl_p1, active_p1, shape):
+        message = f"positions must be (N, 3), got {shape}"
+        for config in (refl_p1, active_p1):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                coherent_sums(scenario, config, np.ones(shape))
+
+
 class TestCombinedPattern:
     def test_boresight_product_is_one(self):
         sc = _scenario_with(_single_element_layout(), Vec3(2.0, 0.0, 0.0), q_bs=25.0, q_e=1.0)

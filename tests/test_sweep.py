@@ -218,7 +218,8 @@ class TestEmulation:
 
 
 class TestGridPhasorCache:
-    """sweep_power and the emulator share one cached (nx, ny, M) phasor array."""
+    """sweep_power and the emulator pass the grid to coherent_sums as one (nx, ny, 3)
+    block, and its phasors are the one block that coherent_sums keeps."""
 
     @staticmethod
     def _assert_cells_equal_received_power(scenario, config, grid):
@@ -231,24 +232,24 @@ class TestGridPhasorCache:
                 assert quiet.values[i, j] == direct, (i, j)
         return swept.values
 
-    def test_cache_keys_on_scenario_and_grid(self, scenario, refl_p1):
-        # same shape, shifted origin: a key that ignored the grid would return
-        # grid A's phasors for grid B
+    def test_cache_keys_on_scenario_and_grid(self, kernel_rows, scenario, refl_p1):
+        # back to back: a key that ignored the scenario would return scenario A's
+        # phasors for the moved base station, one that ignored the grid (same
+        # shape, shifted origin) grid A's phasors for grid B
         grid_a = GridSpec(0.92, 0.70, 0.02, 0.02, 4, 5, -0.39)
-        grid_b = replace(grid_a, x0=1.02)
         moved = replace(scenario, bs_position=Vec3(1.2, -1.4, 0.1))
-        rissim.sweep._grid_phasors.cache_clear()
-        first = self._assert_cells_equal_received_power(scenario, refl_p1, grid_a)
-        other_grid = self._assert_cells_equal_received_power(scenario, refl_p1, grid_b)
-        other_bs = self._assert_cells_equal_received_power(moved, refl_p1, grid_a)
-        again = self._assert_cells_equal_received_power(scenario, refl_p1, grid_a)
-        assert not np.array_equal(first, other_grid)
-        assert not np.array_equal(first, other_bs)
-        assert np.array_equal(first, again)
+        grid_b = replace(grid_a, x0=1.02)
+        cases = [(scenario, grid_a), (moved, grid_a), (scenario, grid_b), (scenario, grid_a)]
+        swept = [sweep_power(s, refl_p1, g).values for s, g in cases]
+        assert kernel_rows == [grid_a.ny] * (len(cases) * grid_a.nx)
+        for (s, g), values in zip(cases, swept):
+            assert np.array_equal(self._assert_cells_equal_received_power(s, refl_p1, g), values)
+        assert not np.array_equal(swept[0], swept[1])
+        assert not np.array_equal(swept[0], swept[2])
+        assert np.array_equal(swept[0], swept[3])
 
     def test_one_kernel_build_per_scenario_and_grid(self, kernel_rows, scenario, refl_p1, active_p2):
         grid = GridSpec(0.92, 0.02, 0.1, 0.1, 6, 9, -0.39)
-        rissim.sweep._grid_phasors.cache_clear()
         sweep_power(scenario, refl_p1, grid)
         assert kernel_rows == [grid.ny] * grid.nx
         kernel_rows.clear()
@@ -257,12 +258,40 @@ class TestGridPhasorCache:
         emulate_measurement_grid(scenario, active_p2, grid, SounderParams(rng_seed=3))
         assert kernel_rows == []
 
-    def test_cached_phasors_are_read_only(self, scenario, doc):
-        phasors = rissim.sweep._grid_phasors(scenario, doc.grid)
+    def test_cached_phasors_are_read_only(self, kernel_rows, scenario, refl_p1, doc):
+        sweep_power(scenario, refl_p1, doc.grid)
+        phasors = rissim.linkbudget._block[2]
         assert phasors.shape == (doc.grid.nx, doc.grid.ny, len(scenario.layout))
         assert not phasors.flags.writeable
         with pytest.raises(ValueError):
             phasors[0, 0, 0] = 0.0
+
+    def test_a_grid_swept_first_with_elements_off_is_not_kept(
+        self, kernel_rows, monkeypatch, scenario, refl_p1, active_p2
+    ):
+        counting, columns = rissim.linkbudget.element_phasor_matrix, []
+
+        def kernel(scenario, positions, elements=None):
+            columns.append(len(scenario.layout) if elements is None else len(elements))
+            return counting(scenario, positions, elements)
+
+        monkeypatch.setattr(rissim.linkbudget, "element_phasor_matrix", kernel)
+        grid = GridSpec(0.92, 0.02, 0.1, 0.1, 6, 9, -0.39)
+        powered = np.count_nonzero(active_p2.as_complex_array)
+        assert 0 < powered < len(scenario.layout)
+        first = sweep_power(scenario, active_p2, grid)
+        assert kernel_rows == [grid.ny] * grid.nx
+        assert columns == [powered] * grid.nx
+        assert rissim.linkbudget._block == (None, None, None)
+        sweep_power(scenario, refl_p1, grid)
+        assert columns == [powered] * grid.nx + [len(scenario.layout)] * grid.nx
+        assert rissim.linkbudget._block[2].shape == (grid.nx, grid.ny, len(scenario.layout))
+        kernel_rows.clear()
+        for config in (active_p2, refl_p1):
+            sweep_power(scenario, config, grid)
+            emulate_measurement_grid(scenario, config, grid, SounderParams(rng_seed=3))
+        assert kernel_rows == []
+        assert np.array_equal(sweep_power(scenario, active_p2, grid).values, first.values)
 
     @pytest.mark.parametrize("size_for", [lambda m: 1, lambda m: m + 1], ids=["length 1", "length M+1"])
     def test_config_length_checked(self, scenario, size_for):
