@@ -52,8 +52,8 @@ class FocusEllipse:
     beta_deg: float
 
     def __post_init__(self):
-        if not (self.rho_a > 0.0 and self.rho_r > 0.0):
-            raise ValidationError("ellipse semi-axes must be > 0")
+        if not (0.0 < self.rho_a < math.inf and 0.0 < self.rho_r < math.inf):
+            raise ValidationError("ellipse semi-axes must be finite and > 0")
 
     def contains(self, point: np.ndarray) -> bool | np.ndarray:
         """Whether a (3,) point, or each row of an (N, 3) array of points, lies inside."""
@@ -110,12 +110,12 @@ def rho_radial(h_surface: float, h_user: float, theta_ue_deg: float, beta_deg: f
     if not beta_deg > 0.0:
         raise GeometryError(f"beamwidth must be > 0, got {beta_deg}")
     height = h_surface - h_user
-    if not height > 0.0:
-        raise GeometryError("surface must sit above the user plane")
+    if not 0.0 < height < math.inf:
+        raise GeometryError("surface must sit a finite height above the user plane")
     theta = abs(theta_ue_deg)
     lo = theta - beta_deg / 2.0
     hi = theta + beta_deg / 2.0
-    if lo <= 0.0 or hi >= 90.0:
+    if not (lo > 0.0 and hi < 90.0):  # a NaN angle fails too
         raise GeometryError(
             f"half-power cone [{lo}, {hi}] deg does not intersect the plane cleanly"
         )
@@ -124,8 +124,8 @@ def rho_radial(h_surface: float, h_user: float, theta_ue_deg: float, beta_deg: f
 
 def rho_azimuth(range_m: float, alpha_deg: float) -> float:
     """Azimuth half-power semi-axis: range * tan(alpha / 2)."""
-    if not range_m > 0.0:
-        raise GeometryError(f"range must be > 0, got {range_m}")
+    if not 0.0 < range_m < math.inf:
+        raise GeometryError(f"range must be finite and > 0, got {range_m}")
     if not 0.0 < alpha_deg < 180.0:
         raise GeometryError(f"beamwidth {alpha_deg} outside (0, 180) deg")
     return range_m * math.tan(math.radians(alpha_deg / 2.0))
@@ -133,8 +133,10 @@ def rho_azimuth(range_m: float, alpha_deg: float) -> float:
 
 def update_interval(rho_m: float, speed_mps: float) -> float:
     """Time to traverse one half-power semi-axis at the given speed."""
-    if not speed_mps > 0.0:
-        raise ValidationError(f"speed must be > 0, got {speed_mps}")
+    if not 0.0 < speed_mps < math.inf:
+        raise ValidationError(f"speed must be finite and > 0, got {speed_mps}")
+    if not 0.0 < rho_m < math.inf:
+        raise ValidationError(f"ellipse semi-axes must be finite and > 0, got {rho_m}")
     return rho_m / speed_mps
 
 

@@ -42,7 +42,8 @@ from .linkbudget import (
 _HALF_POWER_DB = 3.0
 _HPBW_STEP_DEG = 0.1
 _HPBW_WINDOW_DEG = 45.0
-_HPBW_COARSE_STEPS = 10  # fine samples per coarse step: 1 degree
+# hpbw's coarse grid in fine samples: a step of 10 (1 degree) out to 60 from the target, 30 beyond
+_HPBW_COARSE_STEPS, _HPBW_NEAR_STEPS = (10, 30), 60
 # Rounding allowance of the peak certificate in hpbw (see its docstring).
 _CERTIFICATE_RTOL = 1e-9
 
@@ -229,6 +230,18 @@ def _hpbw_offsets(target: SphericalCoord, axis: str) -> np.ndarray:
     return offsets
 
 
+def _hpbw_coarse(offsets: np.ndarray) -> np.ndarray:
+    """Indices of hpbw's coarse samples among the fine offsets.
+
+    Multiples of 1 degree within +/-6 degrees of the target, of 3 degrees
+    beyond, plus the first and the last sample.
+    """
+    steps = np.rint(offsets / _HPBW_STEP_DEG).astype(int)
+    on = steps % np.where(np.abs(steps) <= _HPBW_NEAR_STEPS, *_HPBW_COARSE_STEPS) == 0
+    on[[0, -1]] = True
+    return np.flatnonzero(on)
+
+
 def _taper_bounds(exponent: float, lo: np.ndarray, hi: np.ndarray):
     """Sup of phi(c) = c**exponent over c in [lo, hi] and sup of |dphi/dc|.
 
@@ -258,7 +271,8 @@ def _interval_bounds(
     """Per arc interval: a bound on |dS/dtheta| (per radian) and on sum_m |Gamma_m| A_m.
 
     widths holds the J interval widths in radians and ends the (J + 1, 3)
-    arc positions bounding them. The derivation is in hpbw's docstring.
+    arc positions bounding them. The derivation, with the path length's
+    slope taken about the cut's rotation axis, is in hpbw's docstring.
     """
     weight = np.abs(config.as_complex_array) * scenario.bs_side[1]  # |Gamma_m| c_m
     on = weight > 0.0
@@ -285,9 +299,12 @@ def _interval_bounds(
         taper = taper * f_ue
     # every element's taper is within (taper, d_taper), so only the element sums remain
     k = 2.0 * math.pi / wavelength(scenario)
-    alpha = w * u_norm * speed * (k / near**2 + 1.0 / near**3)
+    az = math.radians(target.azimuth_deg)
+    n = (0.0, 0.0, 1.0) if axis == "azimuth" else (-math.sin(az), math.cos(az), 0.0)
+    alpha = (w * (k / near**2 + 1.0 / near**3)) @ np.abs(np.cross(u, n))  # per coordinate of b
+    b_sup = 0.5 * (np.abs(ends[:-1]) + np.abs(ends[1:])) + reach[:, None]
     beta = w * speed / near**2
-    slope = taper * alpha.sum() + np.where(taper > 0.0, d_taper, 0.0) * beta.sum()
+    slope = taper * (b_sup @ alpha) + np.where(taper > 0.0, d_taper, 0.0) * beta.sum()
     return slope, taper * (w / near).sum()
 
 
@@ -307,31 +324,50 @@ def hpbw(
     kernel row is computed independently, so the result has the same bits as
     a scan of every sample:
 
-    1. Coarse pass: every 10th sample (1 degree steps) plus the last one.
-    2. Certified peak search: on a coarse interval [a, b] of width w, |S| of
-       S(theta) = sum_m Gamma_m g_m is Lipschitz with a constant L, so
-       |S| <= (|S(a)| + |S(b)| + L w) / 2 inside it. Every interval whose
-       bound reaches the best coarse amplitude is evaluated at 0.1 degree,
-       in one pass: the threshold (see Rounding below) only rises with the best
-       amplitude, so an interval that misses it here misses it for the final
-       maximum too. No skipped sample can then equal or beat the maximum, so
-       the first-maximum rule picks the full scan's.
+    1. Coarse pass: the samples at multiples of 1 degree within +/-6 degrees
+       of the target, at multiples of 3 degrees beyond, plus the first and
+       the last sample (_hpbw_coarse).
+    2. Certified peak search and crossing fill, in one kernel round: on a
+       coarse interval [a, b], |S| of S(theta) = sum_m Gamma_m g_m is
+       Lipschitz with a constant L, so at every sample t inside it
+       |S(t)| <= min(|S(a)| + L (t - a), |S(b)| + L (b - t)). Every sample
+       whose bound reaches the best coarse amplitude is evaluated: the
+       threshold (see Rounding below) only rises with the best amplitude, so
+       a sample that misses it here misses it for the final maximum too. No
+       skipped sample can then equal or beat the maximum, so the
+       first-maximum rule picks the full scan's. The same round evaluates
+       every sample between the samples nearest the coarse peak on each side
+       that lie below its -3 dB level (the window edge if there is none):
+       coarse samples below it, or samples whose bound is under the level's
+       amplitude by more than the rounding allowance.
     3. Exact crossings: every sample from the peak out to the nearest
        evaluated sample below the -3 dB reference on each side (the window
-       edge if there is none) is evaluated. Each crossing lies between the
+       edge if there is none) is evaluated. The peak's level is at least the
+       coarse peak's, so this evaluates nothing new unless a hit sample
+       outside the fill of step 2 is higher. It reads evaluated powers only,
+       so the fill of step 2 decides how many samples and rounds are
+       evaluated, never a bit of the result. Each crossing lies between the
        last sample below the reference before the peak (first after it) and
        its neighbour toward the peak.
 
     The bound L. Write g_m = c_m h_m / d2 exp(-j k (d1 + d2)) with c_m the
     base-station side amplitude, d2 = |b - u_m|, k = 2 pi / lambda and
     h_m = cos_out^(q_el / 2) cos_ue^(q_ue / 2) the user-side pattern taper.
-    On the arc |b| = r and |db/dtheta| = v (r cos(el) on azimuth cuts, r on
-    elevation cuts), so b . b' = 0 and, with D_m = r - |u_m| <= d2,
+    The arc turns b about a unit axis n through the origin: n = z on azimuth
+    cuts and n = (-sin az, cos az, 0) on elevation cuts. So |b| = r,
+    b' = +/-(n x b) with |b'| = v (r cos(el) on azimuth cuts, r on elevation
+    cuts), b . b' = 0 and u_m . b' = +/-(u_m x n) . b. With D_m = r - |u_m|
+    <= d2,
 
-        |d2'| = |u_m . b'| / d2 <= |u_m| v / D_m,
+        |d2'| = |u_m . b'| / d2 <= sum_i |(u_m x n)_i| B_i / D_m,
         |dS/dtheta| <= sum_m |Gamma_m| (k A_m |d2'| + |A_m'|),
         A_m <= c_m h_hi / D_m,
-        |A_m'| <= c_m (|h_m'| / D_m + h_hi |u_m| v / D_m^3).
+        |A_m'| <= c_m (|h_m'| / D_m + h_hi |d2'| / D_m^2),
+
+    where B_i >= |b_i| over the interval: each |b_i| moves at most v per
+    radian, so B_i = (|b_i(a)| + |b_i(b)|) / 2 + v w / 2. Only the part of
+    u_m across the rotation axis moves the path length, which makes this L
+    about 0.5-0.7 of the bound |u_m| v / D_m on the default surface.
 
     The taper is bounded once per interval from the surface's extremes over
     the elements with Gamma_m c_m != 0. The cosine numerators (b_x - u_x and
@@ -340,15 +376,18 @@ def hpbw(
     [r - max |u_m|, r + max |u_m|]. That bounds every element's cosines and
     gives one H >= h_hi and one H' >= |dh/dc| for all m, through |d(c^p)/dc|
     <= p c_hi^(p - 1) for p >= 1 and p c_lo^(p - 1) for 0 < p < 1. The cosines
-    move at most v / D_m per radian, so the sums above need only the sums over
-    m of |Gamma_m| c_m |u_m| v (k / D_m^2 + 1 / D_m^3), |Gamma_m| c_m v / D_m^2
-    and |Gamma_m| c_m / D_m. There is no bound, and the interval is always
-    evaluated, where r <= max |u_m| or where a cosine may reach 0 inside the
-    interval under a factor with a step (element exponent 0) or an infinite
-    slope (0 < p < 1).
+    move at most v / D_m per radian, so the sums above need only the three
+    per-coordinate sums over m of |Gamma_m| c_m |(u_m x n)_i| (k / D_m^2 +
+    1 / D_m^3), plus those of |Gamma_m| c_m v / D_m^2 and |Gamma_m| c_m / D_m:
+    O(J + M) work for J intervals and M elements. There is no bound, and the
+    interval is always evaluated, where r <= max |u_m| or where a cosine may
+    reach 0 inside the interval under a factor with a step (element exponent
+    0) or an infinite slope (0 < p < 1).
 
-    Rounding: an interval reaches the best amplitude A* when its bound is
-    >= A* - 1e-9 (A* + sum_m |Gamma_m| A_m). Kernel rounding moves an
+    Rounding: a sample reaches the best amplitude A* when its bound is
+    >= A* - 1e-9 (A* + sum_m |Gamma_m| A_m), the incoherent sum bounded over
+    its interval, and is under the -3 dB level's amplitude when its bound is
+    below that amplitude less the same allowance. Kernel rounding moves an
     amplitude by orders of magnitude less than 1e-9 of that incoherent sum,
     and an amplitude below (1 - 1e-9) A* is strictly below A* in dBm. When
     A* is at the power floor every evaluated sample ties and the first
@@ -369,24 +408,40 @@ def hpbw(
             powers[idx] = dbm_from_sums(scenario, sums)
             amps[idx] = np.abs(sums)
 
-    # 1. coarse pass
-    coarse = np.unique(np.append(np.arange(0, n, _HPBW_COARSE_STEPS), n - 1))
-    evaluate(coarse)
-    # 2. certified peak search
-    widths = np.radians(np.diff(offsets[coarse]))
-    slope, incoherent = _interval_bounds(scenario, config, target, axis, widths, positions[coarse])
-    bound = 0.5 * (amps[coarse[:-1]] + amps[coarse[1:]] + slope * widths)
-    best = np.nanmax(amps)
-    hit = bound >= best - _CERTIFICATE_RTOL * (best + incoherent)
-    evaluate(np.flatnonzero(np.repeat(hit, np.diff(coarse))))
+    def crossings(under=False) -> tuple[float, np.ndarray, np.ndarray]:
+        """The evaluated peak's -3 dB level and the samples below it on each side, counting
+        those marked in under as below."""
+        k = int(np.argmax(np.where(np.isnan(powers), -np.inf, powers)))
+        ref = powers[k] - _HALF_POWER_DB
+        below = np.flatnonzero((powers < ref) | under)  # NaN compares False
+        return ref, below[below < k], below[below > k]
 
-    k = int(np.argmax(np.where(np.isnan(powers), -np.inf, powers)))
-    ref = powers[k] - _HALF_POWER_DB
-    # 3. exact crossings: fill in up to the nearest evaluated sample below ref
-    below = np.flatnonzero(powers < ref)  # NaN compares False
-    evaluate(np.arange(below[below < k].max(initial=0), below[below > k].min(initial=n - 1) + 1))
-    below = np.flatnonzero(powers < ref)
-    left, right = below[below < k], below[below > k]
+    def fill(under=False) -> np.ndarray:
+        """Every sample between the nearest ones below the level on each side of the peak."""
+        _, left, right = crossings(under)
+        return np.arange(left.max(initial=0), right.min(initial=n - 1) + 1)
+
+    # 1. coarse pass
+    coarse = _hpbw_coarse(offsets)
+    evaluate(coarse)
+    # 2. certified peak search, with the coarse peak's crossings filled in the same round
+    theta = np.radians(offsets)
+    slope, incoherent = _interval_bounds(
+        scenario, config, target, axis, np.diff(theta[coarse]), positions[coarse]
+    )
+    j = np.clip(np.searchsorted(coarse, np.arange(n)), 1, len(coarse) - 1) - 1  # each's interval
+    a, b = coarse[j], coarse[j + 1]
+    with np.errstate(invalid="ignore"):  # inf * 0 at an end of an interval with no bound
+        top = np.minimum(
+            amps[a] + slope[j] * (theta - theta[a]), amps[b] + slope[j] * (theta[b] - theta)
+        )
+    best = np.nanmax(amps)
+    slack = _CERTIFICATE_RTOL * (best + incoherent[j])
+    under = top < best * 10.0 ** (-_HALF_POWER_DB / 20.0) - slack
+    evaluate(np.union1d(np.flatnonzero(top >= best - slack), fill(under)))  # NaN compares False
+    # 3. exact crossings: a third round only if a hit sample held a new peak outside the fill
+    evaluate(fill())
+    ref, left, right = crossings()
     if not (left.size and right.size):
         raise BeamNotResolvedError(
             f"beam not resolved: no -3 dB crossing within +/-{_HPBW_WINDOW_DEG} deg "

@@ -31,6 +31,9 @@ def _oracle_rho_radial(height, theta_deg, beta_deg):
     return 0.5 * (height / math.tan(lo) - height / math.tan(hi))
 
 
+_HEIGHT = "^surface must sit a finite height above the user plane$"
+
+
 class TestRhoRadial:
     def test_vanishes_with_the_beamwidth(self):
         assert rho_radial(0.0, -0.39, 16.0, 1e-9) == pytest.approx(0.0, abs=1e-9)
@@ -63,6 +66,21 @@ class TestRhoRadial:
             with pytest.raises(GeometryError, match=f"^beamwidth must be > 0, got {beta}$"):
                 rho_radial(0.0, -0.39, 16.0, beta)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((math.inf, -0.39, 16.0, 7.0), _HEIGHT),
+            ((0.0, -math.inf, 16.0, 7.0), _HEIGHT),
+            ((math.nan, -0.39, 16.0, 7.0), _HEIGHT),
+            ((0.0, -0.39, math.nan, 7.0), "^half-power cone"),
+            ((0.0, -0.39, 16.0, math.inf), "^half-power cone"),
+        ],
+        ids=["inf-surface", "inf-user", "nan-surface", "nan-elevation", "inf-beamwidth"],
+    )
+    def test_non_finite_inputs_rejected(self, args, message):
+        with pytest.raises(GeometryError, match=message):
+            rho_radial(*args)
+
     def test_monotone_in_beamwidth(self):
         widths = np.linspace(1.0, 20.0, 30)
         values = [rho_radial(0.0, -0.39, 16.0, float(b)) for b in widths]
@@ -87,6 +105,11 @@ class TestRhoAzimuth:
         with pytest.raises(GeometryError):
             rho_azimuth(1.4, 180.0)
 
+    @pytest.mark.parametrize("range_m", [math.inf, math.nan])
+    def test_non_finite_range_rejected(self, range_m):
+        with pytest.raises(GeometryError, match=f"^range must be finite and > 0, got {range_m}$"):
+            rho_azimuth(range_m, 8.0)
+
     def test_monotone_in_beamwidth(self):
         widths = np.linspace(0.5, 90.0, 40)
         values = [rho_azimuth(1.4, float(a)) for a in widths]
@@ -109,6 +132,18 @@ class TestUpdateInterval:
     def test_rejects_bad_speed(self):
         with pytest.raises(ValidationError):
             update_interval(0.09, 0.0)
+
+    @pytest.mark.parametrize("speed", [math.inf, math.nan, -1.0])
+    def test_rejects_non_finite_speed(self, speed):
+        with pytest.raises(ValidationError, match=f"^speed must be finite and > 0, got {speed}$"):
+            update_interval(0.09, speed)
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan, -0.09, 0.0])
+    def test_rejects_bad_semi_axis(self, rho):
+        with pytest.raises(
+            ValidationError, match=f"^ellipse semi-axes must be finite and > 0, got {rho}$"
+        ):
+            update_interval(rho, 1.0)
 
 
 class TestFocusEllipse:
@@ -164,6 +199,14 @@ class TestFocusEllipse:
     def test_semi_axis_validation(self):
         with pytest.raises(ValidationError):
             FocusEllipse(Vec3(1, 0, 0), 0.0, 0.3, Vec3(1, 0, 0), 10.0, 10.0)
+
+    @pytest.mark.parametrize(
+        "rho_a, rho_r", [(math.inf, 0.3), (0.09, math.inf), (math.nan, 0.3), (0.09, math.nan)]
+    )
+    def test_non_finite_semi_axes_rejected(self, rho_a, rho_r):
+        # an infinite ellipse contains every point, so the user would never leave it
+        with pytest.raises(ValidationError, match="^ellipse semi-axes must be finite and > 0$"):
+            FocusEllipse(Vec3(1, 0, 0), rho_a, rho_r, Vec3(1, 0, 0), 10.0, 10.0)
 
 
 def _arc(doc, start_name, end_name):

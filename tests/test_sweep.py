@@ -463,6 +463,29 @@ class TestHpbwMatchesFullScan:
                         want = _hpbw_or_error(hpbw_full_scan, scenario, config, target, axis)
                         assert got == want, (target, alphabet.name, axis)
 
+    def test_bitwise_equal_on_two_element_fringes(self, scenario):
+        # two elements across the cut's rotation axis: narrow fringes of nearly equal height,
+        # where L is nearly tight and the highest sample is often not in the coarse peak's lobe
+        rng = np.random.default_rng(1)
+        for axis in ("azimuth", "elevation"):
+            for d in (0.1, 0.2, 0.3):
+                pair = (Vec3(0.0, -d, 0.0), Vec3(0.0, d, 0.0))
+                if axis == "elevation":
+                    pair = (Vec3(0.0, 0.0, -d), Vec3(0.0, 0.0, d))
+                fringes = replace(scenario, layout=replace(scenario.layout, elements=pair))
+                for _ in range(15):
+                    target = SphericalCoord(
+                        float(rng.uniform(0.7, 3.0)),
+                        float(rng.uniform(-60.0, 60.0)),
+                        float(rng.uniform(-60.0, 40.0)),
+                    )
+                    alphabet = REFLECTIVE if rng.random() < 0.5 else ACTIVE
+                    states = rng.integers(0, len(alphabet.states), 2)
+                    config = RisConfig(tuple(alphabet.states[k] for k in states), alphabet.name)
+                    got = _hpbw_or_error(hpbw, fringes, config, target, axis)
+                    want = _hpbw_or_error(hpbw_full_scan, fringes, config, target, axis)
+                    assert got == want, (axis, d, target)
+
     def test_all_off_config_is_unresolved_like_the_full_scan(self, scenario, p2):
         config = uniform_config(scenario.layout, ReflectionCoefficient(0.0, 0.0), "all_off")
         for axis in ("azimuth", "elevation"):
@@ -500,7 +523,7 @@ class TestHpbwMatchesFullScan:
             for axis in ("azimuth", "elevation"):
                 offsets = rissim.sweep._hpbw_offsets(target, axis)
                 positions = rissim.sweep._arc_positions(target, axis, offsets)
-                coarse = np.unique(np.append(np.arange(0, len(offsets), 10), len(offsets) - 1))
+                coarse = rissim.sweep._hpbw_coarse(offsets)
                 widths = np.radians(np.diff(offsets[coarse]))
                 slope, incoherent = rissim.sweep._interval_bounds(
                     scenario, config, target, axis, widths, positions[coarse]
@@ -517,7 +540,7 @@ class TestHpbwMatchesFullScan:
         for target in (doc.targets["P1"], SphericalCoord(0.9, -50.0, 20.0), near):
             offsets = rissim.sweep._hpbw_offsets(target, axis)
             positions = rissim.sweep._arc_positions(target, axis, offsets)
-            coarse = np.unique(np.append(np.arange(0, len(offsets), 10), len(offsets) - 1))
+            coarse = rissim.sweep._hpbw_coarse(offsets)
             widths = np.radians(np.diff(offsets[coarse]))
             for alphabet in (REFLECTIVE, ACTIVE):
                 for _ in range(3):
@@ -544,12 +567,54 @@ class TestHpbwMatchesFullScan:
             assert 0 < sum(kernel_rows) <= 300, (axis, sum(kernel_rows))
 
 
+class TestHpbwCoarseGrid:
+    def test_one_degree_near_the_target_and_three_beyond(self):
+        offsets = rissim.sweep._hpbw_offsets(SphericalCoord(1.4, 10.0, -16.0), "azimuth")
+        got = np.rint(offsets[rissim.sweep._hpbw_coarse(offsets)] * 10).astype(int)
+        want = [*range(-450, -60, 30), *range(-60, 61, 10), *range(90, 451, 30)]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("elevation", [85.3, -88.7])
+    def test_cut_short_at_a_pole_keeps_its_first_and_last_sample(self, elevation):
+        offsets = rissim.sweep._hpbw_offsets(SphericalCoord(1.4, 10.0, elevation), "elevation")
+        coarse = rissim.sweep._hpbw_coarse(offsets)
+        assert coarse[0] == 0 and coarse[-1] == len(offsets) - 1
+        inner = np.rint(offsets[coarse[1:-1]] * 10).astype(int)
+        assert np.all(inner % np.where(np.abs(inner) <= 60, 10, 30) == 0)
+        assert 0 in inner
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    r=st.floats(0.3, 3.0),
+    azimuth=st.floats(-180.0, 180.0, exclude_min=True),
+    elevation=st.floats(-89.0, 89.0),
+    alphabet=st.sampled_from([REFLECTIVE, ACTIVE]),
+    seed=st.integers(0, 2**32 - 1),
+    axis=st.sampled_from(["azimuth", "elevation"]),
+)
+def test_hpbw_equals_the_full_scan_on_drawn_targets(
+    scenario, r, azimuth, elevation, alphabet, seed, axis
+):
+    target = SphericalCoord(r, azimuth, elevation)
+    rng = np.random.default_rng(seed)
+    states = rng.integers(0, len(alphabet.states), len(scenario.layout))
+    # a focused configuration half the time: its main lobe is what the certificate must clear
+    config = (
+        optimize_config(scenario, spherical_to_cartesian(target), alphabet)
+        if rng.random() < 0.5
+        else RisConfig(tuple(alphabet.states[k] for k in states), alphabet.name)
+    )
+    got = _hpbw_or_error(hpbw, scenario, config, target, axis)
+    assert got == _hpbw_or_error(hpbw_full_scan, scenario, config, target, axis)
+
+
 def _assert_interval_bounds_hold(scenario, config, target, axis):
     """Both halves of hpbw's certificate at every fine sample of every coarse interval:
     |S| under the Lipschitz bound and sum_m |Gamma_m| |g_m| under the incoherent bound."""
     offsets = rissim.sweep._hpbw_offsets(target, axis)
     positions = rissim.sweep._arc_positions(target, axis, offsets)
-    coarse = np.unique(np.append(np.arange(0, len(offsets), 10), len(offsets) - 1))
+    coarse = rissim.sweep._hpbw_coarse(offsets)
     widths = np.radians(np.diff(offsets[coarse]))
     phasors = rissim.linkbudget.element_phasor_matrix(scenario, positions)
     gamma = config.as_complex_array
@@ -558,10 +623,24 @@ def _assert_interval_bounds_hold(scenario, config, target, axis):
     slope, incoherent = rissim.sweep._interval_bounds(
         scenario, config, target, axis, widths, positions[coarse]
     )
+    theta = np.radians(offsets)
     for j, (a, b) in enumerate(zip(coarse[:-1], coarse[1:])):
         bound = 0.5 * (amps[a] + amps[b] + slope[j] * widths[j])
         assert amps[a:b + 1].max() <= bound * (1.0 + 1e-12), (axis, j)
         assert incoherent_amps[a:b + 1].max() <= incoherent[j] * (1.0 + 1e-12), (axis, j)
+        # the form hpbw certifies samples under the -3 dB level with: L-Lipschitz from each end
+        t = theta[a + 1:b]
+        reach = np.minimum(amps[a] + slope[j] * (t - theta[a]), amps[b] + slope[j] * (theta[b] - t))
+        assert np.all(amps[a + 1:b] <= reach * (1.0 + 1e-12)), (axis, j)
+
+
+def _off_plane(scenario):
+    """The scenario with every element 2 mm in front of or behind the plane, so max u_x and min
+    u_x differ."""
+    elements = tuple(
+        Vec3(0.002 if m % 2 else -0.002, e.y, e.z) for m, e in enumerate(scenario.layout.elements)
+    )
+    return replace(scenario, layout=replace(scenario.layout, elements=elements))
 
 
 def _random_configs(rng, m_count, count=2):
@@ -580,6 +659,21 @@ class TestPeakCertificate:
         SphericalCoord(1.4, 10.0, -16.0),
         SphericalCoord(0.9, -50.0, 20.0),
         SphericalCoord(0.35, 30.0, -20.0),
+    ]
+
+    # b's coordinates change sign at or inside an interval: azimuth 0, +/-90 and 180,
+    # elevation 0 and near the poles
+    SIGN_CHANGE_TARGETS = [
+        SphericalCoord(1.2, 0.0, 0.0),
+        SphericalCoord(1.2, 0.35, 0.45),
+        SphericalCoord(1.2, 90.0, -16.0),
+        SphericalCoord(0.6, -89.7, 10.0),
+        SphericalCoord(1.2, 180.0, 0.0),
+        SphericalCoord(1.2, 179.6, -0.3),
+        SphericalCoord(0.8, 30.0, 85.0),
+        SphericalCoord(0.8, -120.0, 87.5),
+        SphericalCoord(0.4, 60.0, -89.0),
+        SphericalCoord(1.2, 0.0, -86.3),
     ]
 
     @pytest.mark.parametrize("axis", ["azimuth", "elevation"])
@@ -602,16 +696,39 @@ class TestPeakCertificate:
 
     @pytest.mark.parametrize("axis", ["azimuth", "elevation"])
     def test_both_bounds_hold_with_elements_off_the_surface_plane(self, scenario, axis):
-        # every element 2 mm in front of or behind the plane, so max u_x and min u_x differ
-        elements = tuple(
-            Vec3(0.002 if m % 2 else -0.002, e.y, e.z) for m, e in enumerate(scenario.layout.elements)
-        )
-        shifted = replace(scenario, layout=replace(scenario.layout, elements=elements))
+        shifted = _off_plane(scenario)
         assert np.ptp(shifted.layout.positions[:, 0]) == pytest.approx(0.004)
         rng = np.random.default_rng(4405)
         for target in self.TARGETS:
-            for config in _random_configs(rng, len(elements)):
+            for config in _random_configs(rng, len(shifted.layout)):
                 _assert_interval_bounds_hold(shifted, config, target, axis)
+
+    @pytest.mark.parametrize("axis", ["azimuth", "elevation"])
+    @pytest.mark.parametrize("line", ["y", "z"])
+    def test_both_bounds_hold_on_a_line_of_elements(self, scenario, line, axis):
+        # only the part of u_m across the cut's rotation axis moves d2, so a line along y or z
+        # shows a bound taken about the wrong axis
+        step = np.linspace(-0.05, 0.05, 21)
+        elements = tuple(
+            Vec3(0.0, float(t), 0.0) if line == "y" else Vec3(0.0, 0.0, float(t)) for t in step
+        )
+        scenario = replace(scenario, layout=replace(scenario.layout, elements=elements))
+        rng = np.random.default_rng(4409)
+        for target in self.TARGETS + self.SIGN_CHANGE_TARGETS[:4]:
+            for config in _random_configs(rng, len(elements), count=1):
+                _assert_interval_bounds_hold(scenario, config, target, axis)
+
+    @pytest.mark.parametrize("axis", ["azimuth", "elevation"])
+    @pytest.mark.parametrize("surface", ["default", "off-plane", "random-7", "random-60"])
+    def test_both_bounds_hold_where_the_arc_coordinates_change_sign(self, scenario, surface, axis):
+        rng = np.random.default_rng(4408)
+        if surface.startswith("random"):
+            scenario, _ = make_random_scenario(rng, int(surface.split("-")[1]))
+        elif surface == "off-plane":
+            scenario = _off_plane(scenario)
+        for target in self.SIGN_CHANGE_TARGETS:
+            for config in _random_configs(rng, len(scenario.layout), count=1):
+                _assert_interval_bounds_hold(scenario, config, target, axis)
 
     @pytest.mark.parametrize("m_count", [7, 60])
     def test_both_bounds_hold_on_random_layouts(self, m_count):
@@ -626,23 +743,46 @@ class TestPeakCertificate:
     @pytest.mark.parametrize(
         "target_name, alphabet, rows",
         [
-            ("P1", REFLECTIVE, {"azimuth": 190, "elevation": 163}),
-            ("P1", ACTIVE, {"azimuth": 190, "elevation": 199}),
-            ("P2", REFLECTIVE, {"azimuth": 163, "elevation": 163}),
-            ("P2", ACTIVE, {"azimuth": 163, "elevation": 163}),
+            ("P1", REFLECTIVE, {"azimuth": 136, "elevation": 130}),
+            ("P1", ACTIVE, {"azimuth": 135, "elevation": 144}),
+            ("P2", REFLECTIVE, {"azimuth": 110, "elevation": 111}),
+            ("P2", ACTIVE, {"azimuth": 110, "elevation": 116}),
         ],
         ids=["P1-reflective", "P1-active", "P2-reflective", "P2-active"],
     )
     def test_focused_cuts_evaluate_no_more_rows_than_per_element_bounds(
         self, kernel_rows, scenario, doc, target_name, alphabet, rows
     ):
-        # rows the certificate with per-element taper bounds evaluated on these cuts
+        # rows evaluated on these cuts with the directional bound, per sample, on the
+        # target-centred grid
         target = doc.targets[target_name]
         config = optimize_config(scenario, spherical_to_cartesian(target), alphabet)
         for axis, most in rows.items():
             kernel_rows.clear()
             hpbw(scenario, config, target, axis)
             assert sum(kernel_rows) <= most, (axis, sum(kernel_rows))
+
+    @pytest.mark.parametrize("target_name", ["P1", "P2"])
+    @pytest.mark.parametrize("alphabet", [REFLECTIVE, ACTIVE], ids=lambda a: a.name)
+    def test_focused_cuts_take_two_rounds(self, monkeypatch, scenario, doc, target_name, alphabet):
+        # the coarse pass, then the hit samples together with the coarse peak's crossings
+        target = doc.targets[target_name]
+        config = optimize_config(scenario, spherical_to_cartesian(target), alphabet)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return coherent_sums(*args)
+
+        monkeypatch.setattr(rissim.sweep, "coherent_sums", counting)
+        for axis in ("azimuth", "elevation"):
+            calls.clear()
+            hpbw(scenario, config, target, axis)
+            assert len(calls) == 2, axis
+            offsets = rissim.sweep._hpbw_offsets(target, axis)
+            coarse = rissim.sweep._hpbw_coarse(offsets)
+            positions = rissim.sweep._arc_positions(target, axis, offsets)
+            assert np.array_equal(calls[0], positions[coarse])
 
 
 class TestCompareGrids:
