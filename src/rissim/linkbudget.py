@@ -90,6 +90,11 @@ class ReflectionCoefficient:
         object.__setattr__(self, "phase_deg", phase)
         object.__setattr__(self, "magnitude", self.magnitude + 0.0)  # -0.0 + 0.0 is 0.0
 
+    @cached_property
+    def fingerprint_text(self) -> str:
+        """The coefficient's part of config_fingerprint, built once per alphabet state."""
+        return f"{self.magnitude!r},{self.phase_deg!r}"
+
 
 def read_only(array: np.ndarray) -> np.ndarray:
     """The array itself, made read-only because it is shared or cached."""
@@ -356,9 +361,7 @@ def noise_floor(
 def config_fingerprint(config: RisConfig) -> str:
     """Short stable hash of a configuration (alphabet label + coefficients)."""
     import hashlib
-    text = config.alphabet_name + "|" + ";".join(
-        f"{c.magnitude!r},{c.phase_deg!r}" for c in config.coefficients
-    )
+    text = config.alphabet_name + "|" + ";".join(c.fingerprint_text for c in config.coefficients)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -36,12 +36,16 @@ from .linkbudget import (
     is_below_floor,
     noise_floor,
     prefactor_mw,
+    read_only,
     wavelength,
 )
 
 _HALF_POWER_DB = 3.0
 _HPBW_STEP_DEG = 0.1
 _HPBW_WINDOW_DEG = 45.0
+_HPBW_HALF_STEPS = int(round(_HPBW_WINDOW_DEG / _HPBW_STEP_DEG))
+# every cut's fine samples are a run of these offsets, shorter where elevation reaches +/-90
+_HPBW_OFFSETS = read_only(np.arange(-_HPBW_HALF_STEPS, _HPBW_HALF_STEPS + 1) * _HPBW_STEP_DEG)
 # hpbw's coarse grid in fine samples: a step of 10 (1 degree) out to 60 from the target, 30 beyond
 _HPBW_COARSE_STEPS, _HPBW_NEAR_STEPS = (10, 30), 60
 # Rounding allowance of the peak certificate in hpbw (see its docstring).
@@ -218,16 +222,38 @@ def _arc_positions(target: SphericalCoord, axis: str, offsets_deg: np.ndarray) -
     )
 
 
+def _hpbw_window(target: SphericalCoord, axis: str) -> tuple[np.ndarray, ...]:
+    """hpbw's fine samples on the cut's window and their coarse intervals, read-only.
+
+    The window is +/-45 degrees at 0.1, elevation kept within +/-90. Returns
+    (offsets, coarse, widths, j, a, b, since, until): the offsets in
+    degrees, the coarse samples (_hpbw_coarse), each coarse interval's width
+    in radians and, per fine sample t, its interval j[t] between the coarse
+    samples a[t] and b[t], since[t] = theta(t) - theta(a) and until[t] =
+    theta(b) - theta(t) in radians. They depend only on where elevation
+    clips the window, so every cut on the same window shares them.
+    """
+    if axis == "azimuth":
+        return _window_arrays(0, len(_HPBW_OFFSETS))
+    el = target.elevation_deg + _HPBW_OFFSETS
+    return _window_arrays(np.searchsorted(el, -90.0), np.searchsorted(el, 90.0, "right"))
+
+
+@lru_cache(maxsize=64)  # ~40 kB each; every cut within +/-45 degrees elevation uses one
+def _window_arrays(lo: int, hi: int) -> tuple[np.ndarray, ...]:
+    """_hpbw_window's arrays for the offsets lo to hi - 1."""
+    offsets = _HPBW_OFFSETS[lo:hi]
+    coarse = _hpbw_coarse(offsets)
+    theta = np.radians(offsets)
+    j = np.clip(np.searchsorted(coarse, np.arange(len(offsets))), 1, len(coarse) - 1) - 1
+    a, b = coarse[j], coarse[j + 1]
+    arrays = (coarse, np.diff(theta[coarse]), j, a, b, theta - theta[a], theta[b] - theta)
+    return offsets, *map(read_only, arrays)
+
+
 def _hpbw_offsets(target: SphericalCoord, axis: str) -> np.ndarray:
-    """Fine arc offsets in degrees: +/-45 at 0.1, elevation kept within +/-90."""
-    n = int(round(_HPBW_WINDOW_DEG / _HPBW_STEP_DEG))
-    offsets = (np.arange(2 * n + 1) - n) * _HPBW_STEP_DEG
-    if axis == "elevation":
-        valid = (target.elevation_deg + offsets >= -90.0) & (
-            target.elevation_deg + offsets <= 90.0
-        )
-        offsets = offsets[valid]
-    return offsets
+    """Fine arc offsets in degrees: +/-45 at 0.1, elevation kept within +/-90 (read-only)."""
+    return _hpbw_window(target, axis)[0]
 
 
 def _hpbw_coarse(offsets: np.ndarray) -> np.ndarray:
@@ -299,13 +325,29 @@ def _interval_bounds(
         taper = taper * f_ue
     # every element's taper is within (taper, d_taper), so only the element sums remain
     k = 2.0 * math.pi / wavelength(scenario)
-    az = math.radians(target.azimuth_deg)
-    n = (0.0, 0.0, 1.0) if axis == "azimuth" else (-math.sin(az), math.cos(az), 0.0)
-    alpha = (w * (k / near**2 + 1.0 / near**3)) @ np.abs(np.cross(u, n))  # per coordinate of b
+    alpha = (w * (k / near**2 + 1.0 / near**3)) @ _across_axis(u, axis, target.azimuth_deg)
     b_sup = 0.5 * (np.abs(ends[:-1]) + np.abs(ends[1:])) + reach[:, None]
     beta = w * speed / near**2
     slope = taper * (b_sup @ alpha) + np.where(taper > 0.0, d_taper, 0.0) * beta.sum()
     return slope, taper * (w / near).sum()
+
+
+def _across_axis(u: np.ndarray, axis: str, azimuth_deg: float) -> np.ndarray:
+    """(M, 3) |u_m x n| per coordinate, n the cut's rotation axis (see hpbw).
+
+    n is z on azimuth cuts, so u_m x n = (u_y, -u_x, 0); on elevation cuts
+    n = (-sin az, cos az, 0) and u_m x n = (-u_z cos az, -u_z sin az,
+    u_x cos az + u_y sin az). The products with n's zero coordinates that
+    np.cross subtracts are zeros, so these have np.cross's bits.
+    """
+    if axis == "azimuth":
+        cross = u[:, [1, 0, 2]] * (1.0, 1.0, 0.0)
+    else:
+        az = math.radians(azimuth_deg)
+        c, s = math.cos(az), math.sin(az)
+        cross = u[:, [2, 2, 0]] * (c, s, c)
+        cross[:, 2] += u[:, 1] * s
+    return np.abs(cross, out=cross)
 
 
 def hpbw(
@@ -349,6 +391,14 @@ def hpbw(
        evaluated, never a bit of the result. Each crossing lies between the
        last sample below the reference before the peak (first after it) and
        its neighbour toward the peak.
+
+    The arrays that depend only on the window are shared: the offsets, the
+    coarse samples and, per fine sample, its coarse interval, the interval's
+    ends and the distances to them (_hpbw_window) are built once per elevation
+    clip and kept read-only; every cut within +/-45 degrees elevation uses
+    the same ones. Per cut, arc positions are computed for the samples a
+    round evaluates only, and the peak and the samples below its -3 dB level
+    are looked up among the evaluated samples only.
 
     The bound L. Write g_m = c_m h_m / d2 exp(-j k (d1 + d2)) with c_m the
     base-station side amplitude, d2 = |b - u_m|, k = 2 pi / lambda and
@@ -395,53 +445,51 @@ def hpbw(
     """
     if axis not in ("azimuth", "elevation"):
         raise ValidationError(f"axis must be 'azimuth' or 'elevation', got {axis!r}")
-    offsets = _hpbw_offsets(target, axis)
-    positions = _arc_positions(target, axis, offsets)
+    offsets, coarse, widths, j, a, b, since, until = _hpbw_window(target, axis)
     n = len(offsets)
     powers = np.full(n, np.nan)  # NaN marks a sample not evaluated
     amps = np.full(n, np.nan)
 
-    def evaluate(idx: np.ndarray) -> None:
+    def evaluate(idx: np.ndarray) -> np.ndarray | None:
+        """Evaluate the samples in idx not evaluated yet; their positions, None if none."""
         idx = idx[np.isnan(powers[idx])]
         if idx.size:
-            sums = coherent_sums(scenario, config, positions[idx])
+            positions = _arc_positions(target, axis, offsets[idx])
+            sums = coherent_sums(scenario, config, positions)
             powers[idx] = dbm_from_sums(scenario, sums)
             amps[idx] = np.abs(sums)
+            return positions
 
-    def crossings(under=False) -> tuple[float, np.ndarray, np.ndarray]:
-        """The evaluated peak's -3 dB level and the samples below it on each side, counting
-        those marked in under as below."""
-        k = int(np.argmax(np.where(np.isnan(powers), -np.inf, powers)))
-        ref = powers[k] - _HALF_POWER_DB
-        below = np.flatnonzero((powers < ref) | under)  # NaN compares False
-        return ref, below[below < k], below[below > k]
-
-    def fill(under=False) -> np.ndarray:
-        """Every sample between the nearest ones below the level on each side of the peak."""
-        _, left, right = crossings(under)
+    def fill(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Every sample from the last in left to the first in right (the window's ends if none)."""
         return np.arange(left.max(initial=0), right.min(initial=n - 1) + 1)
 
+    def crossings() -> tuple[float, np.ndarray, np.ndarray]:
+        """The evaluated peak's -3 dB level and the evaluated samples below it on each side."""
+        done = np.flatnonzero(~np.isnan(powers))
+        k = done[np.argmax(powers[done])]
+        ref = powers[k] - _HALF_POWER_DB
+        below = done[powers[done] < ref]
+        return ref, below[below < k], below[below > k]
+
     # 1. coarse pass
-    coarse = _hpbw_coarse(offsets)
-    evaluate(coarse)
+    ends = evaluate(coarse)
     # 2. certified peak search, with the coarse peak's crossings filled in the same round
-    theta = np.radians(offsets)
-    slope, incoherent = _interval_bounds(
-        scenario, config, target, axis, np.diff(theta[coarse]), positions[coarse]
-    )
-    j = np.clip(np.searchsorted(coarse, np.arange(n)), 1, len(coarse) - 1) - 1  # each's interval
-    a, b = coarse[j], coarse[j + 1]
+    slope, incoherent = _interval_bounds(scenario, config, target, axis, widths, ends)
+    lip = slope[j]
     with np.errstate(invalid="ignore"):  # inf * 0 at an end of an interval with no bound
-        top = np.minimum(
-            amps[a] + slope[j] * (theta - theta[a]), amps[b] + slope[j] * (theta[b] - theta)
-        )
-    best = np.nanmax(amps)
-    slack = _CERTIFICATE_RTOL * (best + incoherent[j])
-    under = top < best * 10.0 ** (-_HALF_POWER_DB / 20.0) - slack
-    evaluate(np.union1d(np.flatnonzero(top >= best - slack), fill(under)))  # NaN compares False
+        top = np.minimum(amps[a] + lip * since, amps[b] + lip * until)
+    k, best = coarse[np.argmax(powers[coarse])], amps[coarse].max()
+    slack = _CERTIFICATE_RTOL * (best + incoherent)  # per interval
+    want = top >= (best - slack)[j]  # NaN compares False
+    under = top < (best * 10.0 ** (-_HALF_POWER_DB / 20.0) - slack)[j]
+    below = np.flatnonzero((powers < powers[k] - _HALF_POWER_DB) | under)
+    want[fill(below[below < k], below[below > k])] = True
+    evaluate(np.flatnonzero(want))
     # 3. exact crossings: a third round only if a hit sample held a new peak outside the fill
-    evaluate(fill())
     ref, left, right = crossings()
+    if evaluate(fill(left, right)) is not None:
+        ref, left, right = crossings()
     if not (left.size and right.size):
         raise BeamNotResolvedError(
             f"beam not resolved: no -3 dB crossing within +/-{_HPBW_WINDOW_DEG} deg "

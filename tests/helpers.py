@@ -250,6 +250,17 @@ def hpbw_full_scan(
     return float(hi - lo)
 
 
+def abs_cross_reference(u: np.ndarray, axis: str, azimuth_deg: float) -> np.ndarray:
+    """|u_m x n| per coordinate through np.cross, n the rotation axis of an hpbw cut at the
+    azimuth: z on azimuth cuts, (-sin az, cos az, 0) on elevation cuts.
+
+    The oracle for rissim.sweep._across_axis, which must give its bits.
+    """
+    az = math.radians(azimuth_deg)
+    n = (0.0, 0.0, 1.0) if axis == "azimuth" else (-math.sin(az), math.cos(az), 0.0)
+    return np.abs(np.cross(u, n))
+
+
 def average_ir_power(
     ir_records: np.ndarray, n1: int, n2: int, tx_power_dbm: float
 ) -> float:

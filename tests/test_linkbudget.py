@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import re
 from dataclasses import replace
@@ -20,6 +21,7 @@ from rissim.linkbudget import (
     apply_config,
     coherent_sums,
     complex_values,
+    config_fingerprint,
     element_phasor_matrix,
     is_below_floor,
     noise_floor,
@@ -562,3 +564,20 @@ class TestScenarioFingerprint:
     def test_changes_with_the_physical_scenario(self, user):
         default = scenario_fingerprint(resolve_scenario({}).scenario)
         assert scenario_fingerprint(resolve_scenario(user).scenario) != default
+
+
+class TestConfigFingerprint:
+    def test_hashes_the_repr_of_every_coefficient(self):
+        # the per-coefficient text is kept on each coefficient; the hash must stay that of
+        # the text formatted in full, -0.0 inputs and wrapped phases included
+        rng = np.random.default_rng(4411)
+        states = [ReflectionCoefficient(-0.0, 90.0), ReflectionCoefficient(1.0, -180.0)]
+        states += [
+            ReflectionCoefficient(float(m), float(p))
+            for m, p in zip(rng.uniform(0.0, 2.0, 6), rng.uniform(-720.0, 720.0, 6))
+        ]
+        config = RisConfig(tuple(states[k] for k in rng.integers(0, len(states), 40)), "mixed")
+        text = "mixed|" + ";".join(f"{c.magnitude!r},{c.phase_deg!r}" for c in config.coefficients)
+        want = hashlib.sha256(text.encode()).hexdigest()[:12]
+        assert config_fingerprint(config) == want
+        assert config_fingerprint(config) == want  # the kept texts give the same hash

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    abs_cross_reference,
     average_ir_power,
     hpbw_full_scan,
     ks_critical_value,
@@ -582,6 +583,85 @@ class TestHpbwCoarseGrid:
         inner = np.rint(offsets[coarse[1:-1]] * 10).astype(int)
         assert np.all(inner % np.where(np.abs(inner) <= 60, 10, 30) == 0)
         assert 0 in inner
+
+
+class TestHpbwWindow:
+    """hpbw's per-window arrays are built once per elevation clip and shared by every cut."""
+
+    ELEVATIONS = [-90.0, -60.0, -45.05, 0.0, 45.05, 60.0, 89.95, 90.0]
+
+    @pytest.mark.parametrize("elevation", ELEVATIONS)
+    @pytest.mark.parametrize("axis", ["azimuth", "elevation"])
+    def test_equals_a_fresh_computation(self, axis, elevation):
+        target = SphericalCoord(1.4, 10.0, elevation)
+        offsets = (np.arange(901) - 450) * 0.1
+        if axis == "elevation":
+            offsets = offsets[(elevation + offsets >= -90.0) & (elevation + offsets <= 90.0)]
+        coarse = rissim.sweep._hpbw_coarse(offsets)
+        theta = np.radians(offsets)
+        j = np.clip(np.searchsorted(coarse, np.arange(len(offsets))), 1, len(coarse) - 1) - 1
+        a, b = coarse[j], coarse[j + 1]
+        want = {
+            "offsets": offsets,
+            "coarse": coarse,
+            "widths": np.diff(theta[coarse]),
+            "j": j,
+            "a": a,
+            "b": b,
+            "since": theta - theta[a],
+            "until": theta[b] - theta,
+        }
+        window = rissim.sweep._hpbw_window(target, axis)
+        assert len(window) == len(want)
+        for got, (name, array) in zip(window, want.items()):
+            assert got.dtype == array.dtype and got.shape == array.shape, name
+            assert got.tobytes() == array.tobytes(), name
+            assert not got.flags.writeable, name
+        assert rissim.sweep._hpbw_offsets(target, axis).tobytes() == offsets.tobytes()
+
+    def test_cuts_within_45_degrees_share_one_window(self):
+        windows = {
+            id(rissim.sweep._hpbw_window(SphericalCoord(1.4, az, el), axis))
+            for az in (-170.0, 10.0, 180.0)
+            for el in (-45.0, -16.0, 0.0, 45.0)
+            for axis in ("azimuth", "elevation")
+        }
+        assert len(windows) == 1
+
+    @pytest.mark.parametrize("order", ["clipped-first", "unclipped-first"])
+    def test_clipped_and_unclipped_cuts_in_turn_equal_the_full_scan(self, scenario, order):
+        # a window kept under a key without the clip would serve the next cut the wrong samples
+        targets = [SphericalCoord(1.4, 10.0, 60.0), SphericalCoord(1.4, 10.0, -16.0)]
+        if order == "unclipped-first":
+            targets.reverse()
+        rissim.sweep._window_arrays.cache_clear()
+        for target in targets * 2:
+            config = optimize_config(scenario, spherical_to_cartesian(target), REFLECTIVE)
+            got = _hpbw_or_error(hpbw, scenario, config, target, "elevation")
+            assert got is not BeamNotResolvedError, target
+            assert got == _hpbw_or_error(hpbw_full_scan, scenario, config, target, "elevation")
+
+
+class TestAcrossAxis:
+    """The closed-form |u_m x n| of _interval_bounds has the bits of np.cross."""
+
+    @pytest.mark.parametrize(
+        "surface", ["default", "off-plane", "469-elements", "random-7", "random-60"]
+    )
+    def test_bitwise_equal_to_np_cross(self, scenario, surface):
+        rng = np.random.default_rng(4410)
+        if surface.startswith("random"):
+            scenario, _ = make_random_scenario(rng, int(surface.split("-")[1]))
+        elif surface == "off-plane":
+            scenario = _off_plane(scenario)
+        elif surface == "469-elements":
+            scenario = resolve_scenario({"ris": {"rings": 12}}).scenario
+        u = scenario.layout.positions
+        for azimuth in (0.0, 90.0, -90.0, 180.0, float(rng.uniform(-180.0, 180.0))):
+            for axis in ("azimuth", "elevation"):
+                got = rissim.sweep._across_axis(u, axis, azimuth)
+                want = abs_cross_reference(u, axis, azimuth)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (axis, azimuth)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
