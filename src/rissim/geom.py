@@ -24,6 +24,12 @@ _HEX_COS = (1.0, 0.5, -0.5, -1.0, -0.5, 0.5)
 _HEX_SIN = (0.0, _HALF_SQRT3, _HALF_SQRT3, 0.0, -_HALF_SQRT3, -_HALF_SQRT3)
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """The array itself, made read-only because it is shared or cached."""
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class Vec3:
     """Cartesian point/vector in meters."""
@@ -75,9 +81,7 @@ class RisLayout:
     @cached_property
     def positions(self) -> np.ndarray:
         """(M, 3) array of element centers; read-only."""
-        arr = np.array([[e.x, e.y, e.z] for e in self.elements])
-        arr.flags.writeable = False
-        return arr
+        return read_only(np.array([[e.x, e.y, e.z] for e in self.elements]))
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -34,7 +34,6 @@ from .errors import ValidationError
 from .geom import RisLayout, SphericalCoord, hex_layout, spherical_to_cartesian
 from .linkbudget import BELOW_FLOOR_DBM, AntennaPattern, ReflectionCoefficient, RisConfig, Scenario
 from .optimizer import ACTIVE, REFLECTIVE, ReflectionAlphabet
-from .planner import UpdateSchedule
 from .sweep import GridSpec, PowerGrid, SounderParams
 
 # Horn exponent q solving 2*(q+1) = linear gain of the 19 dBi feed.
@@ -293,12 +292,25 @@ def load_scenario(path: str | Path | None) -> ScenarioDoc:
     if path is None:
         return resolve_scenario({})
     import yaml
+
+    class Loader(yaml.SafeLoader):  # rejects a key given twice in one mapping
+        def compose_mapping_node(self, anchor):
+            node, seen = super().compose_mapping_node(anchor), set()
+            for key, _ in node.value:  # the explicit keys: a key may override a << merge
+                if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+                    name = self.construct_object(key)
+                    if name in seen:
+                        where = f"{path}, line {key.start_mark.line + 1}"
+                        raise ValidationError(f"scenario key {name!r} given twice in {where}")
+                    seen.add(name)
+            return node
+
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValidationError(f"cannot read scenario file: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=Loader)
     except yaml.YAMLError as exc:
         raise ValidationError(f"scenario parse error in {path}: {exc}") from exc
     return resolve_scenario(data if data is not None else {})
@@ -380,10 +392,9 @@ def read_config_csv(
 @lru_cache(maxsize=1)
 def _grid_template(spec: GridSpec) -> str:
     """The data rows of a grid CSV, x-major, each ending in a `%.6g` slot for its power."""
-    ys = [_fmt(spec.y0 + spec.dy * j) for j in range(spec.ny)]
+    ys = [_fmt(y) for y in spec.y_coords()]
     rows = []
-    for i in range(spec.nx):
-        x = _fmt(spec.x0 + spec.dx * i)
+    for i, x in enumerate(map(_fmt, spec.x_coords())):
         rows.extend(f"{i},{j},{x},{y},%.6g\n" for j, y in enumerate(ys))
     return "".join(rows)
 

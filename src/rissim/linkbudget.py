@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GeometryError, ValidationError
-from .geom import RisLayout, Vec3
+from .geom import RisLayout, Vec3, read_only
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 BOLTZMANN = 1.380649e-23  # J/K
@@ -94,12 +94,6 @@ class ReflectionCoefficient:
     def fingerprint_text(self) -> str:
         """The coefficient's part of config_fingerprint, built once per alphabet state."""
         return f"{self.magnitude!r},{self.phase_deg!r}"
-
-
-def read_only(array: np.ndarray) -> np.ndarray:
-    """The array itself, made read-only because it is shared or cached."""
-    array.flags.writeable = False
-    return array
 
 
 def complex_values(coefficients) -> np.ndarray:

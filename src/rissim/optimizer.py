@@ -16,9 +16,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .geom import RisLayout, Vec3
+from .geom import RisLayout, Vec3, read_only
 from .linkbudget import (
-    ReflectionCoefficient, RisConfig, Scenario, complex_values, element_phasor_matrix, read_only
+    ReflectionCoefficient, RisConfig, Scenario, complex_values, element_phasor_matrix
 )
 
 # Arcs whose swept objective lies this close to the best are re-evaluated

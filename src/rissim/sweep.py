@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BeamNotResolvedError, NoPeakError, ValidationError
-from .geom import SphericalCoord
+from .geom import SphericalCoord, read_only
 from .linkbudget import (
     RisConfig,
     Scenario,
@@ -36,7 +36,6 @@ from .linkbudget import (
     is_below_floor,
     noise_floor,
     prefactor_mw,
-    read_only,
     wavelength,
 )
 
@@ -73,6 +72,9 @@ class GridSpec:
         if self.nx < 1 or self.ny < 1:
             raise ValidationError("grid must contain at least one cell")
 
+    def x_coords(self) -> np.ndarray:
+        return self.x0 + self.dx * np.arange(self.nx)
+
     def y_coords(self) -> np.ndarray:
         return self.y0 + self.dy * np.arange(self.ny)
 
@@ -96,7 +98,7 @@ class PowerGrid:
             )
         if "\n" in self.label or "\r" in self.label:  # the grid CSV header is one line
             raise ValidationError("grid label must not contain newlines")
-        self.values.flags.writeable = False
+        read_only(self.values)
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,7 @@ def _grid_sums(scenario: Scenario, config: RisConfig, grid: GridSpec) -> np.ndar
     bits of received_power at that cell.
     """
     pts = allocate((grid.nx, grid.ny, 3), float, (grid.nx, grid.ny, len(scenario.layout)))
-    pts[..., 0] = (grid.x0 + grid.dx * np.arange(grid.nx))[:, None]
+    pts[..., 0] = grid.x_coords()[:, None]
     pts[..., 1] = grid.y_coords()
     pts[..., 2] = grid.z_plane
     return coherent_sums(scenario, config, pts)
@@ -227,11 +229,12 @@ def _hpbw_window(target: SphericalCoord, axis: str) -> tuple[np.ndarray, ...]:
 
     The window is +/-45 degrees at 0.1, elevation kept within +/-90. Returns
     (offsets, coarse, widths, j, a, b, since, until): the offsets in
-    degrees, the coarse samples (_hpbw_coarse), each coarse interval's width
-    in radians and, per fine sample t, its interval j[t] between the coarse
-    samples a[t] and b[t], since[t] = theta(t) - theta(a) and until[t] =
-    theta(b) - theta(t) in radians. They depend only on where elevation
-    clips the window, so every cut on the same window shares them.
+    degrees, the coarse samples (every 1 degree within +/-6 of the target,
+    3 beyond, and both ends), each coarse interval's width in radians and,
+    per fine sample t, its interval j[t] between the coarse samples a[t] and
+    b[t], since[t] = theta(t) - theta(a) and until[t] = theta(b) - theta(t)
+    in radians. They depend only on where elevation clips the window, so
+    every cut on the same window shares them.
     """
     if axis == "azimuth":
         return _window_arrays(0, len(_HPBW_OFFSETS))
@@ -242,30 +245,15 @@ def _hpbw_window(target: SphericalCoord, axis: str) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=64)  # ~40 kB each; every cut within +/-45 degrees elevation uses one
 def _window_arrays(lo: int, hi: int) -> tuple[np.ndarray, ...]:
     """_hpbw_window's arrays for the offsets lo to hi - 1."""
-    offsets = _HPBW_OFFSETS[lo:hi]
-    coarse = _hpbw_coarse(offsets)
+    offsets, steps = _HPBW_OFFSETS[lo:hi], np.arange(lo, hi) - _HPBW_HALF_STEPS
+    on = steps % np.where(np.abs(steps) <= _HPBW_NEAR_STEPS, *_HPBW_COARSE_STEPS) == 0
+    on[[0, -1]] = True
+    coarse = np.flatnonzero(on)
     theta = np.radians(offsets)
     j = np.clip(np.searchsorted(coarse, np.arange(len(offsets))), 1, len(coarse) - 1) - 1
     a, b = coarse[j], coarse[j + 1]
     arrays = (coarse, np.diff(theta[coarse]), j, a, b, theta - theta[a], theta[b] - theta)
     return offsets, *map(read_only, arrays)
-
-
-def _hpbw_offsets(target: SphericalCoord, axis: str) -> np.ndarray:
-    """Fine arc offsets in degrees: +/-45 at 0.1, elevation kept within +/-90 (read-only)."""
-    return _hpbw_window(target, axis)[0]
-
-
-def _hpbw_coarse(offsets: np.ndarray) -> np.ndarray:
-    """Indices of hpbw's coarse samples among the fine offsets.
-
-    Multiples of 1 degree within +/-6 degrees of the target, of 3 degrees
-    beyond, plus the first and the last sample.
-    """
-    steps = np.rint(offsets / _HPBW_STEP_DEG).astype(int)
-    on = steps % np.where(np.abs(steps) <= _HPBW_NEAR_STEPS, *_HPBW_COARSE_STEPS) == 0
-    on[[0, -1]] = True
-    return np.flatnonzero(on)
 
 
 def _taper_bounds(exponent: float, lo: np.ndarray, hi: np.ndarray):
@@ -368,7 +356,7 @@ def hpbw(
 
     1. Coarse pass: the samples at multiples of 1 degree within +/-6 degrees
        of the target, at multiples of 3 degrees beyond, plus the first and
-       the last sample (_hpbw_coarse).
+       the last sample (_hpbw_window).
     2. Certified peak search and crossing fill, in one kernel round: on a
        coarse interval [a, b], |S| of S(theta) = sum_m Gamma_m g_m is
        Lipschitz with a constant L, so at every sample t inside it

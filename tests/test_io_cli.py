@@ -237,6 +237,36 @@ class TestScenarioLoading:
         with pytest.raises(ValidationError, match=r"^grid\.step_m: expected a number, got 'x'$"):
             resolve_scenario({"grid": {"step_m": "x"}})
 
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [
+            ("frequency_ghz: 23.8\nris:\n  rings: 3\nfrequency_ghz: 28.0\n", "frequency_ghz", 4),
+            ("frequency_ghz: 23.8\ngrid: {step_m: 0.02, step_m: 0.05}\n", "step_m", 2),
+        ],
+        ids=["top-level", "nested"],
+    )
+    def test_repeated_key_rejected_with_its_line(self, text, key, line, tmp_path, capsys):
+        path = tmp_path / "twice.yaml"
+        path.write_text(text)
+        message = f"scenario key {key!r} given twice in {path}, line {line}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_scenario(path)
+        assert cli_dispatch(["--scenario", str(path), "layout"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_key_overriding_a_merged_key_is_not_a_repeat(self, tmp_path):
+        path = tmp_path / "merge.yaml"
+        path.write_text(
+            "targets:\n"
+            "  P1: &p {range_m: 1.4, azimuth_deg: 0.0, elevation_deg: -10.0}\n"
+            "  P3:\n    <<: *p\n    azimuth_deg: 5.0\n"
+        )
+        p3 = load_scenario(path).resolved["targets"]["P3"]
+        assert p3 == {"range_m": 1.4, "azimuth_deg": 5.0, "elevation_deg": -10.0}
+        path.write_text(path.read_text() + "    azimuth_deg: 6.0\n")
+        with pytest.raises(ValidationError, match="'azimuth_deg' given twice .* line 6$"):
+            load_scenario(path)
+
     def test_integer_literals_echo_as_written(self):
         doc = resolve_scenario({"frequency_ghz": 24, "grid": {"z_plane_m": -1}})
         assert doc.resolved["frequency_ghz"] == 24

@@ -394,6 +394,17 @@ class TestReceivedPower:
         with pytest.raises(ValidationError):
             received_power(scenario, config, Vec3(1.0, 0.0, 0.0))
 
+    def test_base_station_on_an_element_off_the_plane_rejected(self):
+        # the scenario only forbids a base station in the surface plane; an element off the
+        # plane can still sit at the base station
+        bs = Vec3(1.2, -0.4, 0.1)
+        layout = RisLayout((Vec3(0.0, 0.0, 0.0), bs), d_y=6.6e-3, d_z=6.6e-3)
+        sc = _scenario_with(layout, bs)
+        config = uniform_config(layout, ReflectionCoefficient(1.0, 0.0))
+        message = "base station coincides with an element center"
+        with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+            received_power(sc, config, Vec3(0.8, 0.5, -0.2))
+
     def test_tx_power_linearity(self, scenario, refl_p1, p1):
         pos = spherical_to_cartesian(p1)
         base = received_power(scenario, refl_p1, pos)

@@ -59,7 +59,7 @@ def test_model_modules_import_without_the_cli():
     imports = {
         "rissim.geom, rissim.linkbudget, rissim.optimizer, rissim.sweep, rissim.planner":
             ("rissim.io_cli", "rissim.cli", "yaml", "argparse", "hashlib"),
-        "rissim.io_cli": ("rissim.cli", "yaml", "argparse", "hashlib"),
+        "rissim.io_cli": ("rissim.cli", "rissim.planner", "yaml", "argparse", "hashlib"),
     }
     for modules, absent in imports.items():
         code = f"import sys, {modules}; print(sorted(m for m in {absent!r} if m in sys.modules))"

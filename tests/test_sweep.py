@@ -522,10 +522,8 @@ class TestHpbwMatchesFullScan:
         for alphabet in (REFLECTIVE, ACTIVE):
             config = optimize_config(scenario, spherical_to_cartesian(target), alphabet)
             for axis in ("azimuth", "elevation"):
-                offsets = rissim.sweep._hpbw_offsets(target, axis)
+                offsets, coarse, widths = rissim.sweep._hpbw_window(target, axis)[:3]
                 positions = rissim.sweep._arc_positions(target, axis, offsets)
-                coarse = rissim.sweep._hpbw_coarse(offsets)
-                widths = np.radians(np.diff(offsets[coarse]))
                 slope, incoherent = rissim.sweep._interval_bounds(
                     scenario, config, target, axis, widths, positions[coarse]
                 )
@@ -539,10 +537,8 @@ class TestHpbwMatchesFullScan:
         # the last target is nearer than 1 m, where 1 / D**3 exceeds 1 / D**2
         near = SphericalCoord(0.35, 30.0, -20.0)
         for target in (doc.targets["P1"], SphericalCoord(0.9, -50.0, 20.0), near):
-            offsets = rissim.sweep._hpbw_offsets(target, axis)
+            offsets, coarse, widths = rissim.sweep._hpbw_window(target, axis)[:3]
             positions = rissim.sweep._arc_positions(target, axis, offsets)
-            coarse = rissim.sweep._hpbw_coarse(offsets)
-            widths = np.radians(np.diff(offsets[coarse]))
             for alphabet in (REFLECTIVE, ACTIVE):
                 for _ in range(3):
                     states = rng.integers(0, len(alphabet.states), len(scenario.layout))
@@ -570,15 +566,15 @@ class TestHpbwMatchesFullScan:
 
 class TestHpbwCoarseGrid:
     def test_one_degree_near_the_target_and_three_beyond(self):
-        offsets = rissim.sweep._hpbw_offsets(SphericalCoord(1.4, 10.0, -16.0), "azimuth")
-        got = np.rint(offsets[rissim.sweep._hpbw_coarse(offsets)] * 10).astype(int)
+        offsets, coarse = rissim.sweep._hpbw_window(SphericalCoord(1.4, 10.0, -16.0), "azimuth")[:2]
+        got = np.rint(offsets[coarse] * 10).astype(int)
         want = [*range(-450, -60, 30), *range(-60, 61, 10), *range(90, 451, 30)]
         assert got.tolist() == want
 
     @pytest.mark.parametrize("elevation", [85.3, -88.7])
     def test_cut_short_at_a_pole_keeps_its_first_and_last_sample(self, elevation):
-        offsets = rissim.sweep._hpbw_offsets(SphericalCoord(1.4, 10.0, elevation), "elevation")
-        coarse = rissim.sweep._hpbw_coarse(offsets)
+        target = SphericalCoord(1.4, 10.0, elevation)
+        offsets, coarse = rissim.sweep._hpbw_window(target, "elevation")[:2]
         assert coarse[0] == 0 and coarse[-1] == len(offsets) - 1
         inner = np.rint(offsets[coarse[1:-1]] * 10).astype(int)
         assert np.all(inner % np.where(np.abs(inner) <= 60, 10, 30) == 0)
@@ -590,14 +586,17 @@ class TestHpbwWindow:
 
     ELEVATIONS = [-90.0, -60.0, -45.05, 0.0, 45.05, 60.0, 89.95, 90.0]
 
-    @pytest.mark.parametrize("elevation", ELEVATIONS)
-    @pytest.mark.parametrize("axis", ["azimuth", "elevation"])
-    def test_equals_a_fresh_computation(self, axis, elevation):
-        target = SphericalCoord(1.4, 10.0, elevation)
+    @staticmethod
+    def _assert_equals_a_fresh_computation(target, axis):
         offsets = (np.arange(901) - 450) * 0.1
+        elevation = target.elevation_deg
         if axis == "elevation":
             offsets = offsets[(elevation + offsets >= -90.0) & (elevation + offsets <= 90.0)]
-        coarse = rissim.sweep._hpbw_coarse(offsets)
+        # every 1 degree within 6 degrees of the target, every 3 degrees beyond, and both ends
+        tenths = np.rint(offsets * 10).astype(int)
+        on = np.where(np.abs(tenths) <= 60, tenths % 10 == 0, tenths % 30 == 0)
+        on[[0, -1]] = True
+        coarse = np.flatnonzero(on)
         theta = np.radians(offsets)
         j = np.clip(np.searchsorted(coarse, np.arange(len(offsets))), 1, len(coarse) - 1) - 1
         a, b = coarse[j], coarse[j + 1]
@@ -614,10 +613,20 @@ class TestHpbwWindow:
         window = rissim.sweep._hpbw_window(target, axis)
         assert len(window) == len(want)
         for got, (name, array) in zip(window, want.items()):
-            assert got.dtype == array.dtype and got.shape == array.shape, name
-            assert got.tobytes() == array.tobytes(), name
-            assert not got.flags.writeable, name
-        assert rissim.sweep._hpbw_offsets(target, axis).tobytes() == offsets.tobytes()
+            assert got.dtype == array.dtype and got.shape == array.shape, (name, elevation)
+            assert got.tobytes() == array.tobytes(), (name, elevation)
+            assert not got.flags.writeable, (name, elevation)
+
+    @pytest.mark.parametrize("elevation", ELEVATIONS)
+    @pytest.mark.parametrize("axis", ["azimuth", "elevation"])
+    def test_equals_a_fresh_computation(self, axis, elevation):
+        self._assert_equals_a_fresh_computation(SphericalCoord(1.4, 10.0, elevation), axis)
+
+    @pytest.mark.parametrize("axis", ["azimuth", "elevation"])
+    def test_equals_a_fresh_computation_at_every_elevation(self, axis):
+        # -90 to 90 degrees at half the fine step, so every clip of the window at either pole
+        for elevation in np.linspace(-90.0, 90.0, 3601).tolist():
+            self._assert_equals_a_fresh_computation(SphericalCoord(1.4, 10.0, elevation), axis)
 
     def test_cuts_within_45_degrees_share_one_window(self):
         windows = {
@@ -692,10 +701,8 @@ def test_hpbw_equals_the_full_scan_on_drawn_targets(
 def _assert_interval_bounds_hold(scenario, config, target, axis):
     """Both halves of hpbw's certificate at every fine sample of every coarse interval:
     |S| under the Lipschitz bound and sum_m |Gamma_m| |g_m| under the incoherent bound."""
-    offsets = rissim.sweep._hpbw_offsets(target, axis)
+    offsets, coarse, widths, _, _, _, since, until = rissim.sweep._hpbw_window(target, axis)
     positions = rissim.sweep._arc_positions(target, axis, offsets)
-    coarse = rissim.sweep._hpbw_coarse(offsets)
-    widths = np.radians(np.diff(offsets[coarse]))
     phasors = rissim.linkbudget.element_phasor_matrix(scenario, positions)
     gamma = config.as_complex_array
     amps = np.abs(np.sum(phasors * gamma, axis=-1))
@@ -703,14 +710,12 @@ def _assert_interval_bounds_hold(scenario, config, target, axis):
     slope, incoherent = rissim.sweep._interval_bounds(
         scenario, config, target, axis, widths, positions[coarse]
     )
-    theta = np.radians(offsets)
     for j, (a, b) in enumerate(zip(coarse[:-1], coarse[1:])):
         bound = 0.5 * (amps[a] + amps[b] + slope[j] * widths[j])
         assert amps[a:b + 1].max() <= bound * (1.0 + 1e-12), (axis, j)
         assert incoherent_amps[a:b + 1].max() <= incoherent[j] * (1.0 + 1e-12), (axis, j)
         # the form hpbw certifies samples under the -3 dB level with: L-Lipschitz from each end
-        t = theta[a + 1:b]
-        reach = np.minimum(amps[a] + slope[j] * (t - theta[a]), amps[b] + slope[j] * (theta[b] - t))
+        reach = np.minimum(amps[a] + slope[j] * since[a + 1:b], amps[b] + slope[j] * until[a + 1:b])
         assert np.all(amps[a + 1:b] <= reach * (1.0 + 1e-12)), (axis, j)
 
 
@@ -859,8 +864,7 @@ class TestPeakCertificate:
             calls.clear()
             hpbw(scenario, config, target, axis)
             assert len(calls) == 2, axis
-            offsets = rissim.sweep._hpbw_offsets(target, axis)
-            coarse = rissim.sweep._hpbw_coarse(offsets)
+            offsets, coarse = rissim.sweep._hpbw_window(target, axis)[:2]
             positions = rissim.sweep._arc_positions(target, axis, offsets)
             assert np.array_equal(calls[0], positions[coarse])
 
