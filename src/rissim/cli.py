@@ -117,11 +117,6 @@ def _cmd_optimize(args) -> int:
 def _cmd_grid(args) -> int:
     """sweep (the model) or emulate (the sounder) over the scenario grid."""
     doc = _load_doc(args)
-    sources = [args.config is not None, args.all_off, args.off_structural, args.target is not None]
-    if sum(sources) != 1:
-        raise ValidationError(
-            "exactly one of --config, --all-off, --off-structural, --target is required"
-        )
     config = _resolve_config(doc, args)
     grid = doc.grid
     if args.points_compat:
@@ -216,14 +211,15 @@ def _cmd_noise_floor(args) -> int:
 
 
 def _add_grid_command(sub, name: str, help_text: str) -> argparse.ArgumentParser:
-    """The sweep or emulate parser: a configuration source and the grid outputs."""
+    """The sweep or emulate parser: exactly one configuration source and the grid outputs."""
     p = sub.add_parser(name, help=help_text)
-    p.add_argument("--config", metavar="FILE", help="element configuration CSV")
-    p.add_argument("--all-off", action="store_true", help="all elements off (zero)")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", metavar="FILE", help="element configuration CSV")
+    source.add_argument("--all-off", action="store_true", help="all elements off (zero)")
+    source.add_argument(
         "--off-structural", action="store_true", help="uniform powered-off structural state"
     )
-    p.add_argument("--target", metavar="T", help="optimize for a target first")
+    source.add_argument("--target", metavar="T", help="optimize for a target first")
     p.add_argument("--alphabet", metavar="NAME", help="alphabet for --target")
     p.add_argument("--out", metavar="FILE", help="grid CSV output (default stdout)")
     p.add_argument("--pgm", metavar="FILE", help="also write a PGM heatmap")

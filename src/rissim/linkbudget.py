@@ -149,10 +149,12 @@ class Scenario:
             prefactor = prefactor_mw(self)
         except OverflowError:
             prefactor = math.inf
-        if not math.isfinite(prefactor):
-            raise ValidationError("link-budget prefactor (tx power, gains, element size) not finite")
+        if not 0.0 < prefactor < math.inf:
+            reason = "underflows to 0" if prefactor == 0.0 else "not finite"
+            raise ValidationError(f"link-budget prefactor (tx power, gains, element size) {reason}")
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite d1 fails the phasor checks
     def bs_side(self) -> tuple[np.ndarray, np.ndarray]:
         """(d1, amp): per-element BS distances and BS-side amplitudes.
 
@@ -188,6 +190,7 @@ def prefactor_mw(scenario: Scenario) -> float:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # checked in dbm_from_sums and optimize_config
 def element_phasor_matrix(
     scenario: Scenario, positions: np.ndarray, elements: np.ndarray | None = None
 ) -> np.ndarray:
@@ -251,7 +254,8 @@ def apply_config(phasors: np.ndarray, config: RisConfig) -> np.ndarray:
     Every configuration is applied here, in one summation order, so a position
     gets the same bits however the positions around it are batched.
     """
-    return np.sum(phasors * config.as_complex_array, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked in dbm_from_sums
+        return np.sum(phasors * config.as_complex_array, axis=-1)
 
 
 def allocate(shape: tuple, dtype, block: tuple) -> np.ndarray:
@@ -317,7 +321,10 @@ def _powered_rows(scenario: Scenario, rows: np.ndarray, on: np.ndarray):
 
 def dbm_from_sums(scenario: Scenario, sums: np.ndarray) -> np.ndarray:
     """Received power in dBm of coherent element sums, clamped at the below-floor sentinel."""
-    p_mw = prefactor_mw(scenario) * (sums.real**2 + sums.imag**2)
+    with np.errstate(over="ignore"):
+        p_mw = prefactor_mw(scenario) * (sums.real**2 + sums.imag**2)
+    if not np.isfinite(p_mw).all():  # max is NaN if any is, else inf
+        raise GeometryError(f"received power {p_mw.max()} mW: a distance or magnitude overflows")
     with np.errstate(divide="ignore"):
         dbm = 10.0 * np.log10(p_mw)
     return np.where(p_mw <= _BELOW_FLOOR_MW, BELOW_FLOOR_DBM, dbm)

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import GeometryError, ValidationError
 from .geom import RisLayout, Vec3, read_only
 from .linkbudget import (
     ReflectionCoefficient, RisConfig, Scenario, complex_values, element_phasor_matrix
@@ -87,6 +87,8 @@ def optimize_config(
     if len(alphabet.states) == 1:
         return uniform_config(scenario.layout, alphabet.states[0], alphabet.name)
     g = element_phasor_matrix(scenario, target.as_array()[None, :])[0]
+    if not np.isfinite(g).all():
+        raise GeometryError("element phasors at the target are not finite: a distance overflows")
     states = alphabet.values
     contrib = states[:, None] * g[None, :]  # (K, M)
     m_count = len(g)

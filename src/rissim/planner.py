@@ -92,13 +92,16 @@ class UpdateEvent:
 
 @dataclass(frozen=True)
 class UpdateSchedule:
-    """Reconfiguration events along a trajectory; first event at t = 0.
-
-    mean_interval_s is None when fewer than two events were emitted.
-    """
+    """Reconfiguration events along a trajectory; first event at t = 0."""
 
     events: tuple[UpdateEvent, ...]
-    mean_interval_s: float | None
+
+    @property
+    def mean_interval_s(self) -> float | None:
+        """Mean time between events; None when fewer than two were emitted."""
+        if len(self.events) < 2:
+            return None
+        return (self.events[-1].t_s - self.events[0].t_s) / (len(self.events) - 1)
 
 
 def rho_radial(h_surface: float, h_user: float, theta_ue_deg: float, beta_deg: float) -> float:
@@ -255,9 +258,4 @@ def plan_updates(
             event, ellipse = reconfigure(float(times[i]), Vec3.from_array(positions[i]))
             events.append(event)
             i += 1
-
-    if len(events) >= 2:
-        mean = (events[-1].t_s - events[0].t_s) / (len(events) - 1)
-    else:
-        mean = None
-    return UpdateSchedule(tuple(events), mean)
+    return UpdateSchedule(tuple(events))

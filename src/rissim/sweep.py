@@ -78,13 +78,10 @@ class GridSpec:
     def y_coords(self) -> np.ndarray:
         return self.y0 + self.dy * np.arange(self.ny)
 
-    def cell_xy(self, i: int, j: int) -> tuple[float, float]:
-        return self.x0 + self.dx * i, self.y0 + self.dy * j
-
 
 @dataclass(frozen=True, eq=False)
 class PowerGrid:
-    """Received power in dBm, values[i, j] at (x0 + i dx, y0 + j dy, z_plane)."""
+    """Received power in dBm, values[i, j] at (x_coords()[i], y_coords()[j], z_plane) of spec."""
 
     spec: GridSpec
     values: np.ndarray
@@ -207,8 +204,7 @@ def find_peak(grid: PowerGrid) -> Peak:
     value = float(grid.values[i, j])
     if is_below_floor(value):
         raise NoPeakError("no peak: every cell is below the power floor")
-    x, y = grid.spec.cell_xy(i, j)
-    return Peak(x, y, value, i, j)
+    return Peak(float(grid.spec.x_coords()[i]), float(grid.spec.y_coords()[j]), value, i, j)
 
 
 def _arc_positions(target: SphericalCoord, axis: str, offsets_deg: np.ndarray) -> np.ndarray:

@@ -380,12 +380,7 @@ def plan_updates_stepwise(
         if not ellipse.contains(position.as_array()):
             event, ellipse = reconfigure(t, position)
             events.append(event)
-
-    if len(events) >= 2:
-        mean = (events[-1].t_s - events[0].t_s) / (len(events) - 1)
-    else:
-        mean = None
-    return UpdateSchedule(tuple(events), mean)
+    return UpdateSchedule(tuple(events))
 
 
 def _fmt_reference(value: float) -> str:

@@ -250,10 +250,10 @@ def test_criterion_10_determinism(tmp_path, capsys, scenario, refl_p1, doc):
     # chunking independence: rows of 46 positions per kernel call against
     # one position per call
     swept = sweep_power(scenario, refl_p1, doc.grid).values
+    xs, ys = doc.grid.x_coords(), doc.grid.y_coords()
     single = np.array([
-        [received_power(scenario, refl_p1, Vec3(*doc.grid.cell_xy(i, j), doc.grid.z_plane))
-         for j in range(doc.grid.ny)]
-        for i in range(doc.grid.nx)
+        [received_power(scenario, refl_p1, Vec3(float(x), float(y), doc.grid.z_plane)) for y in ys]
+        for x in xs
     ])
     sweeps_equal = bool(np.array_equal(swept, single))
 

@@ -1,0 +1,99 @@
+"""Property test over the command line: edge values in the scenario give a
+finite output or a typed error, never a traceback, a warning or a NaN."""
+import contextlib
+import io
+import re
+import tempfile
+import warnings
+from pathlib import Path
+
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rissim.cli import cli_dispatch
+
+# Edge values for number keys: signed zeros, the smallest subnormal, angles at
+# their limits, 2**70 (an integer no float step resolves), values whose square
+# overflows and 1.7e308, near the largest float, which overflows even as a
+# reflection magnitude times a phasor.
+_NUMBERS = (0.0, -0.0, 5e-324, 1e-9, 90.0, 180.0, 1e6, 1e300, -1e300, 1.7e308, float(2**70))
+_INTEGERS = (-1, 0, 1, 2, 7, 2**70)
+_NUMBER_KEYS = (
+    "bs.range_m", "bs.azimuth_deg", "bs.elevation_deg", "bs.gain_dbi", "bs.pattern_exponent",
+    "ue.gain_dbi", "ue.pattern_exponent",
+    "ris.pitch_mm", "ris.element_width_mm", "ris.element_pattern_exponent",
+    "ris.off_state_magnitude", "ris.off_state_phase_deg",
+    "grid.z_plane_m",
+    "targets.P1.range_m", "targets.P1.azimuth_deg", "targets.P1.elevation_deg",
+    "tx_power_dbm", "frequency_ghz",
+    "sounder.noise_figure_db", "sounder.temperature_k", "sounder.bandwidth_mhz",
+)
+_INTEGER_KEYS = ("sounder.averages", "sounder.window_start_tap", "sounder.rng_seed")
+# ris.rings stays <= 7 (169 elements): the grid's work grows with the element
+# count, and a request whose work is proportional to its output is not a defect.
+_RINGS = tuple(range(-1, 8))
+
+_OUT, _CONFIG = "OUT", "CONFIG"
+_COMMANDS = (
+    ["optimize", "--target", "P1"],
+    ["optimize", "--target", "P1", "--alphabet", "active"],
+    ["hpbw", "--target", "P1", "--axis", "azimuth"],
+    ["hpbw", "--target", "P1", "--axis", "elevation", "--alphabet", "active"],
+    ["ellipse", "--target", "P1"],
+    ["noise-floor"],
+    ["sweep", "--target", "P1", "--out", _OUT],
+    ["sweep", "--off-structural", "--out", _OUT],
+    ["emulate", "--target", "P1", "--alphabet", "active", "--out", _OUT],
+    ["emulate", "--off-structural", "--out", _OUT],
+    ["plan", "--start", "P1", "--motion", "radial", "--distance", "0.05", "--out", _OUT],
+    ["sweep", "--config", _CONFIG, "--out", _OUT],
+    ["hpbw", "--target", "P1", "--axis", "azimuth", "--config", _CONFIG],
+)
+_NOT_FINITE = re.compile(r"nan|(?<!-)inf", re.IGNORECASE)  # -inf marks a below-floor cell
+
+_settings = st.one_of(
+    st.tuples(st.sampled_from(_NUMBER_KEYS), st.sampled_from(_NUMBERS)),
+    st.tuples(st.sampled_from(_INTEGER_KEYS), st.sampled_from(_INTEGERS)),
+    st.tuples(st.just("ris.rings"), st.sampled_from(_RINGS)),
+)
+
+
+def _scenario(keys) -> dict:
+    tree: dict = {}
+    for path, value in keys:
+        *parents, leaf = path.split(".")
+        node = tree
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[leaf] = value
+    return tree
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    keys=st.lists(_settings, min_size=1, max_size=3),  # a repeated key keeps its last value
+    command=st.sampled_from(_COMMANDS),
+    magnitude=st.sampled_from(_NUMBERS),
+)
+def test_every_command_gives_finite_output_or_a_typed_error(keys, command, magnitude):
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, out, config = (Path(tmp) / name for name in ("s.yaml", "out.csv", "c.csv"))
+        scenario.write_text(yaml.safe_dump(_scenario(keys)))
+        # a header naming no scenario alphabet: the reader checks no state membership
+        rows = "".join(f"{m},0,{magnitude!r},0\n" for m in range(127))
+        config.write_text("# bogus\nm,state,magnitude,phase_deg\n" + rows)
+        names = {_OUT: str(out), _CONFIG: str(config)}
+        argv = ["--scenario", str(scenario), *(names.get(a, a) for a in command)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli_dispatch(argv)
+        assert code in (0, 1, 2)
+        if code == 0:
+            written = out.read_text() if out.exists() else ""
+            assert not _NOT_FINITE.search(stdout.getvalue() + written)
+        else:
+            assert any(line.startswith("error: ") for line in stderr.getvalue().splitlines())
+            assert not out.exists()

@@ -53,6 +53,13 @@ from rissim.sweep import (
 
 DATA = Path(__file__).parent / "data"
 
+# Scenarios and messages of a link budget that overflows a float.
+_FAR_BS = "bs: {range_m: 1.0e+300}\n"
+_LOUD_OFF = "ris: {off_state_magnitude: 1.0e+300}\n"
+_PHASORS_OVERFLOW = "element phasors at the target are not finite: a distance overflows"
+_NAN_POWER = "received power nan mW: a distance or magnitude overflows"
+_INF_POWER = "received power inf mW: a distance or magnitude overflows"
+
 
 def _run_module(*args):
     """`python -m rissim ARGS` in a child that imports the same rissim as the tests."""
@@ -445,7 +452,7 @@ class TestCsvFormats:
     def test_negative_zero_written_as_zero(self):
         event = UpdateEvent(-0.0, Vec3(-0.0, 0.5, -0.0), "abc123def456", 0.1, -0.0)
         buf = io.StringIO()
-        write_schedule_csv(UpdateSchedule((event,), None), buf)
+        write_schedule_csv(UpdateSchedule((event,)), buf)
         assert buf.getvalue().splitlines()[1] == "0,0,0.5,0,abc123def456,0.1,0"
 
     def test_schedule_golden(self):
@@ -456,7 +463,7 @@ class TestCsvFormats:
             UpdateEvent(0.091, Vec3(1.30, 0.32, -0.3858923), "fedcba654321", 0.0877518, 0.343),
         )
         buf = io.StringIO()
-        write_schedule_csv(UpdateSchedule(events, 0.091), buf)
+        write_schedule_csv(UpdateSchedule(events), buf)
         assert buf.getvalue() == SCHEDULE_CSV
 
 
@@ -856,8 +863,70 @@ class TestCli:
         body = out.read_text().splitlines()[1:]
         assert all(line.endswith(",-inf") for line in body)
 
-    def test_sweep_requires_one_config_source(self, capsys):
-        assert cli_dispatch(["sweep", "--all-off", "--target", "P1"]) == 1
+    @pytest.mark.parametrize("command", ["sweep", "emulate"])
+    @pytest.mark.parametrize(
+        "sources, message",
+        [
+            ([], "one of the arguments --config --all-off --off-structural --target is required"),
+            (["--all-off", "--target", "P1"], "argument --target: not allowed with argument --all-off"),
+            (["--config", "c.csv", "--off-structural"],
+             "argument --off-structural: not allowed with argument --config"),
+        ],
+        ids=["none", "all-off-and-target", "config-and-off-structural"],
+    )
+    def test_grid_commands_require_one_config_source(self, command, sources, message, capsys):
+        assert cli_dispatch([command, *sources]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}\n")  # before the scenario echo
+        assert err.splitlines()[1].startswith(f"usage: rissim {command} ")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "scenario, argv, message",
+        [
+            (_FAR_BS, ["sweep", "--target", "P1", "--out", "OUT"], _PHASORS_OVERFLOW),
+            (_FAR_BS, ["optimize", "--target", "P1", "--out", "OUT"], _PHASORS_OVERFLOW),
+            (_FAR_BS, ["hpbw", "--target", "P1", "--axis", "azimuth"], _PHASORS_OVERFLOW),
+            (_FAR_BS, ["ellipse", "--target", "P1"], _PHASORS_OVERFLOW),
+            (_FAR_BS, ["sweep", "--off-structural", "--out", "OUT"], _NAN_POWER),
+            ("grid: {z_plane_m: 1.0e+300}\n", ["sweep", "--target", "P1", "--out", "OUT"], _NAN_POWER),
+            ("", ["optimize", "--target", "1.0e+300,40,-16", "--out", "OUT"], _PHASORS_OVERFLOW),
+            ("", ["hpbw", "--target", "1.0e+300,40,-16", "--axis", "azimuth"], _PHASORS_OVERFLOW),
+            (_LOUD_OFF, ["sweep", "--off-structural", "--out", "OUT"], _INF_POWER),
+            (_LOUD_OFF, ["emulate", "--off-structural", "--out", "OUT"], _INF_POWER),
+            ("", ["sweep", "--config", "LOUD_CONFIG", "--out", "OUT"], _INF_POWER),
+            ("", ["hpbw", "--target", "P1", "--axis", "azimuth", "--config", "LOUD_CONFIG"], _INF_POWER),
+            ("", ["sweep", "--config", "MAX_CONFIG", "--out", "OUT"], _NAN_POWER),
+        ],
+        ids=["far-bs-sweep", "far-bs-optimize", "far-bs-hpbw", "far-bs-ellipse",
+             "far-bs-off-structural", "far-plane-sweep", "far-target-optimize", "far-target-hpbw",
+             "loud-off-state-sweep", "loud-off-state-emulate", "loud-config-sweep",
+             "loud-config-hpbw", "max-config-sweep"],
+    )
+    def test_overflow_exits_two_and_writes_nothing(self, scenario, argv, message, tmp_path, capsys):
+        path, out = tmp_path / "s.yaml", tmp_path / "out.csv"
+        path.write_text(scenario)
+        names = {"OUT": str(out)}
+        # the header names no scenario alphabet, so no state membership is checked;
+        # 1.7e308 overflows in the configuration's product Gamma_m g_m itself
+        for name, magnitude in (("LOUD_CONFIG", "1e300"), ("MAX_CONFIG", "1.7e308")):
+            names[name] = str(tmp_path / f"{name}.csv")
+            rows = "".join(f"{m},0,{magnitude},0\n" for m in range(127))
+            Path(names[name]).write_text("# bogus\nm,state,magnitude,phase_deg\n" + rows)
+        assert cli_dispatch(["--scenario", str(path), *(names.get(a, a) for a in argv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == f"error: {message}"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "emulate"])
+    def test_prefactor_underflowing_to_zero_rejected(self, command, tmp_path, capsys):
+        quiet = tmp_path / "quiet.yaml"
+        quiet.write_text("tx_power_dbm: -1.0e+300\n")  # 10 ** -1e299 mW is 0.0 as a float
+        assert cli_dispatch(["--scenario", str(quiet), command, "--target", "P1"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: link-budget prefactor (tx power, gains, element size) underflows to 0"
+        )
 
     def test_workers_option_rejected(self, capsys):
         assert cli_dispatch(["sweep", "--all-off", "--workers", "2"]) == 1

@@ -405,6 +405,16 @@ class TestReceivedPower:
         with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
             received_power(sc, config, Vec3(0.8, 0.5, -0.2))
 
+    def test_far_base_station_gives_infinite_distances_without_a_warning(self, scenario):
+        # bs_side is read outside the kernel too (hpbw's bound), so it runs under its own
+        # errstate; the received power then names the overflow
+        far = replace(scenario, bs_position=Vec3(1e300, 0.0, 0.0))
+        d1, amp = far.bs_side  # (1e300)**2 overflows
+        assert np.isinf(d1).all() and not amp.any()
+        config = uniform_config(far.layout, ReflectionCoefficient(1.0, 0.0))
+        with pytest.raises(GeometryError, match=r"^received power nan mW: a distance or magnitude"):
+            received_power(far, config, Vec3(1.0, 0.2, -0.3))
+
     def test_tx_power_linearity(self, scenario, refl_p1, p1):
         pos = spherical_to_cartesian(p1)
         base = received_power(scenario, refl_p1, pos)

@@ -15,6 +15,8 @@ from rissim.planner import (
     _BLOCK_STEPS,
     FocusEllipse,
     Trajectory,
+    UpdateEvent,
+    UpdateSchedule,
     arc_waypoints,
     focus_ellipse,
     plan_updates,
@@ -207,6 +209,23 @@ class TestFocusEllipse:
         # an infinite ellipse contains every point, so the user would never leave it
         with pytest.raises(ValidationError, match="^ellipse semi-axes must be finite and > 0$"):
             FocusEllipse(Vec3(1, 0, 0), rho_a, rho_r, Vec3(1, 0, 0), 10.0, 10.0)
+
+
+class TestUpdateSchedule:
+    @pytest.mark.parametrize(
+        "times", [(), (0.0,), (0.0, 0.091), (0.0, 0.05, 0.3, 0.31), (0.0, 1e-3, 2e-3)]
+    )
+    def test_mean_interval_is_derived_from_the_events(self, times):
+        events = tuple(UpdateEvent(t, Vec3(1.0, 0.0, 0.0), "abc123def456", 0.1, 0.2) for t in times)
+        mean = UpdateSchedule(events).mean_interval_s
+        if len(times) < 2:
+            assert mean is None
+        else:
+            assert mean == (times[-1] - times[0]) / (len(times) - 1)
+
+    def test_mean_interval_is_not_stored(self):
+        with pytest.raises(TypeError):
+            UpdateSchedule((), 0.5)
 
 
 def _arc(doc, start_name, end_name):

@@ -59,7 +59,7 @@ class TestGridSpec:
         g = doc.grid
         assert (g.x0, g.y0, g.dx, g.dy) == (0.92, 0.02, 0.02, 0.02)
         assert (g.nx, g.ny, g.z_plane) == (31, 46, -0.39)
-        assert g.cell_xy(g.nx - 1, 0)[0] == pytest.approx(1.52)
+        assert g.x_coords()[-1] == pytest.approx(1.52)
         assert g.y_coords()[-1] == pytest.approx(0.92)
         assert g.nx * g.ny == 1426
 
@@ -96,9 +96,10 @@ class TestSweepPower:
         # a sweep row is one 46-position kernel call; received_power is a
         # 1-position call: the chunking must not move a single bit
         swept = sweep_power(scenario, refl_p1, doc.grid)
+        xs, ys = doc.grid.x_coords(), doc.grid.y_coords()
         for i in range(doc.grid.nx):
             for j in range(doc.grid.ny):
-                pos = Vec3(*doc.grid.cell_xy(i, j), doc.grid.z_plane)
+                pos = Vec3(float(xs[i]), float(ys[j]), doc.grid.z_plane)
                 assert swept.values[i, j] == received_power(scenario, refl_p1, pos), (i, j)
 
     def test_focus_level_on_grid(self, sweep_refl_p1, sweep_refl_p2):
@@ -226,9 +227,10 @@ class TestGridPhasorCache:
     def _assert_cells_equal_received_power(scenario, config, grid):
         swept = sweep_power(scenario, config, grid)
         quiet = emulate_measurement_grid(scenario, config, grid, SounderParams(noise_enabled=False))
+        xs, ys = grid.x_coords(), grid.y_coords()
         for i in range(grid.nx):
             for j in range(grid.ny):
-                direct = received_power(scenario, config, Vec3(*grid.cell_xy(i, j), grid.z_plane))
+                direct = received_power(scenario, config, Vec3(float(xs[i]), float(ys[j]), grid.z_plane))
                 assert swept.values[i, j] == direct, (i, j)
                 assert quiet.values[i, j] == direct, (i, j)
         return swept.values
@@ -325,7 +327,7 @@ class TestEmulationMatchesRecordLevelOracle:
     )
     def test_same_distribution(self, scenario, doc, snr_db, emulator_seed, oracle_seed):
         sounder = SounderParams()
-        x, y = doc.grid.cell_xy(10, 20)
+        x, y = doc.grid.x_coords()[10], doc.grid.y_coords()[20]
         position = np.array([[x, y, doc.grid.z_plane]])
         if snr_db is None:
             magnitude = 0.0
@@ -368,6 +370,20 @@ class TestFindPeak:
         peak = find_peak(PowerGrid(spec, np.full((3, 3), -70.0)))
         assert (peak.i, peak.j) == (0, 0)
         assert (peak.x, peak.y) == (0.5, 0.25)
+
+    def test_coordinates_are_the_grid_arrays_bit_for_bit(self):
+        rng = np.random.default_rng(26)
+        for _ in range(500):
+            nx, ny = (int(n) for n in rng.integers(1, 60, 2))
+            x0, y0 = (float(v) for v in rng.uniform(-3.0, 3.0, 2))
+            dx, dy = (float(v) for v in rng.uniform(1e-3, 0.1, 2))
+            spec = GridSpec(x0, y0, dx, dy, nx, ny, -0.39)
+            peak = find_peak(PowerGrid(spec, rng.normal(-60.0, 5.0, (nx, ny))))
+            assert type(peak.x) is float and type(peak.y) is float
+            assert peak.x.hex() == float(spec.x_coords()[peak.i]).hex()
+            assert peak.y.hex() == float(spec.y_coords()[peak.j]).hex()
+            # the scalar formula x0 + i dx gives the same bits
+            assert (peak.x, peak.y) == (x0 + dx * peak.i, y0 + dy * peak.j)
 
     def test_all_sentinel_raises(self):
         spec = GridSpec(0.5, 0.25, 0.02, 0.02, 2, 2, 0.0)
@@ -913,7 +929,7 @@ class TestCompareGrids:
         candidates = np.argwhere(sim_amp + reach >= sim_amp[sim.i, sim.j] - reach)
         radius = max(
             math.hypot(x - sim.x, y - sim.y)
-            for x, y in (doc.grid.cell_xy(i, j) for i, j in candidates)
+            for x, y in ((doc.grid.x_coords()[i], doc.grid.y_coords()[j]) for i, j in candidates)
         )
         assert result.peak_offset_m <= radius
 
