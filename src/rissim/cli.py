@@ -27,7 +27,7 @@ from .io_cli import (
     write_schedule_csv,
 )
 from .linkbudget import ReflectionCoefficient, RisConfig, noise_floor
-from .optimizer import ReflectionAlphabet, optimize_config, uniform_config
+from .optimizer import optimize_config, uniform_config
 from .planner import Trajectory, arc_waypoints, focus_ellipse, plan_updates, radial_waypoints
 from .sweep import SounderParams, compare_grids, emulate_measurement_grid, hpbw, sweep_power
 
@@ -57,14 +57,6 @@ def _load_doc(args) -> ScenarioDoc:
     return doc
 
 
-def _alphabet(doc: ScenarioDoc, args) -> ReflectionAlphabet:
-    """The --alphabet named on the command line, else the scenario's default."""
-    name = args.alphabet or doc.alphabet_name
-    if name not in doc.alphabets:
-        raise ValidationError(f"--alphabet: {name!r} is not one of {sorted(doc.alphabets)}")
-    return doc.alphabets[name]
-
-
 def _resolve_config(doc: ScenarioDoc, args) -> RisConfig:
     """The configuration named on the command line.
 
@@ -83,7 +75,7 @@ def _resolve_config(doc: ScenarioDoc, args) -> RisConfig:
     if getattr(args, "off_structural", False):
         off = doc.alphabets["off_structural"]
         return uniform_config(doc.scenario.layout, off.states[0], off.name)
-    alphabet = _alphabet(doc, args)
+    alphabet = doc.alphabet(args.alphabet, "--alphabet")
     target = spherical_to_cartesian(_parse_target(doc, args.target))
     return optimize_config(doc.scenario, target, alphabet)
 
@@ -159,11 +151,11 @@ def _cmd_beam(args) -> int:
 def _cmd_plan(args) -> int:
     doc = _load_doc(args)
     start = _parse_target(doc, args.start)
-    if args.motion != "radial" and args.end is None:
-        raise ValidationError(f"--motion {args.motion} requires --end")
-    unread = "--end" if args.motion == "radial" else "--distance"
+    needed, unread = ("--distance", "--end") if args.motion == "radial" else ("--end", "--distance")
     if getattr(args, unread[2:]) is not None:
         raise ValidationError(f"--motion {args.motion} does not take {unread}")
+    if getattr(args, needed[2:]) is None:
+        raise ValidationError(f"--motion {args.motion} requires {needed}")
     if args.motion == "arc":
         waypoints = arc_waypoints(start, _parse_target(doc, args.end))
     elif args.motion == "line":
@@ -172,12 +164,9 @@ def _cmd_plan(args) -> int:
             spherical_to_cartesian(_parse_target(doc, args.end)),
         )
     else:  # radial
-        if args.distance is None:
-            raise ValidationError("--motion radial requires --distance")
         waypoints = radial_waypoints(start, args.distance)
     trajectory = Trajectory(waypoints, args.speed)
-    alphabet = _alphabet(doc, args)
-    schedule = plan_updates(doc.scenario, trajectory, alphabet)
+    schedule = plan_updates(doc.scenario, trajectory, doc.alphabet(args.alphabet, "--alphabet"))
     _emit(lambda f: write_schedule_csv(schedule, f), args.out)
     mean = "nan" if schedule.mean_interval_s is None else _fmt(schedule.mean_interval_s)
     sys.stderr.write(f"events={len(schedule.events)} mean_interval_s={mean}\n")
@@ -189,11 +178,11 @@ def _cmd_compare(args) -> int:
         a = read_power_grid_csv(f)
     with open(args.grid_b) as f:
         b = read_power_grid_csv(f)
-    result = compare_grids(a, b, threshold_dbm=args.floor_dbm)
+    result = compare_grids(a, b, args.floor_dbm)
     print(f"peak_offset_m={_fmt(result.peak_offset_m)}")
     print(f"peak_delta_db={_fmt(result.peak_delta_db)}")
     print(f"rmse_db={_fmt(result.rmse_db)}")
-    print(f"threshold_dbm={_fmt(result.threshold_dbm)}")
+    print(f"threshold_dbm={_fmt(args.floor_dbm)}")
     return 0
 
 
@@ -257,18 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the sounder seed")
     p.add_argument("--no-noise", action="store_true", help="disable the noise source")
 
-    p = sub.add_parser("hpbw", help="half-power beamwidth along one axis")
-    p.add_argument("--target", required=True, metavar="T")
+    beam = argparse.ArgumentParser(add_help=False)  # the sources hpbw and ellipse share
+    beam.add_argument("--target", required=True, metavar="T")
+    beam.add_argument("--config", metavar="FILE")
+    beam.add_argument("--alphabet", metavar="NAME")
+    beam.set_defaults(func=_cmd_beam)
+    p = sub.add_parser("hpbw", parents=[beam], help="half-power beamwidth along one axis")
     p.add_argument("--axis", required=True, choices=("azimuth", "elevation"))
-    p.add_argument("--config", metavar="FILE")
-    p.add_argument("--alphabet", metavar="NAME")
-    p.set_defaults(func=_cmd_beam)
-
-    p = sub.add_parser("ellipse", help="half-power focus ellipse at a target")
-    p.add_argument("--target", required=True, metavar="T")
-    p.add_argument("--config", metavar="FILE")
-    p.add_argument("--alphabet", metavar="NAME")
-    p.set_defaults(func=_cmd_beam)
+    sub.add_parser("ellipse", parents=[beam], help="half-power focus ellipse at a target")
 
     p = sub.add_parser("plan", help="reconfiguration schedule along a trajectory")
     p.add_argument("--start", required=True, metavar="T")

@@ -103,6 +103,13 @@ class ScenarioDoc:
     targets: dict[str, SphericalCoord]
     resolved: dict
 
+    def alphabet(self, name: str | None, key: str) -> ReflectionAlphabet:
+        """The alphabet called name, else the default; key names the source in an error."""
+        name = name or self.alphabet_name
+        if name not in self.alphabets:
+            raise ValidationError(f"{key}: {name!r} is not one of {sorted(self.alphabets)}")
+        return self.alphabets[name]
+
 
 _STATE_INDEX = re.compile(r"-1|0|[1-9][0-9]*")  # canonical integers >= -1
 
@@ -270,21 +277,17 @@ def resolve_scenario(user: dict) -> ScenarioDoc:
         ACTIVE.name: ACTIVE,
         "off_structural": ReflectionAlphabet("off_structural", (off_state,)),
     }
-    alphabet_name = resolved["alphabet"]
-    if alphabet_name not in alphabets:
-        raise ValidationError(
-            f"alphabet: {alphabet_name!r} is not one of {sorted(alphabets)}"
-        )
-
-    return ScenarioDoc(
+    doc = ScenarioDoc(
         scenario=scenario,
         grid=grid,
         sounder=sounder,
         alphabets=alphabets,
-        alphabet_name=alphabet_name,
+        alphabet_name=resolved["alphabet"],
         targets={name: _coord(tgt, f"targets.{name}") for name, tgt in resolved["targets"].items()},
         resolved=resolved,
     )
+    doc.alphabet(None, "alphabet")
+    return doc
 
 
 def load_scenario(path: str | Path | None) -> ScenarioDoc:

@@ -187,6 +187,7 @@ def radial_waypoints(start: SphericalCoord, distance: float) -> tuple[Vec3, ...]
     return (p, Vec3(p.x + distance * ux, p.y + distance * uy, p.z))
 
 
+@np.errstate(over="ignore")  # an overflowing length is rejected as a trajectory time
 def _polyline(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     pts = np.array([[w.x, w.y, w.z] for w in traj.waypoints])
     seg = np.diff(pts, axis=0)

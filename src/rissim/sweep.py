@@ -152,7 +152,6 @@ class GridComparison:
     peak_offset_m: float
     peak_delta_db: float
     rmse_db: float
-    threshold_dbm: float
 
 
 def _grid_sums(scenario: Scenario, config: RisConfig, grid: GridSpec) -> np.ndarray:
@@ -488,8 +487,10 @@ def hpbw(
     return float(crossing(right[0] - 1, +1) - crossing(left[-1] + 1, -1))
 
 
-def compare_grids(a: PowerGrid, b: PowerGrid, threshold_dbm: float = -90.0) -> GridComparison:
-    """Peak offset/delta and RMSE over cells where both grids exceed a floor."""
+def compare_grids(a: PowerGrid, b: PowerGrid, threshold_dbm: float) -> GridComparison:
+    """Peak offset/delta and RMSE over cells where both grids exceed a finite floor."""
+    if not math.isfinite(threshold_dbm):
+        raise ValidationError(f"comparison floor must be finite, got {threshold_dbm} dBm")
     if a.spec != b.spec:
         raise ValidationError("grids have different specifications")
     peak_a = find_peak(a)
@@ -502,4 +503,4 @@ def compare_grids(a: PowerGrid, b: PowerGrid, threshold_dbm: float = -90.0) -> G
         rmse = float(np.sqrt(np.mean(diff * diff)))
     else:
         rmse = float("nan")
-    return GridComparison(offset, float(delta), rmse, threshold_dbm)
+    return GridComparison(offset, float(delta), rmse)

@@ -317,6 +317,20 @@ class TestScenarioLoading:
             resolve_scenario(user)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("key", ["alphabet", "--alphabet"])
+    def test_alphabet_lookup(self, key):
+        doc = resolve_scenario({})
+        assert doc.alphabet(None, key) is REFLECTIVE
+        assert doc.alphabet("", key) is REFLECTIVE
+        assert doc.alphabet("active", key) is ACTIVE
+        assert doc.alphabet("off_structural", key) is doc.alphabets["off_structural"]
+        assert resolve_scenario({"alphabet": "active"}).alphabet(None, key) is ACTIVE
+        with pytest.raises(ValidationError) as exc:
+            doc.alphabet("bogus", key)
+        assert str(exc.value) == (
+            f"{key}: 'bogus' is not one of ['active', 'off_structural', 'reflective']"
+        )
+
     def test_missing_scenario_file_exits_one(self, tmp_path, capsys):
         missing = tmp_path / "missing.yaml"
         assert cli_dispatch(["--scenario", str(missing), "layout"]) == 1
@@ -784,6 +798,8 @@ class TestCli:
              "speed must be finite and > 0"),
             (["plan", "--start", "P2", "--end", "P1", "--motion", "arc", "--speed", "1e-320"],
              "trajectory time inf s is not a finite number of steps"),
+            (["plan", "--start", "P2", "--motion", "radial", "--distance=-1e300"],
+             "trajectory time inf s is not a finite number of steps"),
             (["--scenario", "NOWHERE", "noise-floor"], "cannot read scenario file: "),
             (["--scenario", "FINE", "sweep", "--all-off"],
              "grid phasors of 600000001 x 900000001 cells x 127 elements need "
@@ -793,6 +809,7 @@ class TestCli:
              "noise-figure", "max-dbm-inf", "min-dbm-inf", "inline-target-azimuth",
              "inline-target-range", "inline-target-elevation", "layout-pitch-inf", "tiny-step",
              "tx-power-overflow", "element-size-overflow", "plan-speed-inf", "plan-speed-tiny",
+             "plan-length-overflow",
              "noise-floor-missing-scenario", "grid-too-large"],
     )
     def test_validation_error_exits_one(self, argv, message, tmp_path, capsys):
@@ -1023,8 +1040,10 @@ class TestCli:
             ("arc", ["--end", "P1", "--distance", "0.8"], "--distance"),
             ("line", ["--end", "P1", "--distance", "0.8"], "--distance"),
             ("radial", ["--end", "P1"], "--end"),
+            ("arc", ["--distance", "0.8"], "--distance"),  # the unread flag is checked first
         ],
-        ids=["radial-end", "arc-distance", "line-distance", "radial-end-only"],
+        ids=["radial-end", "arc-distance", "line-distance", "radial-end-only",
+             "arc-distance-without-end"],
     )
     def test_plan_flag_the_motion_does_not_read_rejected(self, motion, flags, unread, capsys):
         assert cli_dispatch(["plan", "--start", "P2", "--motion", motion, *flags]) == 1
@@ -1136,6 +1155,35 @@ class TestCli:
         assert "peak_offset_m=0" in lines
         assert "peak_delta_db=0" in lines
         assert rmse in lines
+
+    @pytest.mark.parametrize(
+        "floor", [["--floor-dbm", "nan"], ["--floor-dbm", "inf"], ["--floor-dbm=-inf"],
+                  ["--floor-dbm", "1e400"]],
+        ids=["nan", "inf", "minus-inf", "overflow"],
+    )
+    def test_compare_floor_that_is_not_finite_rejected(self, floor, tmp_path, capsys):
+        small = tmp_path / "small.yaml"
+        small.write_text("grid: {x_stop_m: 1.12, y_stop_m: 0.22}\n")
+        grids = [str(tmp_path / name) for name in ("sweep.csv", "emulate.csv")]
+        for command, out in zip(("sweep", "emulate"), grids):
+            argv = ["--scenario", str(small), command, "--target", "P1", "--out", out]
+            assert cli_dispatch(argv) == 0
+        capsys.readouterr()
+        assert cli_dispatch(["compare", *grids, *floor]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        value = floor[-1].rpartition("=")[2]
+        assert err == f"error: comparison floor must be finite, got {float(value)} dBm\n"
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [("hpbw", ["--target", "--config", "--alphabet", "--axis"]),
+         ("ellipse", ["--target", "--config", "--alphabet"])],
+    )
+    def test_beam_commands_share_their_sources(self, command, options, capsys):
+        assert cli_dispatch([command, "--help"]) == 0
+        listed = re.findall(r"^  (--[a-z]+)", capsys.readouterr().out, re.MULTILINE)
+        assert listed == options
 
     def test_target_coordinate_form(self, capsys):
         assert cli_dispatch(["hpbw", "--target", "1.4,10,-16", "--axis", "azimuth",

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -43,6 +43,7 @@ from rissim.io_cli import resolve_scenario
 from rissim.linkbudget import RisConfig, coherent_sums
 from rissim.optimizer import ACTIVE, REFLECTIVE, optimize_config, uniform_config
 from rissim.sweep import (
+    GridComparison,
     GridSpec,
     PowerGrid,
     SounderParams,
@@ -887,14 +888,14 @@ class TestPeakCertificate:
 
 class TestCompareGrids:
     def test_identical_grids_compare_to_zero(self, sweep_refl_p1):
-        result = compare_grids(sweep_refl_p1, sweep_refl_p1)
+        result = compare_grids(sweep_refl_p1, sweep_refl_p1, -90.0)
         assert result.peak_offset_m == 0.0
         assert result.peak_delta_db == 0.0
         assert result.rmse_db == 0.0
 
     def test_uniform_offset(self, sweep_refl_p1):
         shifted = PowerGrid(sweep_refl_p1.spec, sweep_refl_p1.values + 3.0)
-        result = compare_grids(sweep_refl_p1, shifted)
+        result = compare_grids(sweep_refl_p1, shifted, -90.0)
         assert result.peak_offset_m == 0.0
         assert result.peak_delta_db == pytest.approx(3.0, abs=1e-12)
         assert result.rmse_db == pytest.approx(3.0, abs=1e-12)
@@ -902,7 +903,7 @@ class TestCompareGrids:
     def test_simulation_versus_emulation(self, scenario, refl_p1, doc, sweep_refl_p1):
         sounder = SounderParams(rng_seed=5)
         emulated = emulate_measurement_grid(scenario, refl_p1, doc.grid, sounder)
-        result = compare_grids(sweep_refl_p1, emulated)
+        result = compare_grids(sweep_refl_p1, emulated, -90.0)
         assert abs(result.peak_delta_db) <= 1.0
         assert result.rmse_db <= 1.0
         # Noise envelope: a cell reads |sqrt(P) e^(i phi) + sqrt(N) z|^2 with
@@ -933,10 +934,22 @@ class TestCompareGrids:
         )
         assert result.peak_offset_m <= radius
 
+    def test_result_holds_no_floor_and_the_floor_has_no_default(self, sweep_refl_p1):
+        assert [f.name for f in fields(GridComparison)] == [
+            "peak_offset_m", "peak_delta_db", "rmse_db"
+        ]
+        with pytest.raises(TypeError):
+            compare_grids(sweep_refl_p1, sweep_refl_p1)
+
+    @pytest.mark.parametrize("floor", [math.nan, math.inf, -math.inf])
+    def test_floor_that_is_not_finite_rejected(self, sweep_refl_p1, floor):
+        with pytest.raises(ValidationError, match="comparison floor must be finite"):
+            compare_grids(sweep_refl_p1, sweep_refl_p1, floor)
+
     def test_spec_mismatch_rejected(self, sweep_refl_p1):
         other = GridSpec(0.0, 0.0, 0.02, 0.02, 2, 2, 0.0)
         with pytest.raises(ValidationError):
-            compare_grids(sweep_refl_p1, PowerGrid(other, np.zeros((2, 2))))
+            compare_grids(sweep_refl_p1, PowerGrid(other, np.zeros((2, 2))), -90.0)
 
 
 def test_sounder_params_validation():
