@@ -18,4 +18,4 @@ class BeamNotResolvedError(GeometryError):
 
 
 class NoPeakError(GeometryError):
-    """Grid contains no cell above the below-floor sentinel."""
+    """Grid contains no cell above the power floor: every cell is -inf."""

@@ -27,14 +27,18 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ValidationError
 from .geom import RisLayout, SphericalCoord, hex_layout, spherical_to_cartesian
-from .linkbudget import BELOW_FLOOR_DBM, AntennaPattern, ReflectionCoefficient, RisConfig, Scenario
+from .linkbudget import AntennaPattern, ReflectionCoefficient, RisConfig, Scenario
 from .optimizer import ACTIVE, REFLECTIVE, ReflectionAlphabet
 from .sweep import GridSpec, PowerGrid, SounderParams
+
+if TYPE_CHECKING:  # annotation only: io_cli writes schedules without loading the planner
+    from .planner import UpdateSchedule
 
 # Horn exponent q solving 2*(q+1) = linear gain of the 19 dBi feed.
 _BS_DEFAULT_EXPONENT = 10.0**1.9 / 2.0 - 1.0
@@ -409,8 +413,7 @@ def write_power_grid_csv(grid: PowerGrid, stream) -> None:
         f"{_fmt(s.z_plane)},{grid.label}\n"
     )
     # '%.6g' is _fmt's format: adding 0.0 turns -0.0 into 0 as _fmt does, and -inf writes as '-inf'
-    power = np.where(grid.values <= BELOW_FLOOR_DBM, -np.inf, grid.values + 0.0)
-    stream.write(_grid_template(s) % tuple(power.ravel().tolist()))
+    stream.write(_grid_template(s) % tuple((grid.values + 0.0).ravel().tolist()))
 
 
 _GRID_ROW = np.dtype([("i", np.int64), ("j", np.int64), ("power", np.float64)])
@@ -494,7 +497,7 @@ def read_power_grid_csv(stream) -> PowerGrid:
         )
     # in range, none repeated and at least nx * ny of them: exactly one row per cell
     values = np.empty((spec.nx, spec.ny))
-    values[i, j] = np.where(power == -np.inf, BELOW_FLOOR_DBM, power)
+    values[i, j] = power
     return PowerGrid(spec, values, label=fields[7])
 
 
@@ -516,13 +519,15 @@ def _check_heatmap_levels(min_dbm: float, max_dbm: float) -> None:
         raise ValidationError("heatmap needs min_dbm < max_dbm")
     if not (math.isfinite(min_dbm) and math.isfinite(max_dbm)):
         raise ValidationError("heatmap levels must be finite")
+    if not math.isfinite(max_dbm - min_dbm):
+        raise ValidationError("heatmap level span max_dbm - min_dbm must be finite")
 
 
 def export_heatmap(grid: PowerGrid, min_dbm: float, max_dbm: float, path: str | Path) -> None:
     """Write an 8-bit binary PGM, one pixel per cell.
 
     Pixel columns run along +x and rows top-down along -y (top row is the
-    largest y). Below-floor cells clamp to min_dbm (black).
+    largest y). Below-floor cells (-inf) clamp to min_dbm (black).
     """
     _check_heatmap_levels(min_dbm, max_dbm)
     norm = (np.clip(grid.values, min_dbm, max_dbm) - min_dbm) / (max_dbm - min_dbm)

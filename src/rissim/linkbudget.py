@@ -31,13 +31,9 @@ from .geom import RisLayout, Vec3, read_only
 SPEED_OF_LIGHT = 299792458.0  # m/s
 BOLTZMANN = 1.380649e-23  # J/K
 
-# Powers below this are reported as the sentinel itself, keeping grids finite.
-BELOW_FLOOR_DBM = -250.0
-_BELOW_FLOOR_MW = 10.0 ** (BELOW_FLOOR_DBM / 10.0)
-
-
-def is_below_floor(dbm: float) -> bool:
-    return dbm <= BELOW_FLOOR_DBM
+# Powers at or below -250 dBm are reported as -inf, the grid files' below-floor marker.
+BELOW_FLOOR_DBM = -math.inf
+_BELOW_FLOOR_MW = 10.0 ** (-250.0 / 10.0)
 
 
 def db_to_linear(db: float) -> float:
@@ -320,7 +316,7 @@ def _powered_rows(scenario: Scenario, rows: np.ndarray, on: np.ndarray):
 
 
 def dbm_from_sums(scenario: Scenario, sums: np.ndarray) -> np.ndarray:
-    """Received power in dBm of coherent element sums, clamped at the below-floor sentinel."""
+    """Received power in dBm of coherent element sums; -inf at or below -250 dBm."""
     with np.errstate(over="ignore"):
         p_mw = prefactor_mw(scenario) * (sums.real**2 + sums.imag**2)
     if not np.isfinite(p_mw).all():  # max is NaN if any is, else inf

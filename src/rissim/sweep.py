@@ -27,13 +27,13 @@ import numpy as np
 from .errors import BeamNotResolvedError, NoPeakError, ValidationError
 from .geom import SphericalCoord, read_only
 from .linkbudget import (
+    BELOW_FLOOR_DBM,
     RisConfig,
     Scenario,
     allocate,
     coherent_sums,
     db_to_linear,
     dbm_from_sums,
-    is_below_floor,
     noise_floor,
     prefactor_mw,
     wavelength,
@@ -81,7 +81,7 @@ class GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class PowerGrid:
-    """Received power in dBm, values[i, j] at (x_coords()[i], y_coords()[j], z_plane) of spec."""
+    """Power in dBm, -inf below the floor; values[i, j] at (x_coords()[i], y_coords()[j], z_plane)."""
 
     spec: GridSpec
     values: np.ndarray
@@ -201,7 +201,7 @@ def find_peak(grid: PowerGrid) -> Peak:
     flat = int(np.argmax(grid.values))  # C order: first max has smallest (i, j)
     i, j = divmod(flat, grid.spec.ny)
     value = float(grid.values[i, j])
-    if is_below_floor(value):
+    if value == BELOW_FLOOR_DBM:
         raise NoPeakError("no peak: every cell is below the power floor")
     return Peak(float(grid.spec.x_coords()[i]), float(grid.spec.y_coords()[j]), value, i, j)
 

@@ -405,7 +405,7 @@ def write_power_grid_csv_reference(grid: PowerGrid, stream) -> None:
     for i, row in enumerate(grid.values.tolist()):
         x = _fmt_reference(s.x0 + s.dx * i)
         lines.extend(
-            f"{i},{j},{x},{y},{'-inf' if v <= BELOW_FLOOR_DBM else _fmt_reference(v)}\n"
+            f"{i},{j},{x},{y},{_fmt_reference(v)}\n"
             for (j, y), v in zip(ys, row)
         )
     stream.write("".join(lines))

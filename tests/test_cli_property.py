@@ -7,6 +7,7 @@ import math
 import re
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -67,7 +68,15 @@ _FLAG_NUMBERS = (*_NUMBERS, math.nan, math.inf, -math.inf)
 _SPEEDS = tuple(v for v in _FLAG_NUMBERS if v >= 0.1 or not (math.isfinite(v) and v > 0.0))
 _DISTANCES = tuple(v for v in _FLAG_NUMBERS if v <= 0.1 or not math.isfinite(v))
 _GRID_A, _GRID_B, _PGM = "GRID_A", "GRID_B", "PGM"
-_HEATMAP = ["sweep", "--target", "P1", "--out", _OUT, "--pgm", _PGM]
+# Heatmap levels are drawn as a (--min-dbm, --max-dbm) pair, on a focused grid
+# and on an all-off one whose cells are all below the floor. The pair pool adds
+# levels around the grids' powers, one under -250 dBm, and -1.7e308, whose span
+# to 1.7e308 overflows.
+_HEATMAPS = (
+    ["sweep", "--target", "P1", "--out", _OUT, "--pgm", _PGM],
+    ["sweep", "--all-off", "--out", _OUT, "--pgm", _PGM],
+)
+_LEVELS = (*_FLAG_NUMBERS, -1.7e308, -300.0, -100.0, -60.0, -50.0)
 _RADIAL = ["plan", "--start", "P1", "--motion", "radial", "--out", _OUT]
 _FLAGS = (
     (["compare", _GRID_A, _GRID_B], "--floor-dbm", _FLAG_NUMBERS),
@@ -77,14 +86,18 @@ _FLAGS = (
     (["noise-floor"], "--nf-db", _FLAG_NUMBERS),
     (["layout", "--out", _OUT], "--rings", _RINGS),
     (["layout", "--out", _OUT], "--pitch-mm", _FLAG_NUMBERS),
-    (_HEATMAP, "--min-dbm", _FLAG_NUMBERS),
-    (_HEATMAP, "--max-dbm", _FLAG_NUMBERS),
     ([*_RADIAL, "--distance", "0.05"], "--speed", _SPEEDS),
     (_RADIAL, "--distance", _DISTANCES),
 )
 # --flag=value, so that argparse reads a value such as -1e+300 as a value
 _FLAG_ARGS = tuple(
-    (command, f"{flag}={value!r}") for command, flag, pool in _FLAGS for value in pool
+    (command, (f"{flag}={value!r}",)) for command, flag, pool in _FLAGS for value in pool
+)
+_LEVEL_ARGS = st.tuples(
+    st.sampled_from(_HEATMAPS),
+    st.tuples(st.sampled_from(_LEVELS), st.sampled_from(_LEVELS)).map(
+        lambda pair: (f"--min-dbm={pair[0]!r}", f"--max-dbm={pair[1]!r}")
+    ),
 )
 
 _settings = st.one_of(
@@ -124,9 +137,10 @@ def test_every_command_gives_finite_output_or_a_typed_error(keys, command, magni
         )
 
 
-def _assert_finite_or_typed_error(argv, out, *also_written, printed_nan=None):
+def _assert_finite_or_typed_error(argv, out, *also_written, printed_nan=None) -> int:
     """Run argv: exit 0 with no nan or +inf in stdout and the out file (apart
-    from matches of printed_nan), or exit 1 or 2 with an error line and no file."""
+    from matches of printed_nan), or exit 1 or 2 with an error line and no file.
+    Returns the exit code."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr):
@@ -142,6 +156,25 @@ def _assert_finite_or_typed_error(argv, out, *also_written, printed_nan=None):
     else:
         assert any(line.startswith("error: ") for line in stderr.getvalue().splitlines())
         assert not any(path.exists() for path in (out, *also_written))
+    return code
+
+
+def _assert_pixels_follow_the_grid(grid_csv: Path, pgm: Path, min_dbm: float, max_dbm: float):
+    """Each pixel is the exact rational clip-and-scale of its cell's CSV power,
+    within 1 for the CSV's 6 significant digits; a -inf cell is black."""
+    lo, hi = Fraction(min_dbm), Fraction(max_dbm)
+    lines = grid_csv.read_text().splitlines()
+    nx, ny = (int(v) for v in lines[0][2:].split(",")[4:6])
+    header = f"P5\n{nx} {ny}\n255\n".encode()
+    data = pgm.read_bytes()
+    assert data.startswith(header) and len(data) == len(header) + nx * ny
+    pixels = data[len(header):]
+    for line in lines[1:]:
+        i, j, _, _, power = line.split(",")
+        value = lo if power == "-inf" else min(max(Fraction(power), lo), hi)
+        want = round((value - lo) * 255 / (hi - lo))
+        got = pixels[(ny - 1 - int(j)) * nx + int(i)]  # top row is the largest y
+        assert abs(got - want) <= 1, (i, j, power, got, want)
 
 
 @pytest.fixture(scope="module")
@@ -155,15 +188,22 @@ def grids(tmp_path_factory):
     return {name: str(path) for name, path in paths.items()}
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(flag=st.sampled_from(_FLAG_ARGS))
-@example(flag=(_FLAGS[0][0], "--floor-dbm=nan"))
-@example(flag=(_FLAGS[0][0], "--floor-dbm=inf"))
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(flag=st.one_of(st.sampled_from(_FLAG_ARGS), _LEVEL_ARGS))
+@example(flag=(_FLAGS[0][0], ("--floor-dbm=nan",)))
+@example(flag=(_FLAGS[0][0], ("--floor-dbm=inf",)))
+@example(flag=(_HEATMAPS[0], ("--min-dbm=-1.7e+308", "--max-dbm=1.7e+308")))
+@example(flag=(_HEATMAPS[1], ("--min-dbm=-300.0", "--max-dbm=-50.0")))
 def test_every_number_flag_gives_finite_output_or_a_typed_error(grids, flag):
-    command, value = flag
+    command, values = flag
     with tempfile.TemporaryDirectory() as tmp:
         out, pgm = Path(tmp) / "out.csv", Path(tmp) / "out.pgm"
         names = {**grids, _OUT: str(out), _PGM: str(pgm)}
         printed_nan = _NO_CELL_ABOVE_FLOOR if command[0] == "compare" else None
-        argv = [*(names.get(a, a) for a in command), value]
-        _assert_finite_or_typed_error(argv, out, pgm, printed_nan=printed_nan)
+        argv = [*(names.get(a, a) for a in command), *values]
+        code = _assert_finite_or_typed_error(argv, out, pgm, printed_nan=printed_nan)
+        if code == 0 and pgm.exists():
+            levels = dict(value.split("=") for value in values)
+            _assert_pixels_follow_the_grid(
+                out, pgm, float(levels["--min-dbm"]), float(levels["--max-dbm"])
+            )

@@ -545,9 +545,19 @@ class TestGridCsvReader:
         grid = read_power_grid_csv(io.StringIO(_GRID_HEADER + "0,0,a,b,-60\n1,0,,,-61\n"))
         assert grid.values.tolist() == [[-60.0], [-61.0]]
 
-    def test_minus_inf_reads_as_floor_sentinel(self):
+    def test_minus_inf_reads_as_minus_inf(self):
+        # the reader keeps the file's below-floor marker
         grid = read_power_grid_csv(io.StringIO(_GRID_HEADER + "0,0,0,0,-inf\n1,0,0.1,0,-1e400\n"))
-        assert grid.values.tolist() == [[BELOW_FLOOR_DBM], [BELOW_FLOOR_DBM]]
+        assert grid.values.tolist() == [[-math.inf], [-math.inf]] == [[BELOW_FLOOR_DBM]] * 2
+
+    def test_finite_power_under_minus_250_dbm_round_trips(self):
+        # only -inf is the floor marker: -300 reads and writes back as -300, not as -inf
+        text = _GRID_HEADER + "0,0,0,0,-300\n1,0,0.1,0,-inf\n"
+        grid = read_power_grid_csv(io.StringIO(text))
+        assert grid.values.tolist() == [[-300.0], [-math.inf]]
+        buf = io.StringIO()
+        write_power_grid_csv(grid, buf)
+        assert buf.getvalue() == text
 
     @pytest.mark.parametrize(
         "text, message",
@@ -786,6 +796,9 @@ class TestCli:
              "heatmap levels must be finite"),
             (["sweep", "--target", "P1", "--min-dbm=-inf", "--pgm", "h.pgm"],
              "heatmap levels must be finite"),
+            (["sweep", "--target", "P1", "--out", "g.csv", "--pgm", "h.pgm",
+              "--min-dbm=-1.7e308", "--max-dbm=1.7e308"],
+             "heatmap level span max_dbm - min_dbm must be finite"),
             (["hpbw", "--target", "1.4,200,-16", "--axis", "azimuth"],
              "target '1.4,200,-16': azimuth 200.0 outside (-180, 180]"),
             (["optimize", "--target", "nan,0,-16"], "target 'nan,0,-16': range must be finite and >= 0, got nan"),
@@ -806,7 +819,7 @@ class TestCli:
              "1097280003048000002032 bytes, more than can be allocated"),
         ],
         ids=["scenario", "target", "pgm-dir", "points-compat", "arc-range", "arc-elevation",
-             "noise-figure", "max-dbm-inf", "min-dbm-inf", "inline-target-azimuth",
+             "noise-figure", "max-dbm-inf", "min-dbm-inf", "level-span-overflow", "inline-target-azimuth",
              "inline-target-range", "inline-target-elevation", "layout-pitch-inf", "tiny-step",
              "tx-power-overflow", "element-size-overflow", "plan-speed-inf", "plan-speed-tiny",
              "plan-length-overflow",
@@ -819,11 +832,13 @@ class TestCli:
         (tmp_path / "LOUD").write_text("tx_power_dbm: 4000.0\n")
         (tmp_path / "WIDE").write_text("ris: {element_width_mm: 1.0e+300, element_height_mm: 1.0e+300}\n")
         (tmp_path / "FINE").write_text("grid: {step_m: 1.0e-9}\n")  # too large before allocating
-        names = ("BAD", "ONE_ROW", "TINY_STEP", "LOUD", "WIDE", "FINE", "NOWHERE", "MISSING/h.pgm", "h.pgm")
+        names = ("BAD", "ONE_ROW", "TINY_STEP", "LOUD", "WIDE", "FINE", "NOWHERE", "MISSING/h.pgm",
+                 "h.pgm", "g.csv")
         argv = [str(tmp_path / a) if a in names else a for a in argv]
         assert cli_dispatch(argv) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {message}")
         assert not (tmp_path / "h.pgm").exists()
+        assert not (tmp_path / "g.csv").exists()
 
     @pytest.mark.parametrize(
         "levels, message",
@@ -869,16 +884,19 @@ class TestCli:
         assert cli_dispatch([str(iso) if a == "ISO" else a for a in argv]) == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {message}")
 
-    def test_sweep_all_off_writes_sentinels(self, tmp_path, capsys):
-        out = tmp_path / "grid.csv"
+    def test_sweep_all_off_writes_minus_inf_and_black_pixels(self, tmp_path, capsys):
+        out, pgm = tmp_path / "grid.csv", tmp_path / "h.pgm"
         small = tmp_path / "small.yaml"
         small.write_text("grid: {x_stop_m: 1.02, y_stop_m: 0.12}\n")
         code = cli_dispatch(
-            ["--scenario", str(small), "sweep", "--all-off", "--out", str(out)]
+            ["--scenario", str(small), "sweep", "--all-off", "--out", str(out), "--pgm", str(pgm),
+             "--min-dbm=-300", "--max-dbm=-50"]
         )
         assert code == 0
         body = out.read_text().splitlines()[1:]
         assert all(line.endswith(",-inf") for line in body)
+        # a floor cell is black for any black level, also one under -250 dBm
+        assert set(pgm.read_bytes().split(b"255\n", 1)[1]) == {0}
 
     @pytest.mark.parametrize("command", ["sweep", "emulate"])
     @pytest.mark.parametrize(
@@ -1155,6 +1173,14 @@ class TestCli:
         assert "peak_offset_m=0" in lines
         assert "peak_delta_db=0" in lines
         assert rmse in lines
+
+    def test_compare_leaves_out_a_floor_cell_under_any_finite_floor(self, tmp_path, capsys):
+        # the -inf cell is under every finite floor: only the first cell is compared
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text(_GRID_HEADER + "0,0,0,0,-60\n1,0,0.1,0,-inf\n")
+        b.write_text(_GRID_HEADER + "0,0,0,0,-60\n1,0,0.1,0,-100\n")
+        assert cli_dispatch(["compare", str(a), str(b), "--floor-dbm=-300"]) == 0
+        assert "rmse_db=0" in capsys.readouterr().out.splitlines()
 
     @pytest.mark.parametrize(
         "floor", [["--floor-dbm", "nan"], ["--floor-dbm", "inf"], ["--floor-dbm=-inf"],

@@ -40,7 +40,7 @@ from rissim.linkbudget import (
 import rissim.linkbudget
 import rissim.sweep
 from rissim.io_cli import resolve_scenario
-from rissim.linkbudget import RisConfig, coherent_sums
+from rissim.linkbudget import RisConfig, coherent_sums, dbm_from_sums
 from rissim.optimizer import ACTIVE, REFLECTIVE, optimize_config, uniform_config
 from rissim.sweep import (
     GridComparison,
@@ -88,10 +88,10 @@ class TestSweepPower:
         direct = received_power(scenario, refl_p1, pos)
         assert swept.values[0, 0] == direct  # bit-identical path
 
-    def test_all_off_grid_is_sentinel(self, scenario, doc):
+    def test_all_off_grid_is_below_floor(self, scenario, doc):
         config = uniform_config(scenario.layout, ReflectionCoefficient(0.0, 0.0), "all_off")
         grid = sweep_power(scenario, config, GridSpec(0.92, 0.02, 0.1, 0.1, 4, 4, -0.39))
-        assert np.all(grid.values == BELOW_FLOOR_DBM)
+        assert np.all(grid.values == BELOW_FLOOR_DBM) and BELOW_FLOOR_DBM == -math.inf
 
     def test_row_evaluation_matches_single_cells_bitwise(self, scenario, refl_p1, doc):
         # a sweep row is one 46-position kernel call; received_power is a
@@ -163,7 +163,7 @@ class TestAverageIrPower:
     )
     def test_tap_scaling_scales_power_quadratically(self, scale_re, scale_im, seed):
         c = complex(scale_re, scale_im)
-        assume(abs(c) > 1e-6)  # keep the scaled power above the sentinel
+        assume(abs(c) > 1e-6)  # keep the scaled power above the floor
         rng = np.random.default_rng(seed)
         records = rng.normal(size=(5, 14)) + 1j * rng.normal(size=(5, 14))
         base = average_ir_power(records, 7, 13, 10.0)
@@ -386,10 +386,16 @@ class TestFindPeak:
             # the scalar formula x0 + i dx gives the same bits
             assert (peak.x, peak.y) == (x0 + dx * peak.i, y0 + dy * peak.j)
 
-    def test_all_sentinel_raises(self):
+    def test_all_below_floor_raises(self):
         spec = GridSpec(0.5, 0.25, 0.02, 0.02, 2, 2, 0.0)
         with pytest.raises(NoPeakError):
-            find_peak(PowerGrid(spec, np.full((2, 2), BELOW_FLOOR_DBM)))
+            find_peak(PowerGrid(spec, np.full((2, 2), -math.inf)))
+
+    def test_a_finite_power_under_minus_250_dbm_is_a_peak(self):
+        # only -inf marks the floor: a grid file may hold finite powers under -250 dBm
+        spec = GridSpec(0.5, 0.25, 0.02, 0.02, 2, 2, 0.0)
+        peak = find_peak(PowerGrid(spec, np.array([[-math.inf, -300.0], [-math.inf, -math.inf]])))
+        assert (peak.i, peak.j, peak.power_dbm) == (0, 1, -300.0)
 
     def test_matches_independent_scan(self, sweep_refl_p2):
         peak = find_peak(sweep_refl_p2)
@@ -528,6 +534,21 @@ class TestHpbwMatchesFullScan:
                 for axis in ("azimuth", "elevation"):
                     got = _hpbw_or_error(hpbw, variant, config, target, axis)
                     assert got == _hpbw_or_error(hpbw_full_scan, variant, config, target, axis)
+
+    def test_crossing_next_to_a_zero_power_sample(self):
+        # a step element pattern zeroes the field past azimuth 90 deg, so a -inf sample sits
+        # next to the right crossing: it lands on the last sample at or above the level
+        doc = resolve_scenario({"ris": {"element_pattern_exponent": 0.0}})
+        target = SphericalCoord(1.4, 86.0, -16.0)
+        config = optimize_config(doc.scenario, spherical_to_cartesian(target), REFLECTIVE)
+        offsets = rissim.sweep._hpbw_window(target, "azimuth")[0]
+        positions = rissim.sweep._arc_positions(target, "azimuth", offsets)
+        powers = dbm_from_sums(doc.scenario, coherent_sums(doc.scenario, config, positions))
+        peak = int(np.argmax(powers))
+        assert np.isfinite(powers[peak]) and powers[peak + 1] == -math.inf
+        got = hpbw(doc.scenario, config, target, "azimuth")
+        assert got == hpbw_full_scan(doc.scenario, config, target, "azimuth")
+        assert f"{got:.6g}" == "20.6931"
 
     @pytest.mark.parametrize(
         "target",
