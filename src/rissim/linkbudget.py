@@ -266,6 +266,7 @@ def allocate(shape: tuple, dtype, block: tuple) -> np.ndarray:
 
 
 _block: tuple = (None, None, None)  # last block computed with all elements on: scenario, key, phasors
+_sums: tuple = (None, None, None)  # last sums applied to the kept block: phasors, Gamma bytes, sums
 
 
 def coherent_sums(scenario: Scenario, config: RisConfig, positions: np.ndarray) -> np.ndarray:
@@ -279,8 +280,15 @@ def coherent_sums(scenario: Scenario, config: RisConfig, positions: np.ndarray) 
     any configuration there. A miss with Gamma_m == 0 somewhere computes only
     the powered columns, one row at a time, and keeps nothing; the rest stay
     0, so apply_config gives the full kernel's bits, bar an exact zero's sign.
+
+    The sums of the last configuration applied to the kept block are kept as
+    well, read-only, keyed on the block's identity and the Gamma vector's
+    bytes: a repeat returns a writable copy and skips apply_config, so a
+    grid's sweep_power and emulate_measurement_grid apply each configuration
+    once. One entry of 16 bytes per position (23 KB on the default grid)
+    serves that pair; a larger one would hold configurations no caller repeats.
     """
-    global _block
+    global _block, _sums
     if len(config) != len(scenario.layout):
         raise ValidationError(
             f"configuration has {len(config)} coefficients for {len(scenario.layout)} elements"
@@ -301,9 +309,14 @@ def coherent_sums(scenario: Scenario, config: RisConfig, positions: np.ndarray) 
             for r, row in enumerate(rows):
                 block[r] = element_phasor_matrix(scenario, row)
         _block = (scenario, key, read_only(block))
+    gamma = config.as_complex_array.tobytes()
+    if _sums[0] is block and _sums[1] == gamma:
+        return _sums[2].reshape(pos.shape[:-1]).copy()
     sums = np.empty(rows.shape[:-1], dtype=complex)
     for r, phasors in enumerate(block):
         sums[r] = apply_config(phasors, config)
+    if block is _block[2]:
+        _sums = (block, gamma, read_only(sums.copy()))
     return sums.reshape(pos.shape[:-1])
 
 

@@ -3,9 +3,11 @@
 sweep_power evaluates the deterministic model on a rectangular grid: the
 grid's positions go to coherent_sums as one (nx, ny, 3) block, one kernel
 call per grid row, and the block's phasors are kept there for the next
-configuration on the same grid. emulate_measurement_grid reproduces the
-channel sounder, which averages Q impulse-response records coherently over
-the tap window [n1, n2],
+configuration on the same grid, with the sums of the last configuration
+applied to them: emulate_measurement_grid right after sweep_power with the
+same configuration reuses the sweep's sums. emulate_measurement_grid
+reproduces the channel sounder, which averages Q impulse-response records
+coherently over the tap window [n1, n2],
 
     P(x, y) = P_tx / Q * | sum_{n=n1..n2} sum_{q=1..Q} h_q[n] |^2,
 

@@ -10,7 +10,7 @@ from rissim.sweep import sweep_power
 @pytest.fixture
 def kernel_rows(monkeypatch):
     """Position counts of the element_phasor_matrix calls made through coherent_sums,
-    which starts with no block kept."""
+    which starts with no block and no sums kept."""
     kernel = rissim.linkbudget.element_phasor_matrix
     rows = []
 
@@ -20,6 +20,22 @@ def kernel_rows(monkeypatch):
 
     monkeypatch.setattr(rissim.linkbudget, "element_phasor_matrix", counting)
     monkeypatch.setattr(rissim.linkbudget, "_block", (None, None, None))
+    monkeypatch.setattr(rissim.linkbudget, "_sums", (None, None, None))
+    return rows
+
+
+@pytest.fixture
+def apply_rows(kernel_rows, monkeypatch):
+    """Position counts of the apply_config calls made through coherent_sums, which
+    starts with no block and no sums kept."""
+    apply = rissim.linkbudget.apply_config
+    rows = []
+
+    def counting(phasors, config):
+        rows.append(len(phasors))
+        return apply(phasors, config)
+
+    monkeypatch.setattr(rissim.linkbudget, "apply_config", counting)
     return rows
 
 

@@ -603,6 +603,17 @@ def _grid_csv(writer, grid) -> str:
     return buf.getvalue()
 
 
+def _assert_same_csv(grid):
+    """The writer's CSV text equals the reference's, or the failure names the first
+    differing line: pytest's diff of two whole grid files runs for minutes."""
+    got, want = _grid_csv(write_power_grid_csv, grid), _grid_csv(write_power_grid_csv_reference, grid)
+    if got != want:
+        got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        differ = (n for n, (g, w) in enumerate(zip(got, want)) if g != w)
+        n = next(differ, min(len(got), len(want)))
+        pytest.fail(f"line {n + 1} differs: {got[n:n + 1]!r} != reference {want[n:n + 1]!r}")
+
+
 def _pattern_grids(doc):
     """The sweep and the seed-7 emulated grid of each power-pattern case."""
     scenario = doc.scenario
@@ -625,7 +636,7 @@ class TestGridCsvWriterMatchesReference:
         grids = list(_pattern_grids(doc))
         assert len(grids) == 12
         for grid in grids:
-            assert _grid_csv(write_power_grid_csv, grid) == _grid_csv(write_power_grid_csv_reference, grid)
+            _assert_same_csv(grid)
 
     def test_values_across_magnitudes_and_specs(self):
         rng = np.random.default_rng(11)
@@ -641,7 +652,7 @@ class TestGridCsvWriterMatchesReference:
             values[: min(cells, len(special))] = special[:cells]
             rng.shuffle(values)
             grid = PowerGrid(spec, values.reshape(spec.nx, spec.ny), label="a,b")
-            assert _grid_csv(write_power_grid_csv, grid) == _grid_csv(write_power_grid_csv_reference, grid)
+            _assert_same_csv(grid)
 
 
 class TestHeatmap:

@@ -276,6 +276,78 @@ class TestCoherentSumsKeepsTheLastBlock:
         assert not rissim.linkbudget._block[2].flags.writeable
 
 
+def _cold_sums(scenario, config, positions):
+    """Sums from a fresh kernel call, with no kept block or sums involved."""
+    rows = positions.reshape(-1, 3)
+    return apply_config(element_phasor_matrix(scenario, rows), config).reshape(positions.shape[:-1])
+
+
+class TestCoherentSumsKeepsTheLastSums:
+    """coherent_sums keeps the sums of the last configuration applied to its kept block."""
+
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 2)], ids=["N", "R4", "2x2"])
+    def test_a_repeat_applies_nothing(self, apply_rows, scenario, refl_p1, lead):
+        rows = math.prod(lead)
+        positions = _random_positions(np.random.default_rng(13), rows * 6).reshape(*lead, 6, 3)
+        want = _cold_sums(scenario, refl_p1, positions)
+        for _ in range(3):
+            assert coherent_sums(scenario, refl_p1, positions).tobytes() == want.tobytes()
+        assert apply_rows == [6] * rows
+
+    def test_a_returned_array_is_a_writable_copy(self, apply_rows, scenario, refl_p1):
+        positions = _random_positions(np.random.default_rng(15), 16)
+        want = _cold_sums(scenario, refl_p1, positions)
+        for _ in range(3):
+            got = coherent_sums(scenario, refl_p1, positions)
+            assert got.tobytes() == want.tobytes()
+            got[:] = 0.0
+        assert not rissim.linkbudget._sums[2].flags.writeable
+        assert rissim.linkbudget._sums[0] is rissim.linkbudget._block[2]
+
+    def test_other_configuration_positions_or_scenario_miss(self, apply_rows, scenario, refl_p1):
+        positions = _random_positions(np.random.default_rng(17), 16)
+        first = next(c for c in REFLECTIVE.states if c != refl_p1.coefficients[0])
+        other = RisConfig((first,) + refl_p1.coefficients[1:], refl_p1.alphabet_name)
+        moved = positions.copy()
+        moved[7, 2] = np.nextafter(moved[7, 2], np.inf)  # one ulp
+        twin = replace(scenario)
+        cases = [
+            (scenario, refl_p1, positions),
+            (scenario, other, positions),  # one element changed
+            (scenario, refl_p1, positions),
+            (scenario, refl_p1, moved),
+            (scenario, refl_p1, positions),
+            (twin, refl_p1, positions),
+            (scenario, refl_p1, positions),
+        ]
+        for s, config, pos in cases:
+            assert coherent_sums(s, config, pos).tobytes() == _cold_sums(s, config, pos).tobytes()
+        assert apply_rows == [16] * len(cases)
+
+    def test_a_single_position_evicts_the_grid_sums(self, apply_rows, scenario, refl_p1):
+        block = _random_positions(np.random.default_rng(19), 12).reshape(2, 6, 3)
+        coherent_sums(scenario, refl_p1, block)
+        coherent_sums(scenario, refl_p1, block[0, :1])
+        assert rissim.linkbudget._sums[2].size == 1
+        got = coherent_sums(scenario, refl_p1, block)
+        assert apply_rows == [6, 6, 1, 6, 6]
+        assert got.tobytes() == _cold_sums(scenario, refl_p1, block).tobytes()
+
+    def test_powered_rows_neither_read_nor_store(self, apply_rows, scenario, refl_p1, active_p1):
+        kept = _random_positions(np.random.default_rng(21), 16)
+        elsewhere = _random_positions(np.random.default_rng(23), 8)
+        coherent_sums(scenario, active_p1, elsewhere)
+        assert rissim.linkbudget._sums == (None, None, None)
+        coherent_sums(scenario, refl_p1, kept)
+        entry = rissim.linkbudget._sums
+        for _ in range(2):
+            got = coherent_sums(scenario, active_p1, elsewhere)
+            assert got.tobytes() == _cold_sums(scenario, active_p1, elsewhere).tobytes()
+        assert rissim.linkbudget._sums is entry
+        coherent_sums(scenario, refl_p1, kept)
+        assert apply_rows == [8, 16, 8, 8]
+
+
 class TestCoherentSumsOfRowBlocks:
     """Positions of shape (..., N, 3) are rows of N: one kernel call and one apply per row."""
 

@@ -262,6 +262,18 @@ class TestGridPhasorCache:
         emulate_measurement_grid(scenario, active_p2, grid, SounderParams(rng_seed=3))
         assert kernel_rows == []
 
+    def test_sweep_then_emulate_applies_each_configuration_once(
+        self, apply_rows, scenario, refl_p1, active_p2
+    ):
+        grid = GridSpec(0.92, 0.02, 0.1, 0.1, 6, 9, -0.39)
+        for config in (refl_p1, active_p2):
+            apply_rows.clear()
+            swept = sweep_power(scenario, config, grid)
+            quiet = emulate_measurement_grid(scenario, config, grid, SounderParams(noise_enabled=False))
+            emulate_measurement_grid(scenario, config, grid, SounderParams(rng_seed=3))
+            assert apply_rows == [grid.ny] * grid.nx
+            assert quiet.values.tobytes() == swept.values.tobytes()
+
     def test_cached_phasors_are_read_only(self, kernel_rows, scenario, refl_p1, doc):
         sweep_power(scenario, refl_p1, doc.grid)
         phasors = rissim.linkbudget._block[2]
