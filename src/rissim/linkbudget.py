@@ -33,7 +33,7 @@ BOLTZMANN = 1.380649e-23  # J/K
 
 # Powers at or below -250 dBm are reported as -inf, the grid files' below-floor marker.
 BELOW_FLOOR_DBM = -math.inf
-_BELOW_FLOOR_MW = 10.0 ** (-250.0 / 10.0)
+BELOW_FLOOR_MW = 10.0 ** (-250.0 / 10.0)
 
 
 def db_to_linear(db: float) -> float:
@@ -336,7 +336,7 @@ def dbm_from_sums(scenario: Scenario, sums: np.ndarray) -> np.ndarray:
         raise GeometryError(f"received power {p_mw.max()} mW: a distance or magnitude overflows")
     with np.errstate(divide="ignore"):
         dbm = 10.0 * np.log10(p_mw)
-    return np.where(p_mw <= _BELOW_FLOOR_MW, BELOW_FLOOR_DBM, dbm)
+    return np.where(p_mw <= BELOW_FLOOR_MW, BELOW_FLOOR_DBM, dbm)
 
 
 def received_power(scenario: Scenario, config: RisConfig, ue_position: Vec3) -> float:

@@ -30,6 +30,7 @@ from .errors import BeamNotResolvedError, NoPeakError, ValidationError
 from .geom import SphericalCoord, read_only
 from .linkbudget import (
     BELOW_FLOOR_DBM,
+    BELOW_FLOOR_MW,
     RisConfig,
     Scenario,
     allocate,
@@ -253,22 +254,25 @@ def _window_arrays(lo: int, hi: int) -> tuple[np.ndarray, ...]:
     return offsets, *map(read_only, arrays)
 
 
-def _taper_bounds(exponent: float, lo: np.ndarray, hi: np.ndarray):
-    """Sup of phi(c) = c**exponent over c in [lo, hi] and sup of |dphi/dc|.
+def _taper_bounds(exponent: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(3, J) sups of phi(c) = c**exponent, |dphi/dc| and |d2phi/dc2| over c in [lo, hi].
 
-    phi is 0 for c <= 0. The slope is inf where phi has no Lipschitz bound:
-    a step (exponent 0) or an infinite derivative (0 < exponent < 1) at a
-    c = 0 inside [lo, hi].
+    phi is 0 for c <= 0. |phi^(n)| = |p (p - 1) ...| c**(p - n) for p = exponent
+    is largest at the top of the range where p >= n and at its bottom elsewhere.
+    Where p < n and the range reaches c = 0 it is inf: phi^(n - 1) has a step
+    there (exponent 0 for n = 1, exponent 1 for n = 2) or an infinite slope.
     """
     hi = np.minimum(hi, 1.0)
-    lit = hi > 0.0  # elsewhere phi is 0 on the whole range
-    top = np.where(lit, hi, 1.0)
-    if exponent >= 1.0:
-        slope = exponent * top ** (exponent - 1.0)
-    else:
-        bottom = np.where(lo > 0.0, lo, 1.0)
-        slope = np.where(lo > 0.0, exponent * bottom ** (exponent - 1.0), np.inf)
-    return np.where(lit, top**exponent, 0.0), np.where(lit, slope, 0.0)
+    lit, inside = hi > 0.0, lo > 0.0  # where not lit, phi is 0 on the whole range
+    top, bottom = np.where(lit, hi, 1.0), np.where(inside, lo, 1.0)
+    sups, scale = [top**exponent], 1.0
+    for n in (1.0, 2.0):
+        scale *= abs(exponent - n + 1.0)
+        if exponent >= n:
+            sups.append(scale * top ** (exponent - n))
+        else:
+            sups.append(np.where(inside, scale * bottom ** (exponent - n), np.inf))
+    return np.where(lit, sups, 0.0)
 
 
 def _interval_bounds(
@@ -279,15 +283,15 @@ def _interval_bounds(
     widths: np.ndarray,
     ends: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per arc interval: a bound on |dS/dtheta| (per radian) and on sum_m |Gamma_m| A_m.
+    """Per arc interval: bounds on |d2S/dtheta2| (per radian squared) and on sum_m |Gamma_m| A_m.
 
     widths holds the J interval widths in radians and ends the (J + 1, 3)
     arc positions bounding them. The derivation, with the path length's
-    slope taken about the cut's rotation axis, is in hpbw's docstring.
+    derivatives taken about the cut's rotation axis, is in hpbw's docstring.
     """
     weight = np.abs(config.as_complex_array) * scenario.bs_side[1]  # |Gamma_m| c_m
     on = weight > 0.0
-    if not on.any():  # nothing reflects: |S| is 0 everywhere
+    if not on.any():  # nothing reflects: S is 0 everywhere
         return np.zeros(len(widths)), np.zeros(len(widths))
     w, u = weight[on], scenario.layout.positions[on]
     u_norm = np.sqrt(np.sum(u * u, axis=-1))
@@ -302,19 +306,31 @@ def _interval_bounds(
         lo, hi = b - v.max() - reach, b - v.min() + reach
         return lo / np.where(lo > 0.0, d_max, d_min), hi / np.where(hi > 0.0, d_min, d_max)
 
-    taper, d_taper = _taper_bounds(scenario.element_pattern.exponent / 2.0, *cosine_range(0, 1.0))
+    taper, d_taper, dd_taper = _taper_bounds(
+        scenario.element_pattern.exponent / 2.0, *cosine_range(0, 1.0)
+    )
     if scenario.ue_pattern.exponent > 0.0:  # else the UE taper is identically 1
-        f_ue, df_ue = _taper_bounds(scenario.ue_pattern.exponent / 2.0, *cosine_range(2, -1.0))
+        f, df, ddf = _taper_bounds(scenario.ue_pattern.exponent / 2.0, *cosine_range(2, -1.0))
         with np.errstate(invalid="ignore"):  # 0 * inf where a taper is identically 0
-            d_taper = d_taper * f_ue + taper * df_ue
-        taper = taper * f_ue
-    # every element's taper is within (taper, d_taper), so only the element sums remain
-    k = 2.0 * math.pi / wavelength(scenario)
-    alpha = (w * (k / near**2 + 1.0 / near**3)) @ _across_axis(u, axis, target.azimuth_deg)
+            dd_taper = dd_taper * f + 2.0 * d_taper * df + taper * ddf
+            d_taper = d_taper * f + taper * df
+        taper = taper * f
+    d_taper, dd_taper = (np.where(taper > 0.0, d, 0.0) for d in (d_taper, dd_taper))
+    # every element's taper is within (taper, d_taper, dd_taper), so only the element sums
+    # remain: M2 = H (B^T Q B + g0) + H1 (v B . q + g1) + H2 g2
+    k, inv = 2.0 * math.pi / wavelength(scenario), 1.0 / near
+    kd, w1 = k + inv, w * inv
+    w2 = w1 * inv
+    w3 = w2 * inv
+    cross = _across_axis(u, axis, target.azimuth_deg)
+    form = (cross.T * (w3 * (k * k + 3.0 * inv * kd))) @ cross  # Q
+    lin = (2.0 * w3 * kd) @ cross  # q
+    s3 = w3.sum()
+    g0, g1, g2 = speed * (w2 @ (u_norm * kd)), speed * (w2.sum() + 3.0 * speed * s3), speed**2 * s3
     b_sup = 0.5 * (np.abs(ends[:-1]) + np.abs(ends[1:])) + reach[:, None]
-    beta = w * speed / near**2
-    slope = taper * (b_sup @ alpha) + np.where(taper > 0.0, d_taper, 0.0) * beta.sum()
-    return slope, taper * (w / near).sum()
+    curve = taper * (((b_sup @ form) * b_sup).sum(axis=1) + g0)
+    curve += d_taper * (speed * (b_sup @ lin) + g1) + dd_taper * g2
+    return curve, taper * w1.sum()
 
 
 def _across_axis(u: np.ndarray, axis: str, azimuth_deg: float) -> np.ndarray:
@@ -354,28 +370,40 @@ def hpbw(
     1. Coarse pass: the samples at multiples of 1 degree within +/-6 degrees
        of the target, at multiples of 3 degrees beyond, plus the first and
        the last sample (_hpbw_window).
-    2. Certified peak search and crossing fill, in one kernel round: on a
-       coarse interval [a, b], |S| of S(theta) = sum_m Gamma_m g_m is
-       Lipschitz with a constant L, so at every sample t inside it
-       |S(t)| <= min(|S(a)| + L (t - a), |S(b)| + L (b - t)). Every sample
-       whose bound reaches the best coarse amplitude is evaluated: the
-       threshold (see Rounding below) only rises with the best amplitude, so
-       a sample that misses it here misses it for the final maximum too. No
-       skipped sample can then equal or beat the maximum, so the
-       first-maximum rule picks the full scan's. The same round evaluates
-       every sample between the samples nearest the coarse peak on each side
-       that lie below its -3 dB level (the window edge if there is none):
-       coarse samples below it, or samples whose bound is under the level's
-       amplitude by more than the rounding allowance.
-    3. Exact crossings: every sample from the peak out to the nearest
-       evaluated sample below the -3 dB reference on each side (the window
-       edge if there is none) is evaluated. The peak's level is at least the
-       coarse peak's, so this evaluates nothing new unless a hit sample
-       outside the fill of step 2 is higher. It reads evaluated powers only,
-       so the fill of step 2 decides how many samples and rounds are
-       evaluated, never a bit of the result. Each crossing lies between the
-       last sample below the reference before the peak (first after it) and
-       its neighbour toward the peak.
+    2. Certified peak search and crossing fill, in one kernel round. On a
+       coarse interval [a, b] let p(t) interpolate the coarse sums S(a) and
+       S(b) of S(theta) = sum_m Gamma_m g_m linearly. With M2 >= |S''| on
+       the interval, |S(t) - p(t)| <= (t - a)(b - t) M2 / 2 at every sample
+       t inside it, so |p(t)| plus or minus that term bounds |S(t)| from
+       above and below. The round evaluates
+       - the peak candidates: every sample whose upper bound reaches the
+         best coarse amplitude A*. The threshold (see Rounding below) only
+         rises with the best amplitude, so a sample that misses it here
+         misses it for the final maximum too. No skipped sample can then
+         equal or beat the maximum, so the first-maximum rule picks the
+         full scan's;
+       - on each side of the coarse peak, every sample out to the first one
+         below its -3 dB level (the window edge if there is none): a coarse
+         sample below it, or a sample certified below it, its upper bound
+         under 10^(-3/20) A*. The final peak is at least A*, so a sample
+         certified below stays below the final level. Samples certified at
+         or above the level are skipped: their lower bound reaches both
+         10^(-3/20) times the largest upper bound among the candidates,
+         which bounds the final peak, and the amplitude at the power
+         floor, so that none of them can read -inf;
+       - the neighbour toward the peak of each sample in the fill that is
+         not certified at or above the level, evaluated or not, so that
+         whichever of them turns out to be the crossing sample has its
+         neighbour evaluated, a dip below the level inside the lobe too.
+    3. Exact crossings: the same selection around the evaluated peak, which
+       is now the full scan's, and its -3 dB level. It evaluates a third
+       round only where the peak moved off the coarse peak to where it needs
+       samples step 2 skipped, such as a higher lobe outside the fill. Then,
+       on each side, every sample between the peak and the nearest
+       evaluated sample below the level is evaluated at or above the level
+       or certified so, and that sample (the window edge if there is none)
+       and its neighbour toward the peak are evaluated. Each crossing lies
+       between the two.
 
     The arrays that depend only on the window are shared: the offsets, the
     coarse samples and, per fine sample, its coarse interval, the interval's
@@ -385,96 +413,123 @@ def hpbw(
     round evaluates only, and the peak and the samples below its -3 dB level
     are looked up among the evaluated samples only.
 
-    The bound L. Write g_m = c_m h_m / d2 exp(-j k (d1 + d2)) with c_m the
-    base-station side amplitude, d2 = |b - u_m|, k = 2 pi / lambda and
-    h_m = cos_out^(q_el / 2) cos_ue^(q_ue / 2) the user-side pattern taper.
-    The arc turns b about a unit axis n through the origin: n = z on azimuth
-    cuts and n = (-sin az, cos az, 0) on elevation cuts. So |b| = r,
-    b' = +/-(n x b) with |b'| = v (r cos(el) on azimuth cuts, r on elevation
-    cuts), b . b' = 0 and u_m . b' = +/-(u_m x n) . b. With D_m = r - |u_m|
-    <= d2,
+    The interpolation error: S(t) - p(t) = -int G(t, s) S''(s) ds over the
+    interval with G >= 0 and int G ds = (t - a)(b - t) / 2, which holds for a
+    complex S whose derivative is absolutely continuous, so no derivative is
+    ever evaluated.
 
-        |d2'| = |u_m . b'| / d2 <= sum_i |(u_m x n)_i| B_i / D_m,
-        |dS/dtheta| <= sum_m |Gamma_m| (k A_m |d2'| + |A_m'|),
-        A_m <= c_m h_hi / D_m,
-        |A_m'| <= c_m (|h_m'| / D_m + h_hi |d2'| / D_m^2),
+    The bound M2. Write g_m = c_m A_m exp(-j k (d1 + d2)) with c_m the
+    base-station side amplitude, A_m = h_m / d2, d2 = |b - u_m|, k = 2 pi /
+    lambda and h_m = cos_out^(q_el / 2) cos_ue^(q_ue / 2) the user-side
+    pattern taper. Then
+
+        |g_m''| <= c_m (|A_m''| + 2 k |A_m'| |d2'| + k A_m |d2''| + k^2 A_m d2'^2).
+
+    The arc turns b about a unit axis n through the origin: n = z on azimuth
+    cuts and n = (-sin az, cos az, 0) on elevation cuts. So |b| = r, b' =
+    +/-(n x b) with |b'| = v (r cos(el) on azimuth cuts, r on elevation
+    cuts), b'' = -b_perp, the part of b across n, with |b_perp| = v, b . b'
+    = 0 and u_m . b' = +/-(u_m x n) . b. With D_m = r - |u_m| <= d2,
+
+        |d2'| = |u_m . b'| / d2 <= X_m / D_m,  X_m = sum_i |(u_m x n)_i| B_i,
+        |d2''| = |u_m . b_perp - d2'^2| / d2 <= (|u_m| v + d2'^2) / D_m,
 
     where B_i >= |b_i| over the interval: each |b_i| moves at most v per
     radian, so B_i = (|b_i(a)| + |b_i(b)|) / 2 + v w / 2. Only the part of
-    u_m across the rotation axis moves the path length, which makes this L
-    about 0.5-0.7 of the bound |u_m| v / D_m on the default surface.
+    u_m across the rotation axis moves the path length. A cosine
+    (b - u_m) . e / d2 moves at most v / D_m per radian, and its second
+    derivative is at most v / D_m + 3 v^2 / D_m^2. So with H >= h_m and
+    H1, H2 the product rule's bounds on the first and second derivatives of
+    h with respect to the cosines, |h_m'| <= H1 v / D_m and |h_m''| <=
+    H2 v^2 / D_m^2 + H1 (v / D_m + 3 v^2 / D_m^2). Expanding A_m' and A_m''
+    and collecting terms, with w_m = |Gamma_m| c_m and x_m = |u_m x n|,
+
+        M2 = H (B^T Q B + g0) + H1 (v B . q + g1) + H2 g2,
+        Q = sum_m w_m (k^2 + 3 k / D_m + 3 / D_m^2) / D_m^3 x_m x_m^T,
+        q = sum_m 2 w_m (k + 1 / D_m) / D_m^3 x_m,
+        g0 = v sum_m w_m |u_m| (k + 1 / D_m) / D_m^2,
+        g1 = v sum_m w_m (1 + 3 v / D_m) / D_m^2,  g2 = v^2 sum_m w_m / D_m^3.
+
+    The k^2 term dominates. On the cuts through P1 and P2 of the default
+    scenario M2 is 1.3-2.6 times the sampled sum_m |Gamma_m| |g_m''| over the
+    same interval (median 1.5).
 
     The taper is bounded once per interval from the surface's extremes over
     the elements with Gamma_m c_m != 0. The cosine numerators (b_x - u_x and
     u_z - b_z) move at most v per radian, so their range on the interval
     follows from the min and max of u_x and u_z, and every d2 lies in
     [r - max |u_m|, r + max |u_m|]. That bounds every element's cosines and
-    gives one H >= h_hi and one H' >= |dh/dc| for all m, through |d(c^p)/dc|
-    <= p c_hi^(p - 1) for p >= 1 and p c_lo^(p - 1) for 0 < p < 1. The cosines
-    move at most v / D_m per radian, so the sums above need only the three
-    per-coordinate sums over m of |Gamma_m| c_m |(u_m x n)_i| (k / D_m^2 +
-    1 / D_m^3), plus those of |Gamma_m| c_m v / D_m^2 and |Gamma_m| c_m / D_m:
-    O(J + M) work for J intervals and M elements. There is no bound, and the
+    gives one H, H1 and H2 for all m (_taper_bounds). The 3 x 3 form Q, the
+    vector q and g0, g1, g2 are sums over the elements, so the bound costs
+    O(J + M) for J intervals and M elements. There is no bound, and the
     interval is always evaluated, where r <= max |u_m| or where a cosine may
-    reach 0 inside the interval under a factor with a step (element exponent
-    0) or an infinite slope (0 < p < 1).
+    reach 0 inside the interval under a factor c^p with p < 2 whose first or
+    second derivative is unbounded or jumps there.
 
-    Rounding: a sample reaches the best amplitude A* when its bound is
+    Rounding: a sample reaches the best amplitude A* when its upper bound is
     >= A* - 1e-9 (A* + sum_m |Gamma_m| A_m), the incoherent sum bounded over
-    its interval, and is under the -3 dB level's amplitude when its bound is
-    below that amplitude less the same allowance. Kernel rounding moves an
-    amplitude by orders of magnitude less than 1e-9 of that incoherent sum,
-    and an amplitude below (1 - 1e-9) A* is strictly below A* in dBm. When
-    A* is at the power floor every evaluated sample ties and the first
-    sample, always evaluated, wins as in a full scan.
+    its interval; it is certified below the -3 dB level when its upper bound
+    is under 10^(-3/20) A* less the same allowance and at or above it when
+    its lower bound exceeds the reference of step 2 by the allowance.
+    Kernel and interpolation rounding move an amplitude by orders of
+    magnitude less than 1e-9 of that incoherent sum, and an amplitude below
+    (1 - 1e-9) A* is strictly below A* in dBm. When A* is at the power
+    floor every evaluated sample ties and the first sample, always
+    evaluated, wins as in a full scan; no sample is then below the level.
     """
     if axis not in ("azimuth", "elevation"):
         raise ValidationError(f"axis must be 'azimuth' or 'elevation', got {axis!r}")
     offsets, coarse, widths, j, a, b, since, until = _hpbw_window(target, axis)
-    n = len(offsets)
+    n, level = len(offsets), 10.0 ** (-_HALF_POWER_DB / 20.0)
     powers = np.full(n, np.nan)  # NaN marks a sample not evaluated
-    amps = np.full(n, np.nan)
+    sums = np.zeros(n, dtype=complex)
 
     def evaluate(idx: np.ndarray) -> np.ndarray | None:
         """Evaluate the samples in idx not evaluated yet; their positions, None if none."""
         idx = idx[np.isnan(powers[idx])]
         if idx.size:
             positions = _arc_positions(target, axis, offsets[idx])
-            sums = coherent_sums(scenario, config, positions)
-            powers[idx] = dbm_from_sums(scenario, sums)
-            amps[idx] = np.abs(sums)
+            sums[idx] = coherent_sums(scenario, config, positions)
+            powers[idx] = dbm_from_sums(scenario, sums[idx])
             return positions
 
-    def fill(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Every sample from the last in left to the first in right (the window's ends if none)."""
-        return np.arange(left.max(initial=0), right.min(initial=n - 1) + 1)
-
-    def crossings() -> tuple[float, np.ndarray, np.ndarray]:
-        """The evaluated peak's -3 dB level and the evaluated samples below it on each side."""
+    def crossings(certified: np.ndarray | bool) -> tuple[int, float, np.ndarray, np.ndarray]:
+        """The evaluated peak, its -3 dB level and the samples below it on each side:
+        evaluated, or where certified is True."""
         done = np.flatnonzero(~np.isnan(powers))
         k = done[np.argmax(powers[done])]
         ref = powers[k] - _HALF_POWER_DB
-        below = done[powers[done] < ref]
-        return ref, below[below < k], below[below > k]
+        below = np.flatnonzero((powers < ref) | certified)
+        return k, ref, below[below < k], below[below > k]
+
+    def needed() -> np.ndarray:
+        """Mask of the samples the evaluated peak's crossings need (steps 2-3), evaluated or not."""
+        k, _, left, right = crossings(under)
+        lo, hi = left.max(initial=0), right.min(initial=n - 1)
+        gaps = np.zeros(n, dtype=bool)
+        gaps[lo:hi + 1] = ~above[lo:hi + 1]
+        gaps[lo + 1:k + 1] |= gaps[lo:k]  # and each one's neighbour toward the peak
+        gaps[k:hi] |= gaps[k + 1:hi + 1]
+        return gaps
 
     # 1. coarse pass
     ends = evaluate(coarse)
     # 2. certified peak search, with the coarse peak's crossings filled in the same round
-    slope, incoherent = _interval_bounds(scenario, config, target, axis, widths, ends)
-    lip = slope[j]
+    curve, incoherent = _interval_bounds(scenario, config, target, axis, widths, ends)
     with np.errstate(invalid="ignore"):  # inf * 0 at an end of an interval with no bound
-        top = np.minimum(amps[a] + lip * since, amps[b] + lip * until)
-    k, best = coarse[np.argmax(powers[coarse])], amps[coarse].max()
-    slack = _CERTIFICATE_RTOL * (best + incoherent)  # per interval
-    want = top >= (best - slack)[j]  # NaN compares False
-    under = top < (best * 10.0 ** (-_HALF_POWER_DB / 20.0) - slack)[j]
-    below = np.flatnonzero((powers < powers[k] - _HALF_POWER_DB) | under)
-    want[fill(below[below < k], below[below > k])] = True
-    evaluate(np.flatnonzero(want))
-    # 3. exact crossings: a third round only if a hit sample held a new peak outside the fill
-    ref, left, right = crossings()
-    if evaluate(fill(left, right)) is not None:
-        ref, left, right = crossings()
+        mid = np.abs(sums[a] * until + sums[b] * since) / widths[j]
+        err = 0.5 * since * until * curve[j]
+    upper, lower = mid + err, mid - err
+    best = np.abs(sums[coarse]).max()
+    slack = (_CERTIFICATE_RTOL * (best + incoherent))[j]  # per interval
+    want = upper >= best - slack  # NaN compares False
+    floor = math.sqrt(BELOW_FLOOR_MW / prefactor_mw(scenario))  # the amplitude at the power floor
+    above = lower >= max(level * upper[want].max(initial=best), floor) + slack
+    under = upper < level * best - slack
+    evaluate(np.flatnonzero(want | needed()))
+    # 3. exact crossings: a third round only if the final peak needs samples the fill skipped
+    evaluate(np.flatnonzero(needed()))
+    _, ref, left, right = crossings(False)
     if not (left.size and right.size):
         raise BeamNotResolvedError(
             f"beam not resolved: no -3 dB crossing within +/-{_HPBW_WINDOW_DEG} deg "

@@ -86,6 +86,19 @@ class TestAlphabets:
         with pytest.raises(ValidationError):
             REFLECTIVE.index_of(ReflectionCoefficient(0.4, 165.0))
 
+    @pytest.mark.parametrize("alphabet", [REFLECTIVE, ACTIVE], ids=lambda a: a.name)
+    def test_index_of_own_states_and_equal_copies(self, alphabet):
+        # the alphabet's own objects resolve by identity, an equal but distinct one by equality
+        for k, state in enumerate(alphabet.states):
+            copy = ReflectionCoefficient(state.magnitude, state.phase_deg)
+            assert copy is not state and copy == state
+            assert alphabet.index_of(state) == alphabet.index_of(copy) == k
+
+    def test_index_of_a_non_member_names_it_and_the_alphabet(self):
+        with pytest.raises(ValidationError) as err:
+            ACTIVE.index_of(REFLECTIVE.states[0])
+        assert str(err.value) == "(0.3, -15.0 deg) is not a state of alphabet 'active'"
+
 
 class TestUniformConfig:
     def test_all_identical(self, scenario):
