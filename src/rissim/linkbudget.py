@@ -33,7 +33,7 @@ BOLTZMANN = 1.380649e-23  # J/K
 
 # Powers at or below -250 dBm are reported as -inf, the grid files' below-floor marker.
 BELOW_FLOOR_DBM = -math.inf
-BELOW_FLOOR_MW = 10.0 ** (-250.0 / 10.0)
+_BELOW_FLOOR_MW = 10.0 ** (-250.0 / 10.0)
 
 
 def db_to_linear(db: float) -> float:
@@ -186,6 +186,11 @@ def prefactor_mw(scenario: Scenario) -> float:
     )
 
 
+def floor_amplitude(scenario: Scenario) -> float:
+    """The coherent sum's amplitude |S| at the power floor, where dbm_from_sums reads -inf."""
+    return math.sqrt(_BELOW_FLOOR_MW / prefactor_mw(scenario))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # checked in dbm_from_sums and optimize_config
 def element_phasor_matrix(
     scenario: Scenario, positions: np.ndarray, elements: np.ndarray | None = None
@@ -336,7 +341,7 @@ def dbm_from_sums(scenario: Scenario, sums: np.ndarray) -> np.ndarray:
         raise GeometryError(f"received power {p_mw.max()} mW: a distance or magnitude overflows")
     with np.errstate(divide="ignore"):
         dbm = 10.0 * np.log10(p_mw)
-    return np.where(p_mw <= BELOW_FLOOR_MW, BELOW_FLOOR_DBM, dbm)
+    return np.where(p_mw <= _BELOW_FLOOR_MW, BELOW_FLOOR_DBM, dbm)
 
 
 def received_power(scenario: Scenario, config: RisConfig, ue_position: Vec3) -> float:

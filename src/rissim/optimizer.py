@@ -42,11 +42,6 @@ class ReflectionAlphabet:
             raise ValidationError("alphabet states must be distinct")
 
     def index_of(self, coeff: ReflectionCoefficient) -> int:
-        """Index of the state equal to coeff: one of the alphabet's own state objects is
-        looked up by identity, any other coefficient by equality."""
-        index = self._index_by_id.get(id(coeff))
-        if index is not None:
-            return index
         try:
             return self.states.index(coeff)
         except ValueError:
@@ -54,11 +49,6 @@ class ReflectionAlphabet:
                 f"({coeff.magnitude}, {coeff.phase_deg} deg) is not a state of alphabet "
                 f"{self.name!r}"
             ) from None
-
-    @cached_property
-    def _index_by_id(self) -> dict[int, int]:
-        """The index of each state object by id, built once; the alphabet keeps them alive."""
-        return {id(state): k for k, state in enumerate(self.states)}
 
     @cached_property
     def values(self) -> np.ndarray:

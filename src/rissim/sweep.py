@@ -30,13 +30,13 @@ from .errors import BeamNotResolvedError, NoPeakError, ValidationError
 from .geom import SphericalCoord, read_only
 from .linkbudget import (
     BELOW_FLOOR_DBM,
-    BELOW_FLOOR_MW,
     RisConfig,
     Scenario,
     allocate,
     coherent_sums,
     db_to_linear,
     dbm_from_sums,
+    floor_amplitude,
     noise_floor,
     prefactor_mw,
     wavelength,
@@ -523,8 +523,7 @@ def hpbw(
     best = np.abs(sums[coarse]).max()
     slack = (_CERTIFICATE_RTOL * (best + incoherent))[j]  # per interval
     want = upper >= best - slack  # NaN compares False
-    floor = math.sqrt(BELOW_FLOOR_MW / prefactor_mw(scenario))  # the amplitude at the power floor
-    above = lower >= max(level * upper[want].max(initial=best), floor) + slack
+    above = lower >= max(level * upper[want].max(initial=best), floor_amplitude(scenario)) + slack
     under = upper < level * best - slack
     evaluate(np.flatnonzero(want | needed()))
     # 3. exact crossings: a third round only if the final peak needs samples the fill skipped

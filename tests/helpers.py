@@ -30,8 +30,8 @@ from rissim.geom import (
 )
 from rissim.io_cli import load_scenario
 from rissim.linkbudget import (
+    _BELOW_FLOOR_MW,
     BELOW_FLOOR_DBM,
-    BELOW_FLOOR_MW,
     AntennaPattern,
     ReflectionCoefficient,
     RisConfig,
@@ -281,7 +281,7 @@ def average_ir_power(
     q = records.shape[0]
     s = np.sum(records[:, n1 : n2 + 1])
     p_mw = db_to_linear(tx_power_dbm) / q * float(s.real * s.real + s.imag * s.imag)
-    if p_mw <= BELOW_FLOOR_MW:
+    if p_mw <= _BELOW_FLOOR_MW:
         return BELOW_FLOOR_DBM
     return float(10.0 * np.log10(p_mw))
 

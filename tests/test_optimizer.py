@@ -88,7 +88,7 @@ class TestAlphabets:
 
     @pytest.mark.parametrize("alphabet", [REFLECTIVE, ACTIVE], ids=lambda a: a.name)
     def test_index_of_own_states_and_equal_copies(self, alphabet):
-        # the alphabet's own objects resolve by identity, an equal but distinct one by equality
+        # the alphabet's own objects and equal but distinct copies resolve to the same index
         for k, state in enumerate(alphabet.states):
             copy = ReflectionCoefficient(state.magnitude, state.phase_deg)
             assert copy is not state and copy == state
