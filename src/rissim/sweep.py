@@ -210,16 +210,16 @@ def find_peak(grid: PowerGrid) -> Peak:
 
 
 def _arc_positions(target: SphericalCoord, axis: str, offsets_deg: np.ndarray) -> np.ndarray:
-    az = np.full_like(offsets_deg, target.azimuth_deg)
-    el = np.full_like(offsets_deg, target.elevation_deg)
-    if axis == "azimuth":
-        az = az + offsets_deg
-    else:
-        el = el + offsets_deg
-    az_r, el_r = np.radians(az), np.radians(el)
-    return target.r * np.stack(
-        [np.cos(el_r) * np.cos(az_r), np.cos(el_r) * np.sin(az_r), np.sin(el_r)], axis=-1
-    )
+    angles = np.empty((2, len(offsets_deg)))  # azimuth and elevation in degrees
+    angles[0], angles[1] = target.azimuth_deg, target.elevation_deg
+    angles[0 if axis == "azimuth" else 1] += offsets_deg
+    az_r, el_r = np.radians(angles)
+    cos_el, positions = np.cos(el_r), np.empty((len(offsets_deg), 3))
+    np.multiply(cos_el, np.cos(az_r), out=positions[:, 0])
+    np.multiply(cos_el, np.sin(az_r), out=positions[:, 1])
+    positions[:, 2] = np.sin(el_r)
+    positions *= target.r
+    return positions
 
 
 def _hpbw_window(target: SphericalCoord, axis: str) -> tuple[np.ndarray, ...]:
@@ -234,7 +234,7 @@ def _hpbw_window(target: SphericalCoord, axis: str) -> tuple[np.ndarray, ...]:
     in radians. They depend only on where elevation clips the window, so
     every cut on the same window shares them.
     """
-    if axis == "azimuth":
+    if axis == "azimuth" or abs(target.elevation_deg) <= _HPBW_WINDOW_DEG:  # offsets end at +/-45
         return _window_arrays(0, len(_HPBW_OFFSETS))
     el = target.elevation_deg + _HPBW_OFFSETS
     return _window_arrays(np.searchsorted(el, -90.0), np.searchsorted(el, 90.0, "right"))
@@ -275,6 +275,34 @@ def _taper_bounds(exponent: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return np.where(lit, sups, 0.0)
 
 
+def _elements(scenario: Scenario, config: RisConfig, r: float) -> tuple | float:
+    """_interval_bounds' element summary for one scenario, configuration and range r.
+
+    Over the elements with w_m = |Gamma_m| c_m > 0 (see hpbw): their positions
+    u, the (2, 3) corners of their bounding box, d_min and d_max = r -/+ max
+    |u_m|, the per-element weights of Q and q, and the sums behind g0-g2 and
+    the incoherent bound: (g0 / v, sum_m w_m / D_m^n for n = 1, 2, 3).
+    0.0 instead when nothing reflects (S is 0 everywhere) and inf when r <=
+    max |u_m| (there is no bound).
+    """
+    weight = np.abs(config.as_complex_array) * scenario.bs_side[1]  # |Gamma_m| c_m
+    if not (on := weight > 0.0).any():
+        return 0.0
+    w, u = weight[on], scenario.layout.positions[on]
+    u_norm = np.sqrt(np.sum(u * u, axis=-1))
+    near, d_min, d_max = r - u_norm, r - u_norm.max(), r + u_norm.max()
+    if d_min <= 0.0:  # D_m <= d2 and every d2 lies in [d_min, d_max]
+        return math.inf
+    k, inv = 2.0 * math.pi / wavelength(scenario), 1.0 / near
+    kd, w1, w2, w3 = k + inv, w * inv, w * inv * inv, w * inv * inv * inv
+    box = np.sort(u, axis=0)[[0, -1]]  # per coordinate: min, max
+    sums = w2 @ (u_norm * kd), w1.sum(), w2.sum(), w3.sum()
+    return u, box, d_min, d_max, w3 * (k * k + 3.0 * inv * kd), 2.0 * w3 * kd, sums
+
+
+_summary: tuple = (None, None, None)  # last element summary: scenario, (Gamma bytes, r), summary
+
+
 def _interval_bounds(
     scenario: Scenario,
     config: RisConfig,
@@ -288,22 +316,25 @@ def _interval_bounds(
     widths holds the J interval widths in radians and ends the (J + 1, 3)
     arc positions bounding them. The derivation, with the path length's
     derivatives taken about the cut's rotation axis, is in hpbw's docstring.
+    The element summary (_elements) is kept for the last scenario,
+    configuration and range, keyed like coherent_sums' kept sums on the
+    scenario's identity and the Gamma vector's bytes, and on r: both cuts of
+    a focus ellipse build it once. Per cut only |u_m x n|, the arc-end
+    cosines, the taper bounds and b_sup are formed.
     """
-    weight = np.abs(config.as_complex_array) * scenario.bs_side[1]  # |Gamma_m| c_m
-    on = weight > 0.0
-    if not on.any():  # nothing reflects: S is 0 everywhere
-        return np.zeros(len(widths)), np.zeros(len(widths))
-    w, u = weight[on], scenario.layout.positions[on]
-    u_norm = np.sqrt(np.sum(u * u, axis=-1))
-    near, d_min, d_max = target.r - u_norm, target.r - u_norm.max(), target.r + u_norm.max()
-    if d_min <= 0.0:  # D_m <= d2 and every d2 lies in [d_min, d_max]
-        return np.full(len(widths), np.inf), np.full(len(widths), np.inf)
+    global _summary
+    key = (config.as_complex_array.tobytes(), target.r)
+    if not (_summary[0] is scenario and _summary[1] == key):
+        _summary = (scenario, key, _elements(scenario, config, target.r))
+    if isinstance(_summary[2], float):
+        return np.full(len(widths), _summary[2]), np.full(len(widths), _summary[2])
+    u, box, d_min, d_max, weights, lin_weights, (g0_sum, s1, s2, s3) = _summary[2]
     speed = target.r * (math.cos(math.radians(target.elevation_deg)) if axis == "azimuth" else 1.0)
     reach = 0.5 * speed * widths
 
     def cosine_range(axis, sign):  # of sign (b - u_m)[axis] / d2 over all m, per interval
-        b, v = sign * 0.5 * (ends[:-1, axis] + ends[1:, axis]), sign * u[:, axis]
-        lo, hi = b - v.max() - reach, b - v.min() + reach
+        b, v = sign * 0.5 * (ends[:-1, axis] + ends[1:, axis]), sign * box[:, axis]
+        lo, hi = b - max(v) - reach, b - min(v) + reach
         return lo / np.where(lo > 0.0, d_max, d_min), hi / np.where(hi > 0.0, d_min, d_max)
 
     taper, d_taper, dd_taper = _taper_bounds(
@@ -314,23 +345,21 @@ def _interval_bounds(
         with np.errstate(invalid="ignore"):  # 0 * inf where a taper is identically 0
             dd_taper = dd_taper * f + 2.0 * d_taper * df + taper * ddf
             d_taper = d_taper * f + taper * df
+        # or, in 2 d_taper df, a step's flat side (exponent 0) times a factor unbounded there,
+        # whose own term taper * ddf is then inf: so is the bound, not NaN
+        dd_taper[np.isnan(dd_taper)] = np.inf
         taper = taper * f
     d_taper, dd_taper = (np.where(taper > 0.0, d, 0.0) for d in (d_taper, dd_taper))
     # every element's taper is within (taper, d_taper, dd_taper), so only the element sums
     # remain: M2 = H (B^T Q B + g0) + H1 (v B . q + g1) + H2 g2
-    k, inv = 2.0 * math.pi / wavelength(scenario), 1.0 / near
-    kd, w1 = k + inv, w * inv
-    w2 = w1 * inv
-    w3 = w2 * inv
     cross = _across_axis(u, axis, target.azimuth_deg)
-    form = (cross.T * (w3 * (k * k + 3.0 * inv * kd))) @ cross  # Q
-    lin = (2.0 * w3 * kd) @ cross  # q
-    s3 = w3.sum()
-    g0, g1, g2 = speed * (w2 @ (u_norm * kd)), speed * (w2.sum() + 3.0 * speed * s3), speed**2 * s3
+    form = (cross.T * weights) @ cross  # Q
+    lin = lin_weights @ cross  # q
+    g0, g1, g2 = speed * g0_sum, speed * (s2 + 3.0 * speed * s3), speed**2 * s3
     b_sup = 0.5 * (np.abs(ends[:-1]) + np.abs(ends[1:])) + reach[:, None]
     curve = taper * (((b_sup @ form) * b_sup).sum(axis=1) + g0)
     curve += d_taper * (speed * (b_sup @ lin) + g1) + dd_taper * g2
-    return curve, taper * w1.sum()
+    return curve, taper * s1
 
 
 def _across_axis(u: np.ndarray, axis: str, azimuth_deg: float) -> np.ndarray:
@@ -342,11 +371,11 @@ def _across_axis(u: np.ndarray, axis: str, azimuth_deg: float) -> np.ndarray:
     np.cross subtracts are zeros, so these have np.cross's bits.
     """
     if axis == "azimuth":
-        cross = u[:, [1, 0, 2]] * (1.0, 1.0, 0.0)
+        cross = u.take((1, 0, 2), axis=1) * (1.0, 1.0, 0.0)
     else:
         az = math.radians(azimuth_deg)
         c, s = math.cos(az), math.sin(az)
-        cross = u[:, [2, 2, 0]] * (c, s, c)
+        cross = u.take((2, 2, 0), axis=1) * (c, s, c)
         cross[:, 2] += u[:, 1] * s
     return np.abs(cross, out=cross)
 
@@ -398,7 +427,13 @@ def hpbw(
     3. Exact crossings: the same selection around the evaluated peak, which
        is now the full scan's, and its -3 dB level. It evaluates a third
        round only where the peak moved off the coarse peak to where it needs
-       samples step 2 skipped, such as a higher lobe outside the fill. Then,
+       samples step 2 skipped, such as a higher lobe outside the fill. The
+       selection is not formed at all when the final peak lies strictly
+       between the two samples that bound the coarse peak's fill and every
+       sample between the two peaks is evaluated: those bounds also stop a
+       walk from the final peak, whose level is higher, so each sample the
+       selection could take is in the fill or between the peaks, and is
+       evaluated. Then,
        on each side, every sample between the peak and the nearest
        evaluated sample below the level is evaluated at or above the level
        or certified so, and that sample (the window edge if there is none)
@@ -409,9 +444,28 @@ def hpbw(
     coarse samples and, per fine sample, its coarse interval, the interval's
     ends and the distances to them (_hpbw_window) are built once per elevation
     clip and kept read-only; every cut within +/-45 degrees elevation uses
-    the same ones. Per cut, arc positions are computed for the samples a
-    round evaluates only, and the peak and the samples below its -3 dB level
-    are looked up among the evaluated samples only.
+    the same ones. The part of the bound M2 (below) that depends only on the
+    scenario, the configuration and the range is the element summary: w_m
+    over the powered elements, their positions, |u_m|, the per-element
+    weights of Q and q and the sums behind g0-g2 (_elements). It is kept for
+    the last (scenario, Gamma, r), so both cuts of a focus ellipse build it
+    once; per cut only |u_m x n|, the taper bounds and B are formed
+    (_interval_bounds). Per cut, arc positions are computed for the samples a
+    round evaluates only.
+
+    Step 2 bounds each coarse interval as a whole first: U_j = max(|S(a)|,
+    |S(b)|) + w_j^2 M2 / 8 is at least the upper bound of every sample in
+    it, since |p(t)| <= max(|S(a)|, |S(b)|) and (t - a)(b - t) <= w_j^2 / 4
+    for an interval of width w_j. The per-sample bounds are formed only on
+    the span from the first to the last interval whose U_j may reach the -3
+    dB level; every interval outside it is below the level as a whole. The
+    span holds every candidate (they reach A*) and both crossings of any
+    peak: each end of the span is the window's edge or the coarse sample
+    that starts or ends an interval below the level, so it is below the
+    level itself and evaluated, and a walk from the peak stops there at the
+    latest. Outside the span no sample is a candidate and none is certified
+    either way. The peak and its nearest samples below the level are looked
+    up among the span's evaluated samples, once per round.
 
     The interpolation error: S(t) - p(t) = -int G(t, s) S''(s) ds over the
     interval with G >= 0 and int G ds = (t - a)(b - t) / 2, which holds for a
@@ -464,7 +518,9 @@ def hpbw(
     O(J + M) for J intervals and M elements. There is no bound, and the
     interval is always evaluated, where r <= max |u_m| or where a cosine may
     reach 0 inside the interval under a factor c^p with p < 2 whose first or
-    second derivative is unbounded or jumps there.
+    second derivative is unbounded or jumps there. That holds beside a step
+    pattern's flat side too, where the product rule's cross term reads 0 x
+    inf: it is taken as inf, as the unbounded factor's own term is.
 
     Rounding: a sample reaches the best amplitude A* when its upper bound is
     >= A* - 1e-9 (A* + sum_m |Gamma_m| A_m), the incoherent sum bounded over
@@ -473,9 +529,16 @@ def hpbw(
     its lower bound exceeds the reference of step 2 by the allowance.
     Kernel and interpolation rounding move an amplitude by orders of
     magnitude less than 1e-9 of that incoherent sum, and an amplitude below
-    (1 - 1e-9) A* is strictly below A* in dBm. When A* is at the power
-    floor every evaluated sample ties and the first sample, always
-    evaluated, wins as in a full scan; no sample is then below the level.
+    (1 - 1e-9) A* is strictly below A* in dBm. The interval test takes the
+    same allowance against the same thresholds. U_j is made of the same
+    coarse sums and M2 with a few more operations, so its rounding is as far
+    inside the allowance; it is at least each sample's computed upper bound
+    up to a few units in its last place (the tests check a factor 1 + 1e-12).
+    So an interval below the level by the allowance holds no sample that
+    reaches it, and the end of the span it closes is below the level in
+    dBm. When A* is at the power floor every evaluated sample ties: no
+    sample is below the level, and the beam is not resolved, as in a full
+    scan, unless a sample above the floor turns up; that one is a candidate.
     """
     if axis not in ("azimuth", "elevation"):
         raise ValidationError(f"axis must be 'azimuth' or 'elevation', got {axis!r}")
@@ -485,62 +548,76 @@ def hpbw(
     sums = np.zeros(n, dtype=complex)
 
     def evaluate(idx: np.ndarray) -> np.ndarray | None:
-        """Evaluate the samples in idx not evaluated yet; their positions, None if none."""
-        idx = idx[np.isnan(powers[idx])]
+        """Evaluate the samples in idx, none evaluated yet; their positions, None if none."""
         if idx.size:
             positions = _arc_positions(target, axis, offsets[idx])
-            sums[idx] = coherent_sums(scenario, config, positions)
-            powers[idx] = dbm_from_sums(scenario, sums[idx])
+            new = coherent_sums(scenario, config, positions)
+            sums[idx], powers[idx] = new, dbm_from_sums(scenario, new)
             return positions
-
-    def crossings(certified: np.ndarray | bool) -> tuple[int, float, np.ndarray, np.ndarray]:
-        """The evaluated peak, its -3 dB level and the samples below it on each side:
-        evaluated, or where certified is True."""
-        done = np.flatnonzero(~np.isnan(powers))
-        k = done[np.argmax(powers[done])]
-        ref = powers[k] - _HALF_POWER_DB
-        below = np.flatnonzero((powers < ref) | certified)
-        return k, ref, below[below < k], below[below > k]
-
-    def needed() -> np.ndarray:
-        """Mask of the samples the evaluated peak's crossings need (steps 2-3), evaluated or not."""
-        k, _, left, right = crossings(under)
-        lo, hi = left.max(initial=0), right.min(initial=n - 1)
-        gaps = np.zeros(n, dtype=bool)
-        gaps[lo:hi + 1] = ~above[lo:hi + 1]
-        gaps[lo + 1:k + 1] |= gaps[lo:k]  # and each one's neighbour toward the peak
-        gaps[k:hi] |= gaps[k + 1:hi + 1]
-        return gaps
 
     # 1. coarse pass
     ends = evaluate(coarse)
     # 2. certified peak search, with the coarse peak's crossings filled in the same round
     curve, incoherent = _interval_bounds(scenario, config, target, axis, widths, ends)
+    amps = np.abs(sums[coarse])
+    best = amps.max()
+    slack = _CERTIFICATE_RTOL * (best + incoherent)  # per interval
+    # U_j >= every sample's upper bound on interval j; the span runs from the first to the last
+    # interval that may hold a sample not certified below the level (see Rounding)
+    top = np.maximum(amps[:-1], amps[1:]) + widths * widths * curve / 8.0
+    lit = (top >= level * best - slack).nonzero()[0]
+    span = slice(coarse[lit[0]], coarse[lit[-1] + 1] + 1)
     with np.errstate(invalid="ignore"):  # inf * 0 at an end of an interval with no bound
-        mid = np.abs(sums[a] * until + sums[b] * since) / widths[j]
-        err = 0.5 * since * until * curve[j]
-    upper, lower = mid + err, mid - err
-    best = np.abs(sums[coarse]).max()
-    slack = (_CERTIFICATE_RTOL * (best + incoherent))[j]  # per interval
+        mid = np.abs(sums[a[span]] * until[span] + sums[b[span]] * since[span]) / widths[j[span]]
+        err = 0.5 * since[span] * until[span] * curve[j[span]]
+    upper, lower, slack = mid + err, mid - err, slack[j[span]]
     want = upper >= best - slack  # NaN compares False
     above = lower >= max(level * upper[want].max(initial=best), floor_amplitude(scenario)) + slack
     under = upper < level * best - slack
-    evaluate(np.flatnonzero(want | needed()))
+    pw = powers[span]  # a view that evaluate fills in
+
+    def peak() -> int:
+        """The evaluated peak's span index, the first on ties."""
+        return int((pw >= np.fmax.reduce(pw)).argmax())  # NaN compares False
+
+    def crossings(k: int, certified: np.ndarray | bool) -> tuple[int, int]:
+        """On each side of peak k, the nearest sample below its -3 dB level, evaluated or where
+        certified is True, as span indices; the span's end if there is none. Each end of the
+        span is the window's edge or a sample below."""
+        below = (pw < pw[k] - _HALF_POWER_DB) | certified
+        left, right = below[k::-1].argmax(), below[k:].argmax()  # 0 if none: k is not below
+        return k - left if left else 0, k + right if right else len(pw) - 1
+
+    def needed(k: int) -> tuple[np.ndarray, int, int]:
+        """Mask over the span of the samples peak k's crossings need (steps 2-3), evaluated
+        or not, and the samples below the level, or the span's ends, that bound them."""
+        lo, hi = crossings(k, under)
+        gaps = np.zeros(len(pw), dtype=bool)
+        gaps[lo:hi + 1] = ~above[lo:hi + 1]
+        gaps[lo + 1:k + 1] |= gaps[lo:k]  # and each one's neighbour toward the peak
+        gaps[k:hi] |= gaps[k + 1:hi + 1]
+        return gaps, lo, hi
+
+    k0 = peak()  # the coarse peak
+    gaps, lo, hi = needed(k0)
+    evaluate(span.start + ((want | gaps) & np.isnan(pw)).nonzero()[0])
     # 3. exact crossings: a third round only if the final peak needs samples the fill skipped
-    evaluate(np.flatnonzero(needed()))
-    _, ref, left, right = crossings(False)
-    if not (left.size and right.size):
+    k = peak()  # final: every candidate is evaluated
+    if not (lo < k < hi and not np.isnan(pw[min(k, k0):max(k, k0) + 1]).any()):  # see step 3
+        evaluate(span.start + (needed(k)[0] & np.isnan(pw)).nonzero()[0])
+    ref, (lo, hi) = pw[k] - _HALF_POWER_DB, crossings(k, False)
+    if not (pw[lo] < ref and pw[hi] < ref):  # NaN compares False
         raise BeamNotResolvedError(
             f"beam not resolved: no -3 dB crossing within +/-{_HPBW_WINDOW_DEG} deg "
             f"({axis} cut)"
         )
 
     def crossing(t: int, side: int) -> float:
-        """Interpolated -3 dB offset between sample t (at or above ref) and t + side."""
-        frac = (powers[t] - ref) / (powers[t] - powers[t + side])
-        return offsets[t] + side * (frac * _HPBW_STEP_DEG)
+        """Interpolated -3 dB offset between span samples t (at or above ref) and t + side."""
+        frac = (pw[t] - ref) / (pw[t] - pw[t + side])
+        return offsets[span][t] + side * (frac * _HPBW_STEP_DEG)
 
-    return float(crossing(right[0] - 1, +1) - crossing(left[-1] + 1, -1))
+    return float(crossing(hi - 1, +1) - crossing(lo + 1, -1))
 
 
 def compare_grids(a: PowerGrid, b: PowerGrid, threshold_dbm: float) -> GridComparison:

@@ -42,6 +42,7 @@ import rissim.sweep
 from rissim.io_cli import resolve_scenario
 from rissim.linkbudget import RisConfig, coherent_sums, dbm_from_sums
 from rissim.optimizer import ACTIVE, REFLECTIVE, optimize_config, uniform_config
+from rissim.planner import focus_ellipse
 from rissim.sweep import (
     GridComparison,
     GridSpec,
@@ -601,6 +602,34 @@ class TestHpbwMatchesFullScan:
                     got = _hpbw_or_error(hpbw, variant, config, target, axis)
                     assert got == _hpbw_or_error(hpbw_full_scan, variant, config, target, axis)
 
+    def test_bitwise_equal_where_a_step_pattern_meets_an_unbounded_taper(self, scenario):
+        # a step element pattern (exponent 0) and a UE taper cos^0.5 whose cosine reaches 0 near
+        # elevation 0: the taper product's 0 * inf there is no bound (inf), so the interval's
+        # samples stay candidates; read as NaN, they were skipped and 3 of these 12 cuts differed
+        rng = np.random.default_rng(1)
+        for _ in range(12):
+            d = float(rng.uniform(0.05, 0.3))
+            pair = (Vec3(0.0, -d, 0.0), Vec3(0.0, d, 0.0))
+            step = replace(
+                scenario,
+                element_pattern=AntennaPattern(0.0, 0.0),
+                ue_pattern=AntennaPattern(3.2, 1.0),
+                layout=replace(scenario.layout, elements=pair),
+            )
+            target = SphericalCoord(
+                float(rng.uniform(0.7, 2.0)),
+                float(rng.uniform(-40.0, 40.0)),
+                float(rng.uniform(-3.0, 3.0)),
+            )
+            second = REFLECTIVE.states[int(rng.integers(0, 2))]
+            config = RisConfig((REFLECTIVE.states[0], second), REFLECTIVE.name)
+            offsets, coarse, widths = rissim.sweep._hpbw_window(target, "azimuth")[:3]
+            ends = rissim.sweep._arc_positions(target, "azimuth", offsets[coarse])
+            curve, _ = rissim.sweep._interval_bounds(step, config, target, "azimuth", widths, ends)
+            assert not np.isnan(curve).any(), target
+            got = _hpbw_or_error(hpbw, step, config, target, "azimuth")
+            assert got == _hpbw_or_error(hpbw_full_scan, step, config, target, "azimuth"), target
+
     def test_crossing_next_to_a_zero_power_sample(self):
         # a step element pattern zeroes the field past azimuth 90 deg, so a -inf sample sits
         # next to the right crossing: it lands on the last sample at or above the level
@@ -802,13 +831,17 @@ def test_hpbw_equals_the_full_scan_on_drawn_targets(
 
 def _assert_interpolation_error_bounded(sums, curve, window):
     """At every fine sample inside every coarse interval [a, b], the complex sum S(t) lies
-    within (t - a)(b - t) M2 / 2 of the line p(t) through S(a) and S(b), as hpbw takes it."""
+    within (t - a)(b - t) M2 / 2 of the line p(t) through S(a) and S(b), as hpbw takes it,
+    and hpbw's interval bound U = max(|S(a)|, |S(b)|) + (b - a)^2 M2 / 8 is at least every
+    sample's upper bound |p(t)| + (t - a)(b - t) M2 / 2."""
     _, coarse, widths, _, _, _, since, until = window
     for j, (a, b) in enumerate(zip(coarse[:-1], coarse[1:])):
         t = np.arange(a + 1, b)
         line = (sums[a] * until[t] + sums[b] * since[t]) / widths[j]
         bound = 0.5 * since[t] * until[t] * curve[j]
         assert np.all(np.abs(sums[t] - line) <= bound * (1.0 + 1e-12)), j
+        top = max(abs(sums[a]), abs(sums[b])) + widths[j] * widths[j] * curve[j] / 8.0
+        assert np.all(np.abs(line) + bound <= top * (1.0 + 1e-12)), j
 
 
 def _assert_interval_bounds_hold(scenario, config, target, axis):
@@ -978,6 +1011,50 @@ class TestPeakCertificate:
             offsets, coarse = rissim.sweep._hpbw_window(target, axis)[:2]
             positions = rissim.sweep._arc_positions(target, axis, offsets)
             assert np.array_equal(calls[0], positions[coarse])
+
+
+class TestElementSummary:
+    """_interval_bounds keeps one element summary, keyed on the scenario's identity, the Gamma
+    vector's bytes and the range, so both cuts of a focus ellipse build it once."""
+
+    @pytest.fixture
+    def builds(self, kernel_rows, monkeypatch):
+        """The (scenario, Gamma bytes, r) of every summary built; kernel_rows starts with none
+        kept."""
+        elements = rissim.sweep._elements
+        built = []
+
+        def counting(scenario, config, r):
+            built.append((scenario, config.as_complex_array.tobytes(), r))
+            return elements(scenario, config, r)
+
+        monkeypatch.setattr(rissim.sweep, "_elements", counting)
+        return built
+
+    def test_one_build_per_focus_ellipse(self, builds, scenario, refl_p1, active_p1, p1):
+        focus_ellipse(scenario, refl_p1, p1)
+        assert len(builds) == 1
+        builds.clear()
+        for config in (active_p1, refl_p1):  # two configurations in turn, one entry kept
+            focus_ellipse(scenario, config, p1)
+        assert len(builds) == 2
+
+    def test_each_part_of_the_key_rebuilds_it(self, builds, scenario, refl_p1, p1):
+        last = refl_p1.coefficients[-1]
+        other = next(state for state in REFLECTIVE.states if state != last)
+        changed = replace(refl_p1, coefficients=refl_p1.coefficients[:-1] + (other,))
+        farther = SphericalCoord(p1.r + 0.1, p1.azimuth_deg, p1.elevation_deg)
+        cases = [
+            (scenario, refl_p1, p1),
+            (scenario, changed, p1),  # one element's Gamma changed
+            (scenario, refl_p1, farther),  # another range
+            (replace(scenario), refl_p1, p1),  # an equal scenario that is another object
+        ]
+        for case in cases:
+            for axis in ("azimuth", "elevation"):
+                got = _hpbw_or_error(hpbw, *case, axis)
+                assert got == _hpbw_or_error(hpbw_full_scan, *case, axis), axis
+        assert builds == [(sc, config.as_complex_array.tobytes(), t.r) for sc, config, t in cases]
 
 
 class TestCompareGrids:
