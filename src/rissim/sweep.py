@@ -399,59 +399,61 @@ def hpbw(
     1. Coarse pass: the samples at multiples of 1 degree within +/-6 degrees
        of the target, at multiples of 3 degrees beyond, plus the first and
        the last sample (_hpbw_window).
-    2. Certified peak search and crossing fill, in one kernel round. On a
-       coarse interval [a, b] let p(t) interpolate the coarse sums S(a) and
-       S(b) of S(theta) = sum_m Gamma_m g_m linearly. With M2 >= |S''| on
-       the interval, |S(t) - p(t)| <= (t - a)(b - t) M2 / 2 at every sample
-       t inside it, so |p(t)| plus or minus that term bounds |S(t)| from
-       above and below. The round evaluates
+    2. Certified peak search and exact crossings, in rounds that evaluate
+       what the current peak needs until the peak stops moving. On a coarse
+       interval [a, b] let p(t) interpolate the coarse sums S(a) and S(b) of
+       S(theta) = sum_m Gamma_m g_m linearly. With M2 >= |S''| on the
+       interval, |S(t) - p(t)| <= (t - a)(b - t) M2 / 2 at every sample t
+       inside it, so |p(t)| plus or minus that term bounds |S(t)| from above
+       and below. Each round evaluates, those already evaluated aside,
        - the peak candidates: every sample whose upper bound reaches the
          best coarse amplitude A*. The threshold (see Rounding below) only
          rises with the best amplitude, so a sample that misses it here
          misses it for the final maximum too. No skipped sample can then
          equal or beat the maximum, so the first-maximum rule picks the
          full scan's;
-       - on each side of the coarse peak, every sample out to the first one
-         below its -3 dB level (the window edge if there is none): a coarse
-         sample below it, or a sample certified below it, its upper bound
-         under 10^(-3/20) A*. The final peak is at least A*, so a sample
-         certified below stays below the final level. Samples certified at
-         or above the level are skipped: their lower bound reaches both
-         10^(-3/20) times the largest upper bound among the candidates,
-         which bounds the final peak, and the amplitude at the power
-         floor, so that none of them can read -inf;
-       - the neighbour toward the peak of each sample in the fill that is
-         not certified at or above the level, evaluated or not, so that
+       - on each side of the current evaluated peak (the coarse peak
+         first), every sample out to the nearest one below its -3 dB level
+         (the window edge if there is none): an evaluated sample below it,
+         or a sample certified below it, its upper bound under 10^(-3/20)
+         A*. Every peak is at least A*, so a sample certified below stays
+         below any peak's level. Samples certified at or above the level
+         are skipped: their lower bound reaches both 10^(-3/20) times the
+         largest upper bound among the candidates, which bounds the final
+         peak, and the amplitude at the power floor, so that none of them
+         can read -inf;
+       - the neighbour toward the peak of each sample in that stretch that
+         is not certified at or above the level, evaluated or not, so that
          whichever of them turns out to be the crossing sample has its
          neighbour evaluated, a dip below the level inside the lobe too.
-    3. Exact crossings: the same selection around the evaluated peak, which
-       is now the full scan's, and its -3 dB level. It evaluates a third
-       round only where the peak moved off the coarse peak to where it needs
-       samples step 2 skipped, such as a higher lobe outside the fill. The
-       selection is not formed at all when the final peak lies strictly
-       between the two samples that bound the coarse peak's fill and every
-       sample between the two peaks is evaluated: those bounds also stop a
-       walk from the final peak, whose level is higher, so each sample the
-       selection could take is in the fill or between the peaks, and is
-       evaluated. Then,
-       on each side, every sample between the peak and the nearest
-       evaluated sample below the level is evaluated at or above the level
-       or certified so, and that sample (the window edge if there is none)
-       and its neighbour toward the peak are evaluated. Each crossing lies
-       between the two.
+       The rounds stop when the peak did not move, and three facts make
+       that enough:
+       - evaluating more samples only moves a peak's nearest samples below
+         the level closer to it, so a peak that did not move needs nothing
+         more;
+       - the first round evaluates every candidate, so the peak after it is
+         the full scan's. It moves at most once, and a cut takes at most 3
+         kernel rounds with the coarse pass: a third only where the final
+         peak needs samples the first fill skipped, such as a higher lobe
+         outside it;
+       - after the last round, the nearest sample certified below the level
+         on each side was in its selection, so it is evaluated and below
+         the final level.
+       So on each side the nearest evaluated sample below the level (the
+       window edge if there is none) and its neighbour toward the peak are
+       evaluated, and every sample between the peak and it is evaluated at
+       or above the level or certified so. Each crossing lies between the
+       two.
 
     The arrays that depend only on the window are shared: the offsets, the
     coarse samples and, per fine sample, its coarse interval, the interval's
     ends and the distances to them (_hpbw_window) are built once per elevation
     clip and kept read-only; every cut within +/-45 degrees elevation uses
     the same ones. The part of the bound M2 (below) that depends only on the
-    scenario, the configuration and the range is the element summary: w_m
-    over the powered elements, their positions, |u_m|, the per-element
-    weights of Q and q and the sums behind g0-g2 (_elements). It is kept for
-    the last (scenario, Gamma, r), so both cuts of a focus ellipse build it
-    once; per cut only |u_m x n|, the taper bounds and B are formed
-    (_interval_bounds). Per cut, arc positions are computed for the samples a
-    round evaluates only.
+    scenario, the configuration and the range is one element summary, kept
+    as _interval_bounds says; per cut only |u_m x n|, the taper bounds and B
+    are formed. Per cut, arc positions are computed for the samples a round
+    evaluates only.
 
     Step 2 bounds each coarse interval as a whole first: U_j = max(|S(a)|,
     |S(b)|) + w_j^2 M2 / 8 is at least the upper bound of every sample in
@@ -465,7 +467,7 @@ def hpbw(
     level itself and evaluated, and a walk from the peak stops there at the
     latest. Outside the span no sample is a candidate and none is certified
     either way. The peak and its nearest samples below the level are looked
-    up among the span's evaluated samples, once per round.
+    up on the span, once per round.
 
     The interpolation error: S(t) - p(t) = -int G(t, s) S''(s) ds over the
     interval with G >= 0 and int G ds = (t - a)(b - t) / 2, which holds for a
@@ -557,7 +559,7 @@ def hpbw(
 
     # 1. coarse pass
     ends = evaluate(coarse)
-    # 2. certified peak search, with the coarse peak's crossings filled in the same round
+    # 2. the certificates, then the rounds that evaluate what the current peak needs
     curve, incoherent = _interval_bounds(scenario, config, target, axis, widths, ends)
     amps = np.abs(sums[coarse])
     best = amps.max()
@@ -580,32 +582,27 @@ def hpbw(
         """The evaluated peak's span index, the first on ties."""
         return int((pw >= np.fmax.reduce(pw)).argmax())  # NaN compares False
 
-    def crossings(k: int, certified: np.ndarray | bool) -> tuple[int, int]:
-        """On each side of peak k, the nearest sample below its -3 dB level, evaluated or where
-        certified is True, as span indices; the span's end if there is none. Each end of the
-        span is the window's edge or a sample below."""
-        below = (pw < pw[k] - _HALF_POWER_DB) | certified
+    def crossings(k: int) -> tuple[int, int]:
+        """On each side of peak k, the nearest sample below its -3 dB level, evaluated or
+        certified so, as span indices; the span's end if there is none. Each end of the span is
+        the window's edge or a sample below."""
+        below = (pw < pw[k] - _HALF_POWER_DB) | under
         left, right = below[k::-1].argmax(), below[k:].argmax()  # 0 if none: k is not below
         return k - left if left else 0, k + right if right else len(pw) - 1
 
-    def needed(k: int) -> tuple[np.ndarray, int, int]:
-        """Mask over the span of the samples peak k's crossings need (steps 2-3), evaluated
-        or not, and the samples below the level, or the span's ends, that bound them."""
-        lo, hi = crossings(k, under)
+    def needed(k: int) -> np.ndarray:
+        """Mask over the span of the samples peak k's crossings need, evaluated or not."""
+        lo, hi = crossings(k)
         gaps = np.zeros(len(pw), dtype=bool)
         gaps[lo:hi + 1] = ~above[lo:hi + 1]
         gaps[lo + 1:k + 1] |= gaps[lo:k]  # and each one's neighbour toward the peak
         gaps[k:hi] |= gaps[k + 1:hi + 1]
-        return gaps, lo, hi
+        return gaps
 
-    k0 = peak()  # the coarse peak
-    gaps, lo, hi = needed(k0)
-    evaluate(span.start + ((want | gaps) & np.isnan(pw)).nonzero()[0])
-    # 3. exact crossings: a third round only if the final peak needs samples the fill skipped
-    k = peak()  # final: every candidate is evaluated
-    if not (lo < k < hi and not np.isnan(pw[min(k, k0):max(k, k0) + 1]).any()):  # see step 3
-        evaluate(span.start + (needed(k)[0] & np.isnan(pw)).nonzero()[0])
-    ref, (lo, hi) = pw[k] - _HALF_POWER_DB, crossings(k, False)
+    k = None  # the coarse peak, then the final one if it moved (step 2)
+    while k != (k := peak()):
+        evaluate(span.start + ((want | needed(k)) & np.isnan(pw)).nonzero()[0])
+    ref, (lo, hi) = pw[k] - _HALF_POWER_DB, crossings(k)
     if not (pw[lo] < ref and pw[hi] < ref):  # NaN compares False
         raise BeamNotResolvedError(
             f"beam not resolved: no -3 dB crossing within +/-{_HPBW_WINDOW_DEG} deg "
