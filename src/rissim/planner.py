@@ -104,6 +104,14 @@ class UpdateSchedule:
         return (self.events[-1].t_s - self.events[0].t_s) / (len(self.events) - 1)
 
 
+def _height(h_surface: float, h_user: float) -> float:
+    """The surface's height above the user plane; it must be finite and > 0."""
+    height = h_surface - h_user
+    if not 0.0 < height < math.inf:
+        raise GeometryError("surface must sit a finite height above the user plane")
+    return height
+
+
 def rho_radial(h_surface: float, h_user: float, theta_ue_deg: float, beta_deg: float) -> float:
     """Radial half-power semi-axis from the vertical beamwidth beta.
 
@@ -112,9 +120,7 @@ def rho_radial(h_surface: float, h_user: float, theta_ue_deg: float, beta_deg: f
     """
     if not beta_deg > 0.0:
         raise GeometryError(f"beamwidth must be > 0, got {beta_deg}")
-    height = h_surface - h_user
-    if not 0.0 < height < math.inf:
-        raise GeometryError("surface must sit a finite height above the user plane")
+    height = _height(h_surface, h_user)
     theta = abs(theta_ue_deg)
     lo = theta - beta_deg / 2.0
     hi = theta + beta_deg / 2.0
@@ -146,13 +152,17 @@ def update_interval(rho_m: float, speed_mps: float) -> float:
 def focus_ellipse(
     scenario: Scenario, config: RisConfig, target: SphericalCoord
 ) -> FocusEllipse:
-    """Measure both beamwidths for the given configuration and build the ellipse."""
+    """Measure both beamwidths for the given configuration and build the ellipse.
+
+    The target must lie below the surface, which is checked before the two
+    cuts run; they run in lockstep (hpbw with both axes).
+    """
     center = spherical_to_cartesian(target)
     horizontal = math.hypot(center.x, center.y)
     if horizontal == 0.0:
         raise GeometryError("target sits on the surface axis; no radial direction")
-    alpha = hpbw(scenario, config, target, "azimuth")
-    beta = hpbw(scenario, config, target, "elevation")
+    _height(0.0, center.z)
+    alpha, beta = hpbw(scenario, config, target, ("azimuth", "elevation"))
     orientation = Vec3(center.x / horizontal, center.y / horizontal, 0.0)
     return FocusEllipse(
         center=center,

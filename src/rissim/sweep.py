@@ -20,13 +20,14 @@ the closed-form floor. One generator seeded with rng_seed draws the grid.
 from __future__ import annotations
 
 import math
+from collections.abc import Generator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BeamNotResolvedError, NoPeakError, ValidationError
+from .errors import BeamNotResolvedError, GeometryError, NoPeakError, ValidationError
 from .geom import SphericalCoord, read_only
 from .linkbudget import (
     BELOW_FLOOR_DBM,
@@ -209,12 +210,16 @@ def find_peak(grid: PowerGrid) -> Peak:
     return Peak(float(grid.spec.x_coords()[i]), float(grid.spec.y_coords()[j]), value, i, j)
 
 
-def _arc_positions(target: SphericalCoord, axis: str, offsets_deg: np.ndarray) -> np.ndarray:
-    angles = np.empty((2, len(offsets_deg)))  # azimuth and elevation in degrees
+def _arc_positions(target: SphericalCoord, cuts: list[tuple[str, np.ndarray]]) -> np.ndarray:
+    """(N, 3) positions at the given offsets (degrees) on each (axis, offsets) cut, stacked in order."""
+    angles = np.empty((2, sum(len(offsets) for _, offsets in cuts)))  # azimuth, elevation in degrees
     angles[0], angles[1] = target.azimuth_deg, target.elevation_deg
-    angles[0 if axis == "azimuth" else 1] += offsets_deg
+    start = 0
+    for axis, offsets in cuts:
+        angles[0 if axis == "azimuth" else 1, start:start + len(offsets)] += offsets
+        start += len(offsets)
     az_r, el_r = np.radians(angles)
-    cos_el, positions = np.cos(el_r), np.empty((len(offsets_deg), 3))
+    cos_el, positions = np.cos(el_r), np.empty((start, 3))
     np.multiply(cos_el, np.cos(az_r), out=positions[:, 0])
     np.multiply(cos_el, np.sin(az_r), out=positions[:, 1])
     positions[:, 2] = np.sin(el_r)
@@ -307,33 +312,41 @@ def _interval_bounds(
     scenario: Scenario,
     config: RisConfig,
     target: SphericalCoord,
-    axis: str,
-    widths: np.ndarray,
+    cuts: list[tuple[str, np.ndarray]],
     ends: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per arc interval: bounds on |d2S/dtheta2| (per radian squared) and on sum_m |Gamma_m| A_m.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per arc interval of each cut: bounds on |d2S/dtheta2| (per radian squared) and on
+    sum_m |Gamma_m| A_m, one (curve, incoherent) pair per cut.
 
-    widths holds the J interval widths in radians and ends the (J + 1, 3)
-    arc positions bounding them. The derivation, with the path length's
-    derivatives taken about the cut's rotation axis, is in hpbw's docstring.
-    The element summary (_elements) is kept for the last scenario,
-    configuration and range, keyed like coherent_sums' kept sums on the
-    scenario's identity and the Gamma vector's bytes, and on r: both cuts of
-    a focus ellipse build it once. Per cut only |u_m x n|, the arc-end
-    cosines, the taper bounds and b_sup are formed.
+    Each cut is (axis, widths), the J interval widths in radians, and ends
+    stacks each cut's J + 1 arc positions bounding them, cut after cut. The
+    derivation, with the path length's derivatives taken about the cut's
+    rotation axis, is in hpbw's docstring. The element summary (_elements)
+    is kept for the last scenario, configuration and range, keyed like
+    coherent_sums' kept sums on the scenario's identity and the Gamma
+    vector's bytes, and on r. Per call (once per focus ellipse) the arc-end
+    cosines, the taper bounds and B are formed over the intervals between
+    consecutive rows of ends, those between two cuts included and then
+    dropped; per cut only the speed v, |u_m x n|, Q, q and the sums of the
+    bound.
     """
     global _summary
     key = (config.as_complex_array.tobytes(), target.r)
     if not (_summary[0] is scenario and _summary[1] == key):
         _summary = (scenario, key, _elements(scenario, config, target.r))
     if isinstance(_summary[2], float):
-        return np.full(len(widths), _summary[2]), np.full(len(widths), _summary[2])
+        return [(np.full(len(w), _summary[2]), np.full(len(w), _summary[2])) for _, w in cuts]
     u, box, d_min, d_max, weights, lin_weights, (g0_sum, s1, s2, s3) = _summary[2]
-    speed = target.r * (math.cos(math.radians(target.elevation_deg)) if axis == "azimuth" else 1.0)
-    reach = 0.5 * speed * widths
+    cos_el = math.cos(math.radians(target.elevation_deg))
+    speeds = [target.r * (cos_el if axis == "azimuth" else 1.0) for axis, _ in cuts]
+    left, right = ends[:-1], ends[1:]  # each interval's ends
+    reach, parts, start = np.zeros(len(left)), [], 0  # v w / 2; 0 on the interval between cuts
+    for speed, (_, widths) in zip(speeds, cuts):
+        parts.append(slice(start, start + len(widths)))
+        reach[parts[-1]], start = 0.5 * speed * widths, start + len(widths) + 1
 
     def cosine_range(axis, sign):  # of sign (b - u_m)[axis] / d2 over all m, per interval
-        b, v = sign * 0.5 * (ends[:-1, axis] + ends[1:, axis]), sign * box[:, axis]
+        b, v = sign * 0.5 * (left[:, axis] + right[:, axis]), sign * box[:, axis]
         lo, hi = b - max(v) - reach, b - min(v) + reach
         return lo / np.where(lo > 0.0, d_max, d_min), hi / np.where(hi > 0.0, d_min, d_max)
 
@@ -350,16 +363,20 @@ def _interval_bounds(
         dd_taper[np.isnan(dd_taper)] = np.inf
         taper = taper * f
     d_taper, dd_taper = (np.where(taper > 0.0, d, 0.0) for d in (d_taper, dd_taper))
-    # every element's taper is within (taper, d_taper, dd_taper), so only the element sums
-    # remain: M2 = H (B^T Q B + g0) + H1 (v B . q + g1) + H2 g2
-    cross = _across_axis(u, axis, target.azimuth_deg)
-    form = (cross.T * weights) @ cross  # Q
-    lin = lin_weights @ cross  # q
-    g0, g1, g2 = speed * g0_sum, speed * (s2 + 3.0 * speed * s3), speed**2 * s3
-    b_sup = 0.5 * (np.abs(ends[:-1]) + np.abs(ends[1:])) + reach[:, None]
-    curve = taper * (((b_sup @ form) * b_sup).sum(axis=1) + g0)
-    curve += d_taper * (speed * (b_sup @ lin) + g1) + dd_taper * g2
-    return curve, taper * s1
+    b_sup = 0.5 * (np.abs(left) + np.abs(right)) + reach[:, None]
+    bounds = []
+    for (axis, _), speed, cut in zip(cuts, speeds, parts):
+        h, b = taper[cut], b_sup[cut]
+        # every element's taper is within (taper, d_taper, dd_taper), so only the element sums
+        # remain: M2 = H (B^T Q B + g0) + H1 (v B . q + g1) + H2 g2
+        cross = _across_axis(u, axis, target.azimuth_deg)
+        form = (cross.T * weights) @ cross  # Q
+        lin = lin_weights @ cross  # q
+        g0, g1, g2 = speed * g0_sum, speed * (s2 + 3.0 * speed * s3), speed**2 * s3
+        curve = h * (((b @ form) * b).sum(axis=1) + g0)
+        curve += d_taper[cut] * (speed * (b @ lin) + g1) + dd_taper[cut] * g2
+        bounds.append((curve, h * s1))
+    return bounds
 
 
 def _across_axis(u: np.ndarray, axis: str, azimuth_deg: float) -> np.ndarray:
@@ -381,8 +398,8 @@ def _across_axis(u: np.ndarray, axis: str, azimuth_deg: float) -> np.ndarray:
 
 
 def hpbw(
-    scenario: Scenario, config: RisConfig, target: SphericalCoord, axis: str
-) -> float:
+    scenario: Scenario, config: RisConfig, target: SphericalCoord, axis: str | tuple[str, ...]
+) -> float | tuple[float, ...]:
     """Half-power beamwidth (degrees) along a constant-range arc through the target.
 
     The arc is sampled in 0.1 degree steps out to +/-45 degrees (elevation
@@ -390,6 +407,12 @@ def hpbw(
     one on ties, and the two crossings 3 dB below it are linearly
     interpolated. The definition is relative, so constant power offsets do
     not change the result.
+
+    axis is "azimuth" or "elevation", or a tuple of them: the cuts then run
+    in lockstep and their widths return as a tuple in the same order, with
+    the bits of one call per axis. An error is the one the first failing
+    cut raises alone: when a lockstep run fails, its cuts are run again one
+    at a time, in order.
 
     Only the samples that can affect the result are evaluated, each with the
     phasors of the elements with Gamma_m != 0 only (coherent_sums). Each
@@ -451,9 +474,14 @@ def hpbw(
     clip and kept read-only; every cut within +/-45 degrees elevation uses
     the same ones. The part of the bound M2 (below) that depends only on the
     scenario, the configuration and the range is one element summary, kept
-    as _interval_bounds says; per cut only |u_m x n|, the taper bounds and B
-    are formed. Per cut, arc positions are computed for the samples a round
-    evaluates only.
+    as _interval_bounds says. Per call (a focus ellipse's two cuts make one)
+    the taper bounds and B are formed in one _interval_bounds call over
+    every cut's intervals; per cut only v, |u_m x n|, Q and q. Per round,
+    the samples every cut still pending asks for are one block: one
+    _arc_positions, coherent_sums and dbm_from_sums call, with arc
+    positions for those samples only. Each cut's selection, certificates and
+    crossings stay its own (_cut), so a cut evaluates the same rows in the
+    same rounds alone or beside another.
 
     Step 2 bounds each coarse interval as a whole first: U_j = max(|S(a)|,
     |S(b)|) + w_j^2 M2 / 8 is at least the upper bound of every sample in
@@ -542,25 +570,62 @@ def hpbw(
     sample is below the level, and the beam is not resolved, as in a full
     scan, unless a sample above the floor turns up; that one is a candidate.
     """
-    if axis not in ("azimuth", "elevation"):
-        raise ValidationError(f"axis must be 'azimuth' or 'elevation', got {axis!r}")
-    offsets, coarse, widths, j, a, b, since, until = _hpbw_window(target, axis)
+    axes = axis if isinstance(axis, tuple) else (axis,)
+    if bad := [name for name in axes if name not in ("azimuth", "elevation")]:
+        raise ValidationError(f"axis must be 'azimuth' or 'elevation', got {bad[0]!r}")
+    try:
+        widths = _lockstep(scenario, config, target, axes)
+    except (GeometryError, ValidationError):
+        if len(axes) < 2:
+            raise
+        widths = tuple(hpbw(scenario, config, target, name) for name in axes)
+    return widths if isinstance(axis, tuple) else widths[0]
+
+
+def _lockstep(
+    scenario: Scenario, config: RisConfig, target: SphericalCoord, axes: tuple[str, ...]
+) -> tuple[float, ...]:
+    """hpbw's cuts on the given axes in lockstep, one _cut each.
+
+    Each round evaluates the samples every pending cut asks for as one block.
+    Each reply holds the cut's sums, dBm and interval bounds: one
+    _interval_bounds call bounds every cut's intervals after the first round,
+    every cut's coarse pass.
+    """
+    windows = [_hpbw_window(target, axis) for axis in axes]
+    cuts = [_cut(scenario, axis, window) for axis, window in zip(axes, windows)]
+    intervals = [(axis, window[2]) for axis, window in zip(axes, windows)]
+    asks = {c: next(cut) for c, cut in enumerate(cuts)}  # the coarse samples (step 1)
+    widths, bounds = [math.nan] * len(cuts), []
+    while asks:
+        positions = _arc_positions(target, list(asks.values()))
+        sums = coherent_sums(scenario, config, positions)
+        powers, stop = dbm_from_sums(scenario, sums), 0
+        bounds = bounds or _interval_bounds(scenario, config, target, intervals, positions)
+        for c, (_, offsets) in list(asks.items()):
+            part, stop = slice(stop, stop + len(offsets)), stop + len(offsets)
+            try:
+                asks[c] = cuts[c].send((sums[part], powers[part], bounds[c]))
+            except StopIteration as done:
+                widths[c] = done.value
+                del asks[c]
+    return tuple(widths)
+
+
+def _cut(scenario: Scenario, axis: str, window: tuple) -> Generator[tuple, tuple, float]:
+    """hpbw's steps on one cut's window (see hpbw), as a generator.
+
+    It yields (axis, offsets) for the samples it needs evaluated, none of
+    them evaluated yet, and is sent their coherent sums, their dBm and the
+    cut's (curve, incoherent) interval bounds, which it reads from the first
+    reply, the coarse samples'. It returns the width.
+    """
+    offsets, coarse, widths, j, a, b, since, until = window
     n, level = len(offsets), 10.0 ** (-_HALF_POWER_DB / 20.0)
-    powers = np.full(n, np.nan)  # NaN marks a sample not evaluated
-    sums = np.zeros(n, dtype=complex)
-
-    def evaluate(idx: np.ndarray) -> np.ndarray | None:
-        """Evaluate the samples in idx, none evaluated yet; their positions, None if none."""
-        if idx.size:
-            positions = _arc_positions(target, axis, offsets[idx])
-            new = coherent_sums(scenario, config, positions)
-            sums[idx], powers[idx] = new, dbm_from_sums(scenario, new)
-            return positions
-
+    powers, sums = np.full(n, np.nan), np.zeros(n, dtype=complex)  # NaN: not evaluated
     # 1. coarse pass
-    ends = evaluate(coarse)
+    sums[coarse], powers[coarse], (curve, incoherent) = yield axis, offsets[coarse]
     # 2. the certificates, then the rounds that evaluate what the current peak needs
-    curve, incoherent = _interval_bounds(scenario, config, target, axis, widths, ends)
     amps = np.abs(sums[coarse])
     best = amps.max()
     slack = _CERTIFICATE_RTOL * (best + incoherent)  # per interval
@@ -576,7 +641,7 @@ def hpbw(
     want = upper >= best - slack  # NaN compares False
     above = lower >= max(level * upper[want].max(initial=best), floor_amplitude(scenario)) + slack
     under = upper < level * best - slack
-    pw = powers[span]  # a view that evaluate fills in
+    pw = powers[span]  # a view that each reply fills in
 
     def peak() -> int:
         """The evaluated peak's span index, the first on ties."""
@@ -601,7 +666,8 @@ def hpbw(
 
     k = None  # the coarse peak, then the final one if it moved (step 2)
     while k != (k := peak()):
-        evaluate(span.start + ((want | needed(k)) & np.isnan(pw)).nonzero()[0])
+        if (idx := span.start + ((want | needed(k)) & np.isnan(pw)).nonzero()[0]).size:
+            sums[idx], powers[idx], _ = yield axis, offsets[idx]
     ref, (lo, hi) = pw[k] - _HALF_POWER_DB, crossings(k)
     if not (pw[lo] < ref and pw[hi] < ref):  # NaN compares False
         raise BeamNotResolvedError(

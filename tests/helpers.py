@@ -229,7 +229,7 @@ def hpbw_full_scan(
         )
         offsets = offsets[valid]
     # every element's phasor, off or not: independent of coherent_sums' subset path
-    phasors = element_phasor_matrix(scenario, _arc_positions(target, axis, offsets))
+    phasors = element_phasor_matrix(scenario, _arc_positions(target, [(axis, offsets)]))
     powers = dbm_from_sums(scenario, np.sum(phasors * config.as_complex_array, axis=-1))
     k = int(np.argmax(powers))
     ref = powers[k] - 3.0

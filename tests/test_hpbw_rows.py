@@ -1,4 +1,5 @@
 """tools/hpbw_rows.py, the per-round rows of hpbw on fixed cuts, one JSON line each."""
+import itertools
 import json
 import runpy
 from pathlib import Path
@@ -14,8 +15,8 @@ def test_each_line_holds_the_full_scan_result_and_two_or_three_rounds(capsys):
     tool = runpy.run_path(str(TOOL))
     assert tool["main"]([str(COUNT)]) == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert len(lines) == COUNT
-    for line, (label, scenario, config, target, axis) in zip(lines, tool["cuts"]()):
+    assert len(lines) == COUNT + len(list(tool["ellipses"](COUNT)))  # the ellipses come last
+    for line, (label, scenario, config, target, axis) in zip(lines[:COUNT], tool["cuts"]()):
         assert {key: line[key] for key in label} == label
         try:
             want = repr(float(hpbw_full_scan(scenario, config, target, axis)))
@@ -23,3 +24,37 @@ def test_each_line_holds_the_full_scan_result_and_two_or_three_rounds(capsys):
             want = "BeamNotResolvedError"
         assert line["result"] == want, line
         assert len(line["rows"]) in (2, 3) and all(rows > 0 for rows in line["rows"]), line
+
+
+def test_each_ellipse_line_holds_its_two_cut_lines(capsys):
+    tool = runpy.run_path(str(TOOL))
+    assert tool["main"]([str(COUNT)]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    cut_lines, ellipse_lines = lines[:COUNT], lines[COUNT:]
+    labels = [label for label, *_ in tool["ellipses"](COUNT)]
+    # the first COUNT cuts hold ELLIPSE_TARGETS targets' 8 cuts, 4 ellipses each
+    assert len(ellipse_lines) == len(labels) == 4 * tool["ELLIPSE_TARGETS"]
+
+    def key(line, axis):
+        return json.dumps({**line, "axis": axis, "result": None, "rows": None}, sort_keys=True)
+
+    cut_of = {key(line, line["axis"]): line for line in cut_lines}
+    unresolved = 0
+    for line, label in zip(ellipse_lines, labels):
+        assert {name: line[name] for name in label} == label
+        az, el = (cut_of[key(line, axis)] for axis in ("azimuth", "elevation"))
+        merged = [a + b for a, b in itertools.zip_longest(az["rows"], el["rows"], fillvalue=0)]
+        failed = [cut for cut in (az, el) if cut["result"].endswith("Error")]
+        if not failed:
+            assert line["result"] == [az["result"], el["result"]], line
+            assert line["rows"] == merged, line
+            continue
+        # the error of the first cut that fails, as from one call per axis: the lockstep
+        # rounds up to the failure, then the cuts one at a time up to that cut
+        unresolved += 1
+        assert line["result"] == failed[0]["result"], line
+        replay = az["rows"] + (el["rows"] if failed[0] is el else [])
+        lockstep = line["rows"][:len(line["rows"]) - len(replay)]
+        assert line["rows"][len(lockstep):] == replay, line
+        assert lockstep and lockstep == merged[:len(lockstep)], line
+    assert unresolved > 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import plan_updates_stepwise
+import rissim.linkbudget
+import rissim.sweep
+from helpers import hpbw_full_scan, plan_updates_stepwise
 from rissim import planner
 from rissim.errors import BeamNotResolvedError, GeometryError, ValidationError
 from rissim.geom import RisLayout, SphericalCoord, Vec3, spherical_to_cartesian
-from rissim.linkbudget import AntennaPattern, ReflectionCoefficient, Scenario
-from rissim.optimizer import ACTIVE, REFLECTIVE, uniform_config
+from rissim.linkbudget import AntennaPattern, ReflectionCoefficient, Scenario, coherent_sums
+from rissim.optimizer import ACTIVE, REFLECTIVE, optimize_config, uniform_config
 from rissim.planner import (
     _BLOCK_STEPS,
     FocusEllipse,
@@ -25,6 +28,7 @@ from rissim.planner import (
     rho_radial,
     update_interval,
 )
+from rissim.sweep import hpbw
 
 
 def _oracle_rho_radial(height, theta_deg, beta_deg):
@@ -34,6 +38,7 @@ def _oracle_rho_radial(height, theta_deg, beta_deg):
 
 
 _HEIGHT = "^surface must sit a finite height above the user plane$"
+_AXES = ("azimuth", "elevation")
 
 
 class TestRhoRadial:
@@ -191,8 +196,21 @@ class TestFocusEllipse:
             layout=layout,
         )
         config = uniform_config(layout, ReflectionCoefficient(0.3, 0.0))
-        with pytest.raises(BeamNotResolvedError):
-            focus_ellipse(scenario, config, SphericalCoord(1.4, 10.0, -16.0))
+        target = SphericalCoord(1.4, 10.0, -16.0)
+        for axis in _AXES:  # both cuts are unresolved
+            with pytest.raises(BeamNotResolvedError, match=rf"\({axis} cut\)$"):
+                hpbw(scenario, config, target, axis)
+        # the cuts run in lockstep, and the error is the azimuth cut's, as if it ran first alone
+        with pytest.raises(BeamNotResolvedError, match=r"\(azimuth cut\)$"):
+            focus_ellipse(scenario, config, target)
+
+    @pytest.mark.parametrize("elevation", [0.0, 5.0])
+    def test_target_not_below_the_surface_rejected_before_the_cuts(
+        self, kernel_rows, scenario, active_p2, elevation
+    ):
+        with pytest.raises(GeometryError, match=_HEIGHT):
+            focus_ellipse(scenario, active_p2, SphericalCoord(1.4, 10.0, elevation))
+        assert kernel_rows == []
 
     def test_target_on_the_surface_axis_rejected(self, scenario, active_p2):
         with pytest.raises(GeometryError, match="^target sits on the surface axis"):
@@ -209,6 +227,76 @@ class TestFocusEllipse:
         # an infinite ellipse contains every point, so the user would never leave it
         with pytest.raises(ValidationError, match="^ellipse semi-axes must be finite and > 0$"):
             FocusEllipse(Vec3(1, 0, 0), rho_a, rho_r, Vec3(1, 0, 0), 10.0, 10.0)
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """The positions per coherent_sums call made through hpbw: one entry per round."""
+    calls = []
+
+    def counting(scenario, config, positions):
+        calls.append(len(positions))
+        return coherent_sums(scenario, config, positions)
+
+    monkeypatch.setattr(rissim.sweep, "coherent_sums", counting)
+    return calls
+
+
+class TestLockstepCuts:
+    """focus_ellipse's two cuts run in lockstep: one hpbw call whose rounds evaluate both cuts'
+    samples as one block, with each cut's rows, rounds and bits as one call per axis."""
+
+    @pytest.mark.parametrize("target_name", ["P1", "P2"])
+    @pytest.mark.parametrize("alphabet", [REFLECTIVE, ACTIVE], ids=lambda a: a.name)
+    def test_one_block_per_round_holding_both_cuts_rows(
+        self, kernel_rows, rounds, monkeypatch, scenario, doc, target_name, alphabet
+    ):
+        target = doc.targets[target_name]
+        config = optimize_config(scenario, spherical_to_cartesian(target), alphabet)
+        per_round, kernel = {}, {}
+        for axes in (*_AXES, _AXES):
+            for name in ("_block", "_sums"):  # no phasors or sums kept from the last call
+                monkeypatch.setattr(rissim.linkbudget, name, (None, None, None))
+            rounds.clear()
+            kernel_rows.clear()
+            if axes == _AXES:
+                ellipse = focus_ellipse(scenario, config, target)
+            else:
+                hpbw(scenario, config, target, axes)
+            per_round[axes], kernel[axes] = list(rounds), sum(kernel_rows)
+        assert len(per_round[_AXES]) == 2
+        both = itertools.zip_longest(*(per_round[axis] for axis in _AXES), fillvalue=0)
+        assert per_round[_AXES] == [a + b for a, b in both]
+        assert kernel[_AXES] == kernel["azimuth"] + kernel["elevation"] > 0
+        alpha, beta = (hpbw(scenario, config, target, axis) for axis in _AXES)
+        assert (ellipse.alpha_deg, ellipse.beta_deg) == (alpha, beta)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    r=st.floats(0.8, 2.5),
+    azimuth=st.floats(-60.0, 60.0),
+    elevation=st.floats(-45.0, -10.0),
+    alphabet=st.sampled_from([REFLECTIVE, ACTIVE]),
+)
+def test_ellipse_widths_have_the_bits_of_one_call_per_axis_and_the_full_scan(
+    scenario, r, azimuth, elevation, alphabet
+):
+    target = SphericalCoord(r, azimuth, elevation)
+    config = optimize_config(scenario, spherical_to_cartesian(target), alphabet)
+    rounds = []
+
+    def counting(*args):
+        rounds.append(len(args[2]))
+        return coherent_sums(*args)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:  # not a fixture: one per drawn example
+        monkeypatch.setattr(rissim.sweep, "coherent_sums", counting)
+        ellipse = focus_ellipse(scenario, config, target)
+    assert len(rounds) <= 3
+    got = [np.float64(width).tobytes() for width in (ellipse.alpha_deg, ellipse.beta_deg)]
+    for fn in (hpbw, hpbw_full_scan):
+        assert got == [np.float64(fn(scenario, config, target, axis)).tobytes() for axis in _AXES]
 
 
 class TestUpdateSchedule:

@@ -55,6 +55,8 @@ from rissim.sweep import (
     sweep_power,
 )
 
+_AXES = ("azimuth", "elevation")
+
 
 class TestGridSpec:
     def test_default_matches_measurement_area(self, doc):
@@ -458,6 +460,54 @@ class TestHpbw:
         with pytest.raises(ValidationError):
             hpbw(scenario, active_p2, p2, "range")
 
+    def test_a_tuple_of_axes_gives_a_tuple_of_widths_in_order(self, scenario, active_p2, p2):
+        singles = tuple(hpbw(scenario, active_p2, p2, axis) for axis in _AXES)
+        assert hpbw(scenario, active_p2, p2, _AXES) == singles
+        assert hpbw(scenario, active_p2, p2, _AXES[::-1]) == singles[::-1]
+        assert hpbw(scenario, active_p2, p2, ("elevation",)) == singles[1:]
+        assert hpbw(scenario, active_p2, p2, ()) == ()
+
+    def test_an_invalid_axis_in_a_tuple_is_rejected_before_any_row(
+        self, kernel_rows, scenario, active_p2, p2
+    ):
+        with pytest.raises(ValidationError, match="^axis must be 'azimuth' or 'elevation', got 'range'$"):
+            hpbw(scenario, active_p2, p2, ("azimuth", "range"))
+        assert kernel_rows == []
+
+    def test_a_failed_lockstep_round_raises_the_first_cut_s_own_error(
+        self, monkeypatch, scenario, active_p2, p2
+    ):
+        # a round that fails on its size: alone, each cut fails on its own coarse pass, so the
+        # error of both cuts in lockstep must be the azimuth cut's, not the merged round's
+        def failing(scenario, sums):
+            raise GeometryError(f"{len(sums)} sums")
+
+        monkeypatch.setattr(rissim.sweep, "dbm_from_sums", failing)
+        coarse = [len(rissim.sweep._hpbw_window(p2, axis)[1]) for axis in _AXES]
+        for axes in (_AXES, _AXES[::-1]):
+            with pytest.raises(GeometryError, match=f"^{coarse[_AXES.index(axes[0])]} sums$"):
+                hpbw(scenario, active_p2, p2, axes)
+
+    def test_the_first_failing_cut_s_error_in_axis_order(self, scenario):
+        # two isotropic elements across the azimuth rotation axis, seen at azimuth 0: fringes
+        # along the azimuth cut; along the elevation cut both paths stay equal and the power flat
+        pair = (Vec3(0.0, -0.3, 0.0), Vec3(0.0, 0.3, 0.0))
+        flat = replace(
+            scenario,
+            element_pattern=AntennaPattern(0.0, 0.0),
+            ue_pattern=AntennaPattern(3.2, 0.0),
+            layout=replace(scenario.layout, elements=pair),
+        )
+        config = RisConfig((REFLECTIVE.states[0],) * 2, REFLECTIVE.name)
+        target = SphericalCoord(1.4, 0.0, -16.0)
+        alpha = hpbw(flat, config, target, "azimuth")
+        with pytest.raises(BeamNotResolvedError, match=r"\(elevation cut\)$"):
+            hpbw(flat, config, target, "elevation")
+        for axes in (_AXES, _AXES[::-1]):
+            with pytest.raises(BeamNotResolvedError, match=r"\(elevation cut\)$"):
+                hpbw(flat, config, target, axes)
+        assert hpbw(flat, config, target, ("azimuth", "azimuth")) == (alpha, alpha)
+
 
 def _hpbw_or_error(fn, scenario, config, target, axis):
     try:
@@ -561,7 +611,7 @@ class TestHpbwMatchesFullScan:
         fringes = replace(scenario, layout=replace(scenario.layout, elements=pair))
         config = RisConfig((REFLECTIVE.states[0], REFLECTIVE.states[second]), REFLECTIVE.name)
         offsets, coarse, widths, j, a, b, since, until = rissim.sweep._hpbw_window(target, axis)
-        positions = rissim.sweep._arc_positions(target, axis, offsets)
+        positions = rissim.sweep._arc_positions(target, [(axis, offsets)])
         sums = coherent_sums(fringes, config, positions)
         powers = dbm_from_sums(fringes, sums)
         k = int(np.argmax(powers))
@@ -643,8 +693,10 @@ class TestHpbwMatchesFullScan:
             second = REFLECTIVE.states[int(rng.integers(0, 2))]
             config = RisConfig((REFLECTIVE.states[0], second), REFLECTIVE.name)
             offsets, coarse, widths = rissim.sweep._hpbw_window(target, "azimuth")[:3]
-            ends = rissim.sweep._arc_positions(target, "azimuth", offsets[coarse])
-            curve, _ = rissim.sweep._interval_bounds(step, config, target, "azimuth", widths, ends)
+            ends = rissim.sweep._arc_positions(target, [("azimuth", offsets[coarse])])
+            [(curve, _)] = rissim.sweep._interval_bounds(
+                step, config, target, [("azimuth", widths)], ends
+            )
             assert not np.isnan(curve).any(), target
             got = _hpbw_or_error(hpbw, step, config, target, "azimuth")
             assert got == _hpbw_or_error(hpbw_full_scan, step, config, target, "azimuth"), target
@@ -656,7 +708,7 @@ class TestHpbwMatchesFullScan:
         target = SphericalCoord(1.4, 86.0, -16.0)
         config = optimize_config(doc.scenario, spherical_to_cartesian(target), REFLECTIVE)
         offsets = rissim.sweep._hpbw_window(target, "azimuth")[0]
-        positions = rissim.sweep._arc_positions(target, "azimuth", offsets)
+        positions = rissim.sweep._arc_positions(target, [("azimuth", offsets)])
         powers = dbm_from_sums(doc.scenario, coherent_sums(doc.scenario, config, positions))
         peak = int(np.argmax(powers))
         assert np.isfinite(powers[peak]) and powers[peak + 1] == -math.inf
@@ -675,9 +727,9 @@ class TestHpbwMatchesFullScan:
             config = optimize_config(scenario, spherical_to_cartesian(target), alphabet)
             for axis in ("azimuth", "elevation"):
                 offsets, coarse, widths = rissim.sweep._hpbw_window(target, axis)[:3]
-                positions = rissim.sweep._arc_positions(target, axis, offsets)
-                curve, incoherent = rissim.sweep._interval_bounds(
-                    scenario, config, target, axis, widths, positions[coarse]
+                positions = rissim.sweep._arc_positions(target, [(axis, offsets)])
+                [(curve, incoherent)] = rissim.sweep._interval_bounds(
+                    scenario, config, target, [(axis, widths)], positions[coarse]
                 )
                 assert np.isinf(curve).all() and np.isinf(incoherent).all()
                 got = _hpbw_or_error(hpbw, scenario, config, target, axis)
@@ -690,14 +742,14 @@ class TestHpbwMatchesFullScan:
         near = SphericalCoord(0.35, 30.0, -20.0)
         for target in (doc.targets["P1"], SphericalCoord(0.9, -50.0, 20.0), near):
             window = rissim.sweep._hpbw_window(target, axis)
-            positions = rissim.sweep._arc_positions(target, axis, window[0])
+            positions = rissim.sweep._arc_positions(target, [(axis, window[0])])
             for alphabet in (REFLECTIVE, ACTIVE):
                 for _ in range(3):
                     states = rng.integers(0, len(alphabet.states), len(scenario.layout))
                     config = RisConfig(tuple(alphabet.states[k] for k in states), alphabet.name)
                     sums = coherent_sums(scenario, config, positions)
-                    curve, _ = rissim.sweep._interval_bounds(
-                        scenario, config, target, axis, window[2], positions[window[1]]
+                    [(curve, _)] = rissim.sweep._interval_bounds(
+                        scenario, config, target, [(axis, window[2])], positions[window[1]]
                     )
                     _assert_interpolation_error_bounded(sums, curve, window)
 
@@ -870,12 +922,12 @@ def _assert_interval_bounds_hold(scenario, config, target, axis):
     bound, from a full scan's phasors."""
     window = rissim.sweep._hpbw_window(target, axis)
     coarse, widths = window[1:3]
-    positions = rissim.sweep._arc_positions(target, axis, window[0])
+    positions = rissim.sweep._arc_positions(target, [(axis, window[0])])
     phasors = rissim.linkbudget.element_phasor_matrix(scenario, positions)
     gamma = config.as_complex_array
     incoherent_amps = np.abs(phasors) @ np.abs(gamma)
-    curve, incoherent = rissim.sweep._interval_bounds(
-        scenario, config, target, axis, widths, positions[coarse]
+    [(curve, incoherent)] = rissim.sweep._interval_bounds(
+        scenario, config, target, [(axis, widths)], positions[coarse]
     )
     _assert_interpolation_error_bounded(np.sum(phasors * gamma, axis=-1), curve, window)
     for j, (a, b) in enumerate(zip(coarse[:-1], coarse[1:])):
@@ -1029,8 +1081,47 @@ class TestPeakCertificate:
             hpbw(scenario, config, target, axis)
             assert len(calls) == 2, axis
             offsets, coarse = rissim.sweep._hpbw_window(target, axis)[:2]
-            positions = rissim.sweep._arc_positions(target, axis, offsets)
+            positions = rissim.sweep._arc_positions(target, [(axis, offsets)])
             assert np.array_equal(calls[0], positions[coarse])
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [{}, {"ue": {"pattern_exponent": 0.5}}, {"ris": {"element_pattern_exponent": 0.0}}],
+    ids=["default", "ue-root-taper", "step-pattern"],
+)
+def test_both_cuts_stacked_get_the_bits_of_their_own_calls(variant):
+    """One _arc_positions and one _interval_bounds call over both cuts of an ellipse give each
+    cut the bits of a call of its own; the interval between the two cuts is dropped."""
+    scenario = resolve_scenario(variant).scenario
+    rng = np.random.default_rng(33)
+    targets = [
+        SphericalCoord(1.4, 20.0, -16.0),
+        SphericalCoord(0.9, -50.0, 20.0),
+        SphericalCoord(1.4, 75.0, 89.5),  # the elevation cut stops at +90
+        SphericalCoord(0.04, 20.0, -16.0),  # inside the surface radius: no bound
+    ]
+    configs = [
+        *_random_configs(rng, len(scenario.layout), count=1),
+        uniform_config(scenario.layout, ReflectionCoefficient(0.0, 0.0), "all_off"),
+    ]
+    for target in targets:
+        windows = [rissim.sweep._hpbw_window(target, axis) for axis in _AXES]
+        cuts = [(axis, w[0][w[1]]) for axis, w in zip(_AXES, windows)]
+        ends = [rissim.sweep._arc_positions(target, [cut]) for cut in cuts]
+        stacked = rissim.sweep._arc_positions(target, cuts)
+        assert stacked.tobytes() == np.concatenate(ends).tobytes(), target
+        for config in configs:
+            alone = [
+                rissim.sweep._interval_bounds(scenario, config, target, [(axis, w[2])], e)[0]
+                for axis, w, e in zip(_AXES, windows, ends)
+            ]
+            both = rissim.sweep._interval_bounds(
+                scenario, config, target, [(axis, w[2]) for axis, w in zip(_AXES, windows)], stacked
+            )
+            assert len(both) == 2
+            for got, want in zip(both, alone):
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want], target
 
 
 class TestElementSummary:

@@ -11,12 +11,20 @@ the same rounds and return the same bits, so
 is the row-parity check between them. The cuts run on four scenarios (the
 default, a UE pattern exponent of 3, a step element pattern and a 9-ring
 surface), at seeded random targets, with each alphabet's optimized and a
-random configuration, on both axes. Stdlib and rissim only; rissim is
-imported from this checkout's src/:
+random configuration, on both axes.
+
+After the cuts come the focus ellipses: one line per configuration at the
+first ELLIPSE_TARGETS targets of each scenario, for `hpbw` on both axes in
+one call, as `focus_ellipse` makes it. Its axis is ["azimuth",
+"elevation"], its result the two widths' reprs (or the name of the error
+raised) and its rows those of each lockstep round, both cuts' samples in
+one block. Stdlib and rissim only; rissim is imported from this checkout's
+src/:
 
     python tools/hpbw_rows.py [COUNT]
 
-COUNT, if given, prints only the first COUNT cuts.
+COUNT, if given, prints only the first COUNT cuts and the ellipses among
+them.
 """
 from __future__ import annotations
 
@@ -37,6 +45,8 @@ from rissim.optimizer import ACTIVE, REFLECTIVE, optimize_config  # noqa: E402
 
 SEED = 32
 TARGETS = 17  # per scenario; each gives 2 alphabets x 2 configurations x 2 axes = 8 cuts
+ELLIPSE_TARGETS = 3  # per scenario, the first ones; each gives 4 ellipses
+AXES = ("azimuth", "elevation")
 SCENARIOS = {
     "default": {},
     "ue-exponent-3": {"ue": {"pattern_exponent": 3.0}},
@@ -65,7 +75,7 @@ def cuts():
                     "random": RisConfig(tuple(alphabet.states[k] for k in states), alphabet.name),
                 }
                 for source, config in configs.items():
-                    for axis in ("azimuth", "elevation"):
+                    for axis in AXES:
                         label = {
                             "scenario": name,
                             "target": [target.r, target.azimuth_deg, target.elevation_deg],
@@ -76,8 +86,25 @@ def cuts():
                         yield label, scenario, config, target, axis
 
 
-def run(scenario, config, target, axis) -> tuple[str, list[int]]:
-    """hpbw's result (repr, or the error's type name) and its rows per round."""
+def ellipses(count: int | None = None):
+    """Yield (label, scenario, config, target) for every ellipse among the first count cuts.
+
+    An ellipse is a configuration's azimuth and elevation cut, consecutive in
+    cuts(), at one of the first ELLIPSE_TARGETS targets of its scenario.
+    """
+    first = {}  # per scenario, its first targets
+    pairs = iter(itertools.islice(cuts(), count))
+    for (label, scenario, config, target, _), _ in zip(pairs, pairs):
+        targets = first.setdefault(label["scenario"], [])
+        if target not in targets and len(targets) < ELLIPSE_TARGETS:
+            targets.append(target)
+        if target in targets:
+            yield {**label, "axis": list(AXES)}, scenario, config, target
+
+
+def run(scenario, config, target, axis) -> tuple[str | list[str], list[int]]:
+    """hpbw's result (repr, a list of reprs for a tuple of axes, or the error's type name) and
+    its rows per round."""
     rows = []
     apply = rissim.sweep.coherent_sums
 
@@ -87,7 +114,8 @@ def run(scenario, config, target, axis) -> tuple[str, list[int]]:
 
     rissim.sweep.coherent_sums = counting
     try:
-        result = repr(rissim.sweep.hpbw(scenario, config, target, axis))
+        width = rissim.sweep.hpbw(scenario, config, target, axis)
+        result = list(map(repr, width)) if isinstance(axis, tuple) else repr(width)
     except (GeometryError, ValidationError) as error:
         result = type(error).__name__
     finally:
@@ -99,6 +127,9 @@ def main(argv: list[str]) -> int:
     count = int(argv[0]) if argv else None
     for label, *cut in itertools.islice(cuts(), count):
         result, rows = run(*cut)
+        print(json.dumps({**label, "result": result, "rows": rows}))
+    for label, *ellipse in ellipses(count):
+        result, rows = run(*ellipse, AXES)
         print(json.dumps({**label, "result": result, "rows": rows}))
     return 0
 

@@ -1,16 +1,19 @@
-"""Where a beam cut's time goes: microseconds per `hpbw` cut, per layer, in-process.
+"""Where a beam cut's time goes: microseconds per `hpbw` cut and per focus ellipse, per layer.
 
 The functions below are wrapped with `time.perf_counter` where `hpbw` and
-`coherent_sums` look them up, while a fixed set of cuts runs: 21 targets at
-range 1.2-1.4 m, azimuth 10-40 degrees and elevation -16 degrees on the
-default scenario, each with its optimized reflective and active
-configuration, on both axes (84 cuts). The configurations are computed
-before timing. Each layer is the best of 5 runs over all 84 cuts, divided
-by 84:
+`coherent_sums` look them up, while a fixed set of cuts runs in-process: 21
+targets at range 1.2-1.4 m, azimuth 10-40 degrees and elevation -16 degrees
+on the default scenario, each with its optimized reflective and active
+configuration, on both axes (84 cuts). The same 42 configurations then run
+as focus ellipses, one `hpbw` call with both axes each, as `focus_ellipse`
+makes it: the two cuts in lockstep. The configurations are computed before
+timing. Each layer is the best of 5 runs over all 84 cuts, divided by 84
+(the section `per cut`), and over all 42 ellipses, divided by 42 (`per
+ellipse`):
 
     kernel        element_phasor_matrix
     apply         coherent_sums less the kernel inside it (lookup and apply_config)
-    bounds        _interval_bounds (element summary and per-cut bound)
+    bounds        _interval_bounds (element summary and the bound of every cut in the call)
     arc           _arc_positions
     dbm           dbm_from_sums
     hpbw lines    hpbw's own lines: the call less everything above
@@ -44,6 +47,7 @@ WRAPPED = [
     (rissim.sweep, "dbm_from_sums", "dbm"),
 ]
 LAYERS = [layer for _, _, layer in WRAPPED] + ["hpbw lines", "total"]
+AXES = ("azimuth", "elevation")
 
 
 def cuts(scenario) -> list[tuple]:
@@ -55,8 +59,13 @@ def cuts(scenario) -> list[tuple]:
         (optimize_config(scenario, spherical_to_cartesian(target), alphabet), target, axis)
         for target in targets
         for alphabet in (REFLECTIVE, ACTIVE)
-        for axis in ("azimuth", "elevation")
+        for axis in AXES
     ]
+
+
+def ellipses(cut_cases: list[tuple]) -> list[tuple]:
+    """The (config, target, AXES) ellipses of the cuts: each configuration's two cuts in one call."""
+    return [(config, target, AXES) for config, target, _ in cut_cases[::len(AXES)]]
 
 
 def one_run(scenario, cases) -> dict[str, float]:
@@ -88,18 +97,23 @@ def one_run(scenario, cases) -> dict[str, float]:
     return spent
 
 
-def split(runs: int = RUNS) -> dict[str, float]:
-    """Microseconds per cut per layer, the best of runs."""
+def split(runs: int = RUNS) -> dict[str, dict[str, float]]:
+    """Microseconds per layer, the best of runs: per cut and per ellipse."""
     scenario = load_scenario(None).scenario
-    cases = cuts(scenario)
-    one_run(scenario, cases)  # warm-up: window arrays, kept summaries, lazy imports
-    samples = [one_run(scenario, cases) for _ in range(runs)]
-    return {layer: 1e6 * min(s[layer] for s in samples) / len(cases) for layer in LAYERS}
+    per_cut = cuts(scenario)
+    out = {}
+    for section, cases in (("per cut", per_cut), ("per ellipse", ellipses(per_cut))):
+        one_run(scenario, cases)  # warm-up: window arrays, kept summaries, lazy imports
+        samples = [one_run(scenario, cases) for _ in range(runs)]
+        out[section] = {layer: 1e6 * min(s[layer] for s in samples) / len(cases) for layer in LAYERS}
+    return out
 
 
 def main() -> int:
-    for layer, us in split().items():
-        print(f"{layer:<12} {us:8.1f} us")
+    for section, layers in split().items():
+        print(section)
+        for layer, us in layers.items():
+            print(f"{layer:<12} {us:8.1f} us")
     return 0
 
 
