@@ -280,34 +280,7 @@ def _taper_bounds(exponent: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
     return np.where(lit, sups, 0.0)
 
 
-def _elements(scenario: Scenario, config: RisConfig, r: float) -> tuple | float:
-    """_interval_bounds' element summary for one scenario, configuration and range r.
-
-    Over the elements with w_m = |Gamma_m| c_m > 0 (see hpbw): their positions
-    u, the (2, 3) corners of their bounding box, d_min and d_max = r -/+ max
-    |u_m|, the per-element weights of Q and q, and the sums behind g0-g2 and
-    the incoherent bound: (g0 / v, sum_m w_m / D_m^n for n = 1, 2, 3).
-    0.0 instead when nothing reflects (S is 0 everywhere) and inf when r <=
-    max |u_m| (there is no bound).
-    """
-    weight = np.abs(config.as_complex_array) * scenario.bs_side[1]  # |Gamma_m| c_m
-    if not (on := weight > 0.0).any():
-        return 0.0
-    w, u = weight[on], scenario.layout.positions[on]
-    u_norm = np.sqrt(np.sum(u * u, axis=-1))
-    near, d_min, d_max = r - u_norm, r - u_norm.max(), r + u_norm.max()
-    if d_min <= 0.0:  # D_m <= d2 and every d2 lies in [d_min, d_max]
-        return math.inf
-    k, inv = 2.0 * math.pi / wavelength(scenario), 1.0 / near
-    kd, w1, w2, w3 = k + inv, w * inv, w * inv * inv, w * inv * inv * inv
-    box = np.sort(u, axis=0)[[0, -1]]  # per coordinate: min, max
-    sums = w2 @ (u_norm * kd), w1.sum(), w2.sum(), w3.sum()
-    return u, box, d_min, d_max, w3 * (k * k + 3.0 * inv * kd), 2.0 * w3 * kd, sums
-
-
-_summary: tuple = (None, None, None)  # last element summary: scenario, (Gamma bytes, r), summary
-
-
+@np.errstate(invalid="ignore", over="ignore")  # a NaN bound is read as inf below
 def _interval_bounds(
     scenario: Scenario,
     config: RisConfig,
@@ -321,22 +294,31 @@ def _interval_bounds(
     Each cut is (axis, widths), the J interval widths in radians, and ends
     stacks each cut's J + 1 arc positions bounding them, cut after cut. The
     derivation, with the path length's derivatives taken about the cut's
-    rotation axis, is in hpbw's docstring. The element summary (_elements)
-    is kept for the last scenario, configuration and range, keyed like
-    coherent_sums' kept sums on the scenario's identity and the Gamma
-    vector's bytes, and on r. Per call (once per focus ellipse) the arc-end
-    cosines, the taper bounds and B are formed over the intervals between
-    consecutive rows of ends, those between two cuts included and then
-    dropped; per cut only the speed v, |u_m x n|, Q, q and the sums of the
-    bound.
+    rotation axis, is in hpbw's docstring. First the element summary, over
+    the elements with w_m = |Gamma_m| c_m > 0 (see hpbw): their positions
+    u, the (2, 3) corners of their bounding box, d_min and d_max = r -/+ max
+    |u_m|, the per-element weights of Q and q, and the sums behind g0-g2 and
+    the incoherent bound. Both bounds are 0 when nothing reflects (S is 0
+    everywhere) and inf when r <= max |u_m|. Then, once per call (once per
+    focus ellipse), the arc-end cosines, the taper bounds and B over the
+    intervals between consecutive rows of ends, those between two cuts
+    included and then dropped; per cut only the speed v, |u_m x n|, Q, q and
+    the sums of the bound. A NaN in either bound (an overflow met 0, such
+    as k^2 = inf times a zero coordinate of |u_m x n|) is inf: no bound.
     """
-    global _summary
-    key = (config.as_complex_array.tobytes(), target.r)
-    if not (_summary[0] is scenario and _summary[1] == key):
-        _summary = (scenario, key, _elements(scenario, config, target.r))
-    if isinstance(_summary[2], float):
-        return [(np.full(len(w), _summary[2]), np.full(len(w), _summary[2])) for _, w in cuts]
-    u, box, d_min, d_max, weights, lin_weights, (g0_sum, s1, s2, s3) = _summary[2]
+    weight = np.abs(config.as_complex_array) * scenario.bs_side[1]  # |Gamma_m| c_m
+    if not (on := weight > 0.0).any():
+        return [(np.zeros(len(widths)), np.zeros(len(widths))) for _, widths in cuts]
+    w, u = weight[on], scenario.layout.positions[on]
+    u_norm = np.sqrt(np.sum(u * u, axis=-1))
+    near, d_min, d_max = target.r - u_norm, target.r - u_norm.max(), target.r + u_norm.max()
+    if d_min <= 0.0:  # D_m <= d2 and every d2 lies in [d_min, d_max]
+        return [(np.full(len(widths), np.inf), np.full(len(widths), np.inf)) for _, widths in cuts]
+    k, inv = 2.0 * math.pi / wavelength(scenario), 1.0 / near
+    kd, w1, w2, w3 = k + inv, w * inv, w * inv * inv, w * inv * inv * inv
+    box = np.sort(u, axis=0)[[0, -1]]  # per coordinate: min, max
+    weights, lin_weights = w3 * (k * k + 3.0 * inv * kd), 2.0 * w3 * kd
+    g0_sum, s1, s2, s3 = w2 @ (u_norm * kd), w1.sum(), w2.sum(), w3.sum()
     cos_el = math.cos(math.radians(target.elevation_deg))
     speeds = [target.r * (cos_el if axis == "azimuth" else 1.0) for axis, _ in cuts]
     left, right = ends[:-1], ends[1:]  # each interval's ends
@@ -355,12 +337,8 @@ def _interval_bounds(
     )
     if scenario.ue_pattern.exponent > 0.0:  # else the UE taper is identically 1
         f, df, ddf = _taper_bounds(scenario.ue_pattern.exponent / 2.0, *cosine_range(2, -1.0))
-        with np.errstate(invalid="ignore"):  # 0 * inf where a taper is identically 0
-            dd_taper = dd_taper * f + 2.0 * d_taper * df + taper * ddf
-            d_taper = d_taper * f + taper * df
-        # or, in 2 d_taper df, a step's flat side (exponent 0) times a factor unbounded there,
-        # whose own term taper * ddf is then inf: so is the bound, not NaN
-        dd_taper[np.isnan(dd_taper)] = np.inf
+        dd_taper = dd_taper * f + 2.0 * d_taper * df + taper * ddf
+        d_taper = d_taper * f + taper * df
         taper = taper * f
     d_taper, dd_taper = (np.where(taper > 0.0, d, 0.0) for d in (d_taper, dd_taper))
     b_sup = 0.5 * (np.abs(left) + np.abs(right)) + reach[:, None]
@@ -376,6 +354,8 @@ def _interval_bounds(
         curve = h * (((b @ form) * b).sum(axis=1) + g0)
         curve += d_taper[cut] * (speed * (b @ lin) + g1) + dd_taper[cut] * g2
         bounds.append((curve, h * s1))
+        for bound in bounds[-1]:
+            bound[np.isnan(bound)] = np.inf
     return bounds
 
 
@@ -472,11 +452,11 @@ def hpbw(
     coarse samples and, per fine sample, its coarse interval, the interval's
     ends and the distances to them (_hpbw_window) are built once per elevation
     clip and kept read-only; every cut within +/-45 degrees elevation uses
-    the same ones. The part of the bound M2 (below) that depends only on the
-    scenario, the configuration and the range is one element summary, kept
-    as _interval_bounds says. Per call (a focus ellipse's two cuts make one)
-    the taper bounds and B are formed in one _interval_bounds call over
-    every cut's intervals; per cut only v, |u_m x n|, Q and q. Per round,
+    the same ones. Per call (a focus ellipse's two cuts make one) the part
+    of the bound M2 (below) that depends only on the scenario, the
+    configuration and the range, one element summary, and the taper bounds
+    and B are formed in one _interval_bounds call over every cut's
+    intervals; per cut only v, |u_m x n|, Q and q. Per round,
     the samples every cut still pending asks for are one block: one
     _arc_positions, coherent_sums and dbm_from_sums call, with arc
     positions for those samples only. Each cut's selection, certificates and
@@ -548,9 +528,10 @@ def hpbw(
     O(J + M) for J intervals and M elements. There is no bound, and the
     interval is always evaluated, where r <= max |u_m| or where a cosine may
     reach 0 inside the interval under a factor c^p with p < 2 whose first or
-    second derivative is unbounded or jumps there. That holds beside a step
-    pattern's flat side too, where the product rule's cross term reads 0 x
-    inf: it is taken as inf, as the unbounded factor's own term is.
+    second derivative is unbounded or jumps there. Nor is there one where a
+    bound reads NaN, an overflow met 0 (beside a step pattern's flat side,
+    the product rule's cross term reads 0 x inf; at extreme frequencies or
+    exponents, k^2 or a taper's scale overflows): NaN is taken as inf.
 
     Rounding: a sample reaches the best amplitude A* when its upper bound is
     >= A* - 1e-9 (A* + sum_m |Gamma_m| A_m), the incoherent sum bounded over

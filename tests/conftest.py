@@ -1,7 +1,6 @@
 import pytest
 
 import rissim.linkbudget
-import rissim.sweep
 from rissim.geom import spherical_to_cartesian
 from rissim.io_cli import load_scenario
 from rissim.optimizer import ACTIVE, REFLECTIVE, optimize_config
@@ -11,7 +10,7 @@ from rissim.sweep import sweep_power
 @pytest.fixture
 def kernel_rows(monkeypatch):
     """Position counts of the element_phasor_matrix calls made through coherent_sums,
-    which starts with no block and no sums kept, and hpbw with no element summary kept."""
+    which starts with no block and no sums kept."""
     kernel = rissim.linkbudget.element_phasor_matrix
     rows = []
 
@@ -22,7 +21,6 @@ def kernel_rows(monkeypatch):
     monkeypatch.setattr(rissim.linkbudget, "element_phasor_matrix", counting)
     monkeypatch.setattr(rissim.linkbudget, "_block", (None, None, None))
     monkeypatch.setattr(rissim.linkbudget, "_sums", (None, None, None))
-    monkeypatch.setattr(rissim.sweep, "_summary", (None, None, None))
     return rows
 
 

@@ -124,6 +124,12 @@ def _scenario(keys) -> dict:
     command=st.sampled_from(_COMMANDS),
     magnitude=st.sampled_from(_NUMBERS),
 )
+# k^2 or a taper's scale overflows in hpbw's interval bound, which then reads NaN: no bound
+@example(keys=[("frequency_ghz", 1.0e155)], command=_COMMANDS[2], magnitude=0.0)
+@example(keys=[("frequency_ghz", 1.0e155)], command=_COMMANDS[3], magnitude=0.0)
+@example(keys=[("frequency_ghz", 1.0e155)], command=_COMMANDS[4], magnitude=0.0)
+@example(keys=[("frequency_ghz", 1.0e155)], command=_COMMANDS[10], magnitude=0.0)
+@example(keys=[("ue.pattern_exponent", 1.0e300)], command=_COMMANDS[4], magnitude=0.0)
 def test_every_command_gives_finite_output_or_a_typed_error(keys, command, magnitude):
     with tempfile.TemporaryDirectory() as tmp:
         scenario, out, config = (Path(tmp) / name for name in ("s.yaml", "out.csv", "c.csv"))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import write_power_grid_csv_reference
+from helpers import hpbw_full_scan, write_power_grid_csv_reference
 
 import rissim
 from rissim.cli import cli_dispatch
@@ -1033,6 +1033,29 @@ class TestCli:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "error: configuration has 126 coefficients for 127 elements"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hpbw", "--target", "P1", "--axis", "azimuth"],
+            ["hpbw", "--target", "P1", "--axis", "elevation"],
+            ["ellipse", "--target", "P1"],
+            ["plan", "--start", "P1", "--motion", "radial", "--distance", "0.05"],
+        ],
+        ids=["hpbw-azimuth", "hpbw-elevation", "ellipse", "plan"],
+    )
+    def test_an_overflowing_wavenumber_leaves_the_beam_cuts_unbounded(self, argv, tmp_path, capsys):
+        # k^2 overflows: hpbw's bound reads NaN, which is no bound, and every interval is evaluated
+        high = tmp_path / "high.yaml"
+        high.write_text("frequency_ghz: 1.0e+155\n")
+        assert cli_dispatch(["--scenario", str(high), *argv]) == 0
+        out = capsys.readouterr().out
+        if argv[0] == "hpbw":
+            doc = resolve_scenario({"frequency_ghz": 1.0e155})
+            target = doc.targets["P1"]
+            config = optimize_config(doc.scenario, spherical_to_cartesian(target), REFLECTIVE)
+            width = hpbw_full_scan(doc.scenario, config, target, argv[-1])
+            assert out.splitlines()[-1] == f"hpbw_deg={width:.6g}"
 
     @pytest.mark.parametrize("motion", ["arc", "line"])
     def test_plan_motion_without_end_rejected(self, motion, capsys):

@@ -42,7 +42,6 @@ import rissim.sweep
 from rissim.io_cli import resolve_scenario
 from rissim.linkbudget import RisConfig, coherent_sums, dbm_from_sums
 from rissim.optimizer import ACTIVE, REFLECTIVE, optimize_config, uniform_config
-from rissim.planner import focus_ellipse
 from rissim.sweep import (
     GridComparison,
     GridSpec,
@@ -701,6 +700,39 @@ class TestHpbwMatchesFullScan:
             got = _hpbw_or_error(hpbw, step, config, target, "azimuth")
             assert got == _hpbw_or_error(hpbw_full_scan, step, config, target, "azimuth"), target
 
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            {"frequency_ghz": 1.0e155},
+            *({"ue": {"pattern_exponent": q}} for q in (2.0e154, 3.0e154, 1.0e300)),
+            *({"ris": {"element_pattern_exponent": q}} for q in (2.0e154, 3.0e154, 1.0e300)),
+        ],
+        ids=[
+            "frequency-1e155",
+            *(f"{part}-{q}" for part in ("ue", "element") for q in ("2e154", "3e154", "1e300")),
+        ],
+    )
+    def test_a_nan_bound_is_no_bound(self, variant):
+        # k^2 overflows (from about 6.4e152 GHz) and meets a zero coordinate of |u_m x n| in Q,
+        # and a taper's scale overflows and meets top ** (p - n) = 0: the bound reads NaN, which
+        # is inf, so the interval is evaluated and no RuntimeWarning is raised. Compared as a
+        # number, NaN left every interval out of the span, and hpbw crashed on the empty span
+        doc = resolve_scenario(variant)
+        p1 = doc.targets["P1"]
+        for target in (p1, SphericalCoord(p1.r, 70.0, p1.elevation_deg)):
+            for alphabet in (REFLECTIVE, ACTIVE):
+                config = optimize_config(doc.scenario, spherical_to_cartesian(target), alphabet)
+                for axis in ("azimuth", "elevation"):
+                    offsets, coarse, widths = rissim.sweep._hpbw_window(target, axis)[:3]
+                    ends = rissim.sweep._arc_positions(target, [(axis, offsets[coarse])])
+                    [bounds] = rissim.sweep._interval_bounds(
+                        doc.scenario, config, target, [(axis, widths)], ends
+                    )
+                    assert not any(np.isnan(bound).any() for bound in bounds), (target, axis)
+                    got = _hpbw_or_error(hpbw, doc.scenario, config, target, axis)
+                    want = _hpbw_or_error(hpbw_full_scan, doc.scenario, config, target, axis)
+                    assert got == want, (target, alphabet.name, axis)
+
     def test_crossing_next_to_a_zero_power_sample(self):
         # a step element pattern zeroes the field past azimuth 90 deg, so a -inf sample sits
         # next to the right crossing: it lands on the last sample at or above the level
@@ -1125,32 +1157,44 @@ def test_both_cuts_stacked_get_the_bits_of_their_own_calls(variant):
 
 
 class TestElementSummary:
-    """_interval_bounds keeps one element summary, keyed on the scenario's identity, the Gamma
-    vector's bytes and the range, so both cuts of a focus ellipse build it once."""
+    """_interval_bounds builds its element summary in every call and keeps nothing: one call per
+    hpbw call, a focus ellipse's two cuts included, and the full scan's bits whatever the
+    scenario, Gamma vector and range of the call before."""
 
     @pytest.fixture
-    def builds(self, kernel_rows, monkeypatch):
-        """The (scenario, Gamma bytes, r) of every summary built; kernel_rows starts with none
-        kept."""
-        elements = rissim.sweep._elements
-        built = []
+    def calls(self, monkeypatch):
+        """The names of the hpbw calls (a failed lockstep run's replays included) and of the
+        _interval_bounds calls, in call order; call rissim.sweep.hpbw to log the outer one."""
+        log = []
+        for name in ("hpbw", "_interval_bounds"):
+            def logging(*args, fn=getattr(rissim.sweep, name), name=name):
+                log.append(name)
+                return fn(*args)
 
-        def counting(scenario, config, r):
-            built.append((scenario, config.as_complex_array.tobytes(), r))
-            return elements(scenario, config, r)
+            monkeypatch.setattr(rissim.sweep, name, logging)
+        return log
 
-        monkeypatch.setattr(rissim.sweep, "_elements", counting)
-        return built
+    def test_one_bound_call_per_hpbw_call(self, calls, scenario, refl_p1, p1):
+        one = ["hpbw", "_interval_bounds"]
+        for axis in ("azimuth", _AXES):  # a single axis, and both cuts of a focus ellipse
+            calls.clear()
+            rissim.sweep.hpbw(scenario, refl_p1, p1, axis)
+            assert calls == one, axis
+        # the lockstep run fails on its elevation cut, so each cut runs again on its own
+        pair = (Vec3(0.0, -0.3, 0.0), Vec3(0.0, 0.3, 0.0))
+        flat = replace(
+            scenario,
+            element_pattern=AntennaPattern(0.0, 0.0),
+            ue_pattern=AntennaPattern(3.2, 0.0),
+            layout=replace(scenario.layout, elements=pair),
+        )
+        config = RisConfig((REFLECTIVE.states[0],) * 2, REFLECTIVE.name)
+        calls.clear()
+        with pytest.raises(BeamNotResolvedError, match=r"\(elevation cut\)$"):
+            rissim.sweep.hpbw(flat, config, SphericalCoord(1.4, 0.0, -16.0), _AXES)
+        assert calls == one * 3
 
-    def test_one_build_per_focus_ellipse(self, builds, scenario, refl_p1, active_p1, p1):
-        focus_ellipse(scenario, refl_p1, p1)
-        assert len(builds) == 1
-        builds.clear()
-        for config in (active_p1, refl_p1):  # two configurations in turn, one entry kept
-            focus_ellipse(scenario, config, p1)
-        assert len(builds) == 2
-
-    def test_each_part_of_the_key_rebuilds_it(self, builds, scenario, refl_p1, p1):
+    def test_each_former_key_part_in_turn_equals_the_full_scan(self, scenario, refl_p1, p1):
         last = refl_p1.coefficients[-1]
         other = next(state for state in REFLECTIVE.states if state != last)
         changed = replace(refl_p1, coefficients=refl_p1.coefficients[:-1] + (other,))
@@ -1165,7 +1209,6 @@ class TestElementSummary:
             for axis in ("azimuth", "elevation"):
                 got = _hpbw_or_error(hpbw, *case, axis)
                 assert got == _hpbw_or_error(hpbw_full_scan, *case, axis), axis
-        assert builds == [(sc, config.as_complex_array.tobytes(), t.r) for sc, config, t in cases]
 
 
 class TestCompareGrids:

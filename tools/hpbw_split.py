@@ -103,7 +103,7 @@ def split(runs: int = RUNS) -> dict[str, dict[str, float]]:
     per_cut = cuts(scenario)
     out = {}
     for section, cases in (("per cut", per_cut), ("per ellipse", ellipses(per_cut))):
-        one_run(scenario, cases)  # warm-up: window arrays, kept summaries, lazy imports
+        one_run(scenario, cases)  # warm-up: window arrays, lazy imports
         samples = [one_run(scenario, cases) for _ in range(runs)]
         out[section] = {layer: 1e6 * min(s[layer] for s in samples) / len(cases) for layer in LAYERS}
     return out
