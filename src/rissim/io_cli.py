@@ -345,9 +345,7 @@ def write_config_csv(config: RisConfig, stream, alphabet: ReflectionAlphabet) ->
         stream.write(f"{m},{alphabet.index_of(c)},{_fmt(c.magnitude)},{_fmt(c.phase_deg)}\n")
 
 
-def read_config_csv(
-    stream, alphabets: dict[str, ReflectionAlphabet] | None = None
-) -> RisConfig:
+def read_config_csv(stream, alphabets: dict[str, ReflectionAlphabet]) -> RisConfig:
     """Read a configuration file; state indices must be integers >= -1.
 
     When alphabets holds the alphabet the header names, every coefficient must
@@ -358,7 +356,7 @@ def read_config_csv(
     if not header.startswith("# "):
         raise ValidationError("configuration file must start with '# <alphabet>'")
     name = header[2:]
-    alphabet = (alphabets or {}).get(name)
+    alphabet = alphabets.get(name)
     columns = stream.readline().rstrip("\r\n")
     if columns != "m,state,magnitude,phase_deg":
         raise ValidationError(f"unexpected configuration columns: {columns!r}")

@@ -270,8 +270,8 @@ def allocate(shape: tuple, dtype, block: tuple) -> np.ndarray:
         ) from None
 
 
-_block: tuple = (None, None, None)  # last block computed with all elements on: scenario, key, phasors
-_sums: tuple = (None, None, None)  # last sums applied to the kept block: phasors, Gamma bytes, sums
+# the last block computed with all elements on, and the sums last applied to it
+_block: tuple = (None,) * 5  # scenario, key, phasors, Gamma bytes, sums
 
 
 def coherent_sums(scenario: Scenario, config: RisConfig, positions: np.ndarray) -> np.ndarray:
@@ -279,30 +279,32 @@ def coherent_sums(scenario: Scenario, config: RisConfig, positions: np.ndarray) 
 
     Each row of N positions is one element_phasor_matrix call and one
     apply_config call, so no temporary is larger than one row's (N, M): a
-    whole-grid temporary made grid sweeps about a third slower. The phasors
-    of the last block evaluated with every element on are kept, keyed on the
-    scenario's identity and the positions' shape and bytes, and reused for
-    any configuration there. A miss with Gamma_m == 0 somewhere computes only
-    the powered columns, one row at a time, and keeps nothing; the rest stay
-    0, so apply_config gives the full kernel's bits, bar an exact zero's sign.
-
-    The sums of the last configuration applied to the kept block are kept as
-    well, read-only, keyed on the block's identity and the Gamma vector's
-    bytes: a repeat returns a writable copy and skips apply_config, so a
-    grid's sweep_power and emulate_measurement_grid apply each configuration
-    once. One entry of 16 bytes per position (23 KB on the default grid)
-    serves that pair; a larger one would hold configurations no caller repeats.
+    whole-grid temporary made grid sweeps about a third slower. One entry is
+    kept: the phasors of the last block evaluated with every element on,
+    keyed on the scenario's identity and the positions' shape and bytes and
+    reused for any configuration there, with the sums of the last
+    configuration applied to them, read-only and keyed on the Gamma
+    vector's bytes. A repeat returns a writable copy of those sums and skips
+    apply_config, so a grid's sweep_power and emulate_measurement_grid apply
+    each configuration once; a newly kept block starts with no sums. A miss
+    with Gamma_m == 0 somewhere computes only the powered columns, one row
+    at a time, and keeps nothing; the rest stay 0, so apply_config gives the
+    full kernel's bits, bar an exact zero's sign. One set of sums, 16 bytes
+    per position (23 KB on the default grid), serves that pair; more would
+    hold configurations no caller repeats.
     """
-    global _block, _sums
+    global _block
     if len(config) != len(scenario.layout):
         raise ValidationError(
             f"configuration has {len(config)} coefficients for {len(scenario.layout)} elements"
         )
     pos = np.asarray(positions, dtype=float)
     rows = pos.reshape((math.prod(pos.shape[:-2]), *pos.shape[-2:]))  # (R, N, 3); -1 fails at N = 0
-    key = (pos.shape, pos.tobytes())
+    key, gamma = (pos.shape, pos.tobytes()), config.as_complex_array.tobytes()
     if _block[0] is scenario and _block[1] == key:
         block = _block[2]
+        if _block[3] == gamma:
+            return _block[4].reshape(pos.shape[:-1]).copy()
     elif (on := np.flatnonzero(config.as_complex_array)).size < len(config):
         block = _powered_rows(scenario, rows, on)
     else:
@@ -313,15 +315,12 @@ def coherent_sums(scenario: Scenario, config: RisConfig, positions: np.ndarray) 
             block = allocate(shape, complex, shape)
             for r, row in enumerate(rows):
                 block[r] = element_phasor_matrix(scenario, row)
-        _block = (scenario, key, read_only(block))
-    gamma = config.as_complex_array.tobytes()
-    if _sums[0] is block and _sums[1] == gamma:
-        return _sums[2].reshape(pos.shape[:-1]).copy()
+        _block = (scenario, key, read_only(block), None, None)
     sums = np.empty(rows.shape[:-1], dtype=complex)
     for r, phasors in enumerate(block):
         sums[r] = apply_config(phasors, config)
     if block is _block[2]:
-        _sums = (block, gamma, read_only(sums.copy()))
+        _block = (*_block[:3], gamma, read_only(sums.copy()))
     return sums.reshape(pos.shape[:-1])
 
 

@@ -298,8 +298,8 @@ def _interval_bounds(
     the elements with w_m = |Gamma_m| c_m > 0 (see hpbw): their positions
     u, the (2, 3) corners of their bounding box, d_min and d_max = r -/+ max
     |u_m|, the per-element weights of Q and q, and the sums behind g0-g2 and
-    the incoherent bound. Both bounds are 0 when nothing reflects (S is 0
-    everywhere) and inf when r <= max |u_m|. Then, once per call (once per
+    the incoherent bound. Both bounds are inf (no bound) when nothing
+    reflects and when r <= max |u_m|. Then, once per call (once per
     focus ellipse), the arc-end cosines, the taper bounds and B over the
     intervals between consecutive rows of ends, those between two cuts
     included and then dropped; per cut only the speed v, |u_m x n|, Q, q and
@@ -307,12 +307,12 @@ def _interval_bounds(
     as k^2 = inf times a zero coordinate of |u_m x n|) is inf: no bound.
     """
     weight = np.abs(config.as_complex_array) * scenario.bs_side[1]  # |Gamma_m| c_m
-    if not (on := weight > 0.0).any():
-        return [(np.zeros(len(widths)), np.zeros(len(widths))) for _, widths in cuts]
+    on = weight > 0.0
     w, u = weight[on], scenario.layout.positions[on]
     u_norm = np.sqrt(np.sum(u * u, axis=-1))
-    near, d_min, d_max = target.r - u_norm, target.r - u_norm.max(), target.r + u_norm.max()
-    if d_min <= 0.0:  # D_m <= d2 and every d2 lies in [d_min, d_max]
+    u_max = u_norm.max(initial=0.0)
+    near, d_min, d_max = target.r - u_norm, target.r - u_max, target.r + u_max
+    if not w.size or d_min <= 0.0:  # nothing reflects, or D_m <= d2 for every d2 in [d_min, d_max]
         return [(np.full(len(widths), np.inf), np.full(len(widths), np.inf)) for _, widths in cuts]
     k, inv = 2.0 * math.pi / wavelength(scenario), 1.0 / near
     kd, w1, w2, w3 = k + inv, w * inv, w * inv * inv, w * inv * inv * inv
@@ -526,7 +526,8 @@ def hpbw(
     gives one H, H1 and H2 for all m (_taper_bounds). The 3 x 3 form Q, the
     vector q and g0, g1, g2 are sums over the elements, so the bound costs
     O(J + M) for J intervals and M elements. There is no bound, and the
-    interval is always evaluated, where r <= max |u_m| or where a cosine may
+    interval is always evaluated, where nothing reflects (every sample then
+    ties at the power floor), where r <= max |u_m| or where a cosine may
     reach 0 inside the interval under a factor c^p with p < 2 whose first or
     second derivative is unbounded or jumps there. Nor is there one where a
     bound reads NaN, an overflow met 0 (beside a step pattern's flat side,

@@ -1,5 +1,6 @@
 import pytest
 
+import helpers
 import rissim.linkbudget
 from rissim.geom import spherical_to_cartesian
 from rissim.io_cli import load_scenario
@@ -10,7 +11,7 @@ from rissim.sweep import sweep_power
 @pytest.fixture
 def kernel_rows(monkeypatch):
     """Position counts of the element_phasor_matrix calls made through coherent_sums,
-    which starts with no block and no sums kept."""
+    which starts with nothing kept."""
     kernel = rissim.linkbudget.element_phasor_matrix
     rows = []
 
@@ -19,15 +20,21 @@ def kernel_rows(monkeypatch):
         return kernel(scenario, positions, elements)
 
     monkeypatch.setattr(rissim.linkbudget, "element_phasor_matrix", counting)
-    monkeypatch.setattr(rissim.linkbudget, "_block", (None, None, None))
-    monkeypatch.setattr(rissim.linkbudget, "_sums", (None, None, None))
+    monkeypatch.setattr(rissim.linkbudget, "_block", (None,) * 5)
     return rows
+
+
+@pytest.fixture
+def hpbw_rounds():
+    """The positions of each coherent_sums call made through hpbw: one array per round."""
+    with helpers.recording_rounds() as rounds:
+        yield rounds
 
 
 @pytest.fixture
 def apply_rows(kernel_rows, monkeypatch):
     """Position counts of the apply_config calls made through coherent_sums, which
-    starts with no block and no sums kept."""
+    starts with nothing kept."""
     apply = rissim.linkbudget.apply_config
     rows = []
 

@@ -2,7 +2,8 @@
 checked against: exhaustive configuration search, the (N, M, 3) phasor
 kernel, scalar per-element phasor and pattern products, the full-scan
 beamwidth, the record-level sounder, the step-by-step planner and the per-cell
-grid CSV writer; and the golden-output manifest of the CLI and the scripts."""
+grid CSV writer; a spy on hpbw's rounds; and the golden-output manifest of the
+CLI and the scripts."""
 import contextlib
 import hashlib
 import io
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 import rissim
+import rissim.sweep
 from rissim.cli import cli_dispatch
 from rissim.errors import BeamNotResolvedError, GeometryError, ValidationError
 from rissim.geom import (
@@ -248,6 +250,23 @@ def hpbw_full_scan(
     if lo is None or hi is None:
         raise BeamNotResolvedError(f"beam not resolved ({axis} cut)")
     return float(hi - lo)
+
+
+@contextlib.contextmanager
+def recording_rounds():
+    """Yield a list that receives the positions of each coherent_sums call made through
+    rissim.sweep (hpbw's rounds), one array per call, until the block exits."""
+    rounds, apply = [], rissim.sweep.coherent_sums
+
+    def recording(scenario, config, positions):
+        rounds.append(positions)
+        return apply(scenario, config, positions)
+
+    rissim.sweep.coherent_sums = recording
+    try:
+        yield rounds
+    finally:
+        rissim.sweep.coherent_sums = apply
 
 
 def abs_cross_reference(u: np.ndarray, axis: str, azimuth_deg: float) -> np.ndarray:

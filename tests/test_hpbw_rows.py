@@ -1,7 +1,10 @@
 """tools/hpbw_rows.py, the per-round rows of hpbw on fixed cuts, one JSON line each."""
+import hashlib
 import itertools
 import json
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 from helpers import hpbw_full_scan
@@ -9,6 +12,17 @@ from rissim.errors import BeamNotResolvedError
 
 TOOL = Path(__file__).parents[1] / "tools" / "hpbw_rows.py"
 COUNT = 24
+# sha256 of the full output (592 lines); a change to it is a deliberate act, noted in CHANGES.md
+ROWS_SHA256 = "014ba0f11a7201901fc679e93de46b7755d4ec6a648fb4532450a1ef19e545a1"
+
+
+def test_the_full_output_is_pinned():
+    out = subprocess.run([sys.executable, str(TOOL)], capture_output=True, check=True).stdout
+    assert hashlib.sha256(out).hexdigest() == ROWS_SHA256, (
+        "hpbw's rows, rounds or bits changed; list the cuts that differ with\n"
+        "    diff <(python OLD/tools/hpbw_rows.py) <(python tools/hpbw_rows.py)\n"
+        "where OLD is a checkout of the commit that last set ROWS_SHA256"
+    )
 
 
 def test_each_line_holds_the_full_scan_result_and_two_or_three_rounds(capsys):

@@ -393,7 +393,7 @@ class TestCsvFormats:
     def test_config_round_trip(self, scenario, refl_p1):
         buf = io.StringIO()
         write_config_csv(refl_p1, buf, REFLECTIVE)
-        back = read_config_csv(io.StringIO(buf.getvalue()))
+        back = read_config_csv(io.StringIO(buf.getvalue()), {})
         assert back == refl_p1
 
     def test_negative_zero_magnitude_reads_and_fingerprints_as_zero(self):
@@ -416,13 +416,13 @@ class TestCsvFormats:
     def test_config_read_requires_row_ordinal(self, index):
         text = f"# reflective\nm,state,magnitude,phase_deg\n{index},0,0.3,-15\n"
         with pytest.raises(ValidationError, match="element index"):
-            read_config_csv(io.StringIO(text))
+            read_config_csv(io.StringIO(text), {})
 
     @pytest.mark.parametrize("state", ["x", "-2", "01", "+1", "1.0"])
     def test_config_read_requires_integer_state(self, state):
         text = f"# reflective\nm,state,magnitude,phase_deg\n0,{state},0.3,-15\n"
         with pytest.raises(ValidationError, match="state"):
-            read_config_csv(io.StringIO(text))
+            read_config_csv(io.StringIO(text), {})
 
     def test_config_read_checks_state_against_named_alphabet(self):
         alphabets = {"reflective": REFLECTIVE}

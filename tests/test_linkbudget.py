@@ -246,7 +246,7 @@ class TestCoherentSumsKeepsTheLastBlock:
         coherent_sums(scenario, active_p1, positions)
         coherent_sums(scenario, active_p1, positions)
         assert kernel_rows == [8, 8]
-        assert rissim.linkbudget._block == (None, None, None)
+        assert rissim.linkbudget._block == (None,) * 5
 
     def test_other_positions_or_scenario_miss(self, kernel_rows, scenario, refl_p1):
         positions = _random_positions(np.random.default_rng(5), 16)
@@ -301,8 +301,8 @@ class TestCoherentSumsKeepsTheLastSums:
             got = coherent_sums(scenario, refl_p1, positions)
             assert got.tobytes() == want.tobytes()
             got[:] = 0.0
-        assert not rissim.linkbudget._sums[2].flags.writeable
-        assert rissim.linkbudget._sums[0] is rissim.linkbudget._block[2]
+        assert not rissim.linkbudget._block[4].flags.writeable
+        assert rissim.linkbudget._block[3] == refl_p1.as_complex_array.tobytes()
 
     def test_other_configuration_positions_or_scenario_miss(self, apply_rows, scenario, refl_p1):
         positions = _random_positions(np.random.default_rng(17), 16)
@@ -328,7 +328,7 @@ class TestCoherentSumsKeepsTheLastSums:
         block = _random_positions(np.random.default_rng(19), 12).reshape(2, 6, 3)
         coherent_sums(scenario, refl_p1, block)
         coherent_sums(scenario, refl_p1, block[0, :1])
-        assert rissim.linkbudget._sums[2].size == 1
+        assert rissim.linkbudget._block[4].size == 1
         got = coherent_sums(scenario, refl_p1, block)
         assert apply_rows == [6, 6, 1, 6, 6]
         assert got.tobytes() == _cold_sums(scenario, refl_p1, block).tobytes()
@@ -337,13 +337,13 @@ class TestCoherentSumsKeepsTheLastSums:
         kept = _random_positions(np.random.default_rng(21), 16)
         elsewhere = _random_positions(np.random.default_rng(23), 8)
         coherent_sums(scenario, active_p1, elsewhere)
-        assert rissim.linkbudget._sums == (None, None, None)
+        assert rissim.linkbudget._block == (None,) * 5
         coherent_sums(scenario, refl_p1, kept)
-        entry = rissim.linkbudget._sums
+        entry = rissim.linkbudget._block
         for _ in range(2):
             got = coherent_sums(scenario, active_p1, elsewhere)
             assert got.tobytes() == _cold_sums(scenario, active_p1, elsewhere).tobytes()
-        assert rissim.linkbudget._sums is entry
+        assert rissim.linkbudget._block is entry
         coherent_sums(scenario, refl_p1, kept)
         assert apply_rows == [8, 16, 8, 8]
 

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rissim.linkbudget
-import rissim.sweep
-from helpers import hpbw_full_scan, plan_updates_stepwise
+from helpers import hpbw_full_scan, plan_updates_stepwise, recording_rounds
 from rissim import planner
 from rissim.errors import BeamNotResolvedError, GeometryError, ValidationError
 from rissim.geom import RisLayout, SphericalCoord, Vec3, spherical_to_cartesian
-from rissim.linkbudget import AntennaPattern, ReflectionCoefficient, Scenario, coherent_sums
+from rissim.linkbudget import AntennaPattern, ReflectionCoefficient, Scenario
 from rissim.optimizer import ACTIVE, REFLECTIVE, optimize_config, uniform_config
 from rissim.planner import (
     _BLOCK_STEPS,
@@ -229,19 +228,6 @@ class TestFocusEllipse:
             FocusEllipse(Vec3(1, 0, 0), rho_a, rho_r, Vec3(1, 0, 0), 10.0, 10.0)
 
 
-@pytest.fixture
-def rounds(monkeypatch):
-    """The positions per coherent_sums call made through hpbw: one entry per round."""
-    calls = []
-
-    def counting(scenario, config, positions):
-        calls.append(len(positions))
-        return coherent_sums(scenario, config, positions)
-
-    monkeypatch.setattr(rissim.sweep, "coherent_sums", counting)
-    return calls
-
-
 class TestLockstepCuts:
     """focus_ellipse's two cuts run in lockstep: one hpbw call whose rounds evaluate both cuts'
     samples as one block, with each cut's rows, rounds and bits as one call per axis."""
@@ -249,21 +235,21 @@ class TestLockstepCuts:
     @pytest.mark.parametrize("target_name", ["P1", "P2"])
     @pytest.mark.parametrize("alphabet", [REFLECTIVE, ACTIVE], ids=lambda a: a.name)
     def test_one_block_per_round_holding_both_cuts_rows(
-        self, kernel_rows, rounds, monkeypatch, scenario, doc, target_name, alphabet
+        self, kernel_rows, hpbw_rounds, monkeypatch, scenario, doc, target_name, alphabet
     ):
         target = doc.targets[target_name]
         config = optimize_config(scenario, spherical_to_cartesian(target), alphabet)
         per_round, kernel = {}, {}
         for axes in (*_AXES, _AXES):
-            for name in ("_block", "_sums"):  # no phasors or sums kept from the last call
-                monkeypatch.setattr(rissim.linkbudget, name, (None, None, None))
-            rounds.clear()
+            monkeypatch.setattr(rissim.linkbudget, "_block", (None,) * 5)  # nothing kept
+            hpbw_rounds.clear()
             kernel_rows.clear()
             if axes == _AXES:
                 ellipse = focus_ellipse(scenario, config, target)
             else:
                 hpbw(scenario, config, target, axes)
-            per_round[axes], kernel[axes] = list(rounds), sum(kernel_rows)
+            per_round[axes] = [len(positions) for positions in hpbw_rounds]
+            kernel[axes] = sum(kernel_rows)
         assert len(per_round[_AXES]) == 2
         both = itertools.zip_longest(*(per_round[axis] for axis in _AXES), fillvalue=0)
         assert per_round[_AXES] == [a + b for a, b in both]
@@ -284,14 +270,7 @@ def test_ellipse_widths_have_the_bits_of_one_call_per_axis_and_the_full_scan(
 ):
     target = SphericalCoord(r, azimuth, elevation)
     config = optimize_config(scenario, spherical_to_cartesian(target), alphabet)
-    rounds = []
-
-    def counting(*args):
-        rounds.append(len(args[2]))
-        return coherent_sums(*args)
-
-    with pytest.MonkeyPatch.context() as monkeypatch:  # not a fixture: one per drawn example
-        monkeypatch.setattr(rissim.sweep, "coherent_sums", counting)
+    with recording_rounds() as rounds:  # not a fixture: one per drawn example
         ellipse = focus_ellipse(scenario, config, target)
     assert len(rounds) <= 3
     got = [np.float64(width).tobytes() for width in (ellipse.alpha_deg, ellipse.beta_deg)]

@@ -15,6 +15,7 @@ from helpers import (
     linear_mean_dbm,
     make_random_scenario,
     record_level_power,
+    recording_rounds,
 )
 from rissim.errors import (
     BeamNotResolvedError,
@@ -300,7 +301,7 @@ class TestGridPhasorCache:
         first = sweep_power(scenario, active_p2, grid)
         assert kernel_rows == [grid.ny] * grid.nx
         assert columns == [powered] * grid.nx
-        assert rissim.linkbudget._block == (None, None, None)
+        assert rissim.linkbudget._block == (None,) * 5
         sweep_power(scenario, refl_p1, grid)
         assert columns == [powered] * grid.nx + [len(scenario.layout)] * grid.nx
         assert rissim.linkbudget._block[2].shape == (grid.nx, grid.ny, len(scenario.layout))
@@ -517,16 +518,9 @@ def _hpbw_or_error(fn, scenario, config, target, axis):
 
 def _hpbw_and_rounds(scenario, config, target, axis):
     """_hpbw_or_error(hpbw, ...) and the number of coherent_sums calls hpbw made: its rounds."""
-    calls = []
-
-    def counting(*args):
-        calls.append(args[2])
-        return coherent_sums(*args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rissim.sweep, "coherent_sums", counting)
+    with recording_rounds() as rounds:
         got = _hpbw_or_error(hpbw, scenario, config, target, axis)
-    return got, len(calls)
+    return got, len(rounds)
 
 
 class TestHpbwMatchesFullScan:
@@ -599,7 +593,7 @@ class TestHpbwMatchesFullScan:
         ],
     )
     def test_dips_between_coarse_samples_are_evaluated(
-        self, monkeypatch, scenario, axis, d, target, second
+        self, hpbw_rounds, scenario, axis, d, target, second
     ):
         # two elements 2 d apart across the rotation axis: fringes narrower than the 3 degree
         # coarse interval around the peak, so |S| dips below the -3 dB level on both sides of
@@ -619,15 +613,9 @@ class TestHpbwMatchesFullScan:
         for t in dips:
             line = (sums[a[t]] * until[t] + sums[b[t]] * since[t]) / widths[j[t]]
             assert abs(line) > 10.0 ** (-3.0 / 20.0) * np.abs(sums).max(), t
-        evaluated = []
-
-        def recording(*args):
-            evaluated.extend(map(tuple, args[2]))
-            return coherent_sums(*args)
-
-        monkeypatch.setattr(rissim.sweep, "coherent_sums", recording)
         got = _hpbw_or_error(hpbw, fringes, config, target, axis)
         assert got == _hpbw_or_error(hpbw_full_scan, fringes, config, target, axis)
+        evaluated = [tuple(p) for positions in hpbw_rounds for p in positions]
         assert all(tuple(positions[t]) in evaluated for t in dips)
 
     @pytest.mark.parametrize("target_name", ["P1", "P2"])
@@ -651,6 +639,28 @@ class TestHpbwMatchesFullScan:
             for fn in (hpbw, hpbw_full_scan):
                 with pytest.raises(BeamNotResolvedError):
                     fn(scenario, config, p2, axis)
+
+    @pytest.mark.parametrize("spec", [{}, {"bs": {"azimuth_deg": 180.0}}], ids=["off", "bs-behind"])
+    def test_nothing_reflecting_has_no_bound_and_evaluates_every_sample(self, hpbw_rounds, spec):
+        # w_m = |Gamma_m| c_m is 0 for every element: all off, or the BS behind the surface
+        scenario = resolve_scenario(spec).scenario
+        config = (
+            optimize_config(scenario, Vec3(1.2, 0.5, -0.4), REFLECTIVE)
+            if spec
+            else uniform_config(scenario.layout, ReflectionCoefficient(0.0, 0.0), "all_off")
+        )
+        target = SphericalCoord(1.4, 40.0, -60.0)
+        for axis in ("azimuth", "elevation"):
+            offsets, coarse, widths = rissim.sweep._hpbw_window(target, axis)[:3]
+            ends = rissim.sweep._arc_positions(target, [(axis, offsets[coarse])])
+            [bounds] = rissim.sweep._interval_bounds(scenario, config, target, [(axis, widths)], ends)
+            assert all(np.isposinf(bound).all() for bound in bounds)
+            hpbw_rounds.clear()
+            with pytest.raises(BeamNotResolvedError, match=rf"\({axis} cut\)$"):
+                hpbw(scenario, config, target, axis)
+            assert [len(positions) for positions in hpbw_rounds] == [
+                len(coarse), len(offsets) - len(coarse)
+            ]
 
     @pytest.mark.parametrize(
         "element_q, ue_q",
@@ -1097,24 +1107,17 @@ class TestPeakCertificate:
 
     @pytest.mark.parametrize("target_name", ["P1", "P2"])
     @pytest.mark.parametrize("alphabet", [REFLECTIVE, ACTIVE], ids=lambda a: a.name)
-    def test_focused_cuts_take_two_rounds(self, monkeypatch, scenario, doc, target_name, alphabet):
+    def test_focused_cuts_take_two_rounds(self, hpbw_rounds, scenario, doc, target_name, alphabet):
         # the coarse pass, then the hit samples together with the coarse peak's crossings
         target = doc.targets[target_name]
         config = optimize_config(scenario, spherical_to_cartesian(target), alphabet)
-        calls = []
-
-        def counting(*args):
-            calls.append(args[2])
-            return coherent_sums(*args)
-
-        monkeypatch.setattr(rissim.sweep, "coherent_sums", counting)
         for axis in ("azimuth", "elevation"):
-            calls.clear()
+            hpbw_rounds.clear()
             hpbw(scenario, config, target, axis)
-            assert len(calls) == 2, axis
+            assert len(hpbw_rounds) == 2, axis
             offsets, coarse = rissim.sweep._hpbw_window(target, axis)[:2]
             positions = rissim.sweep._arc_positions(target, [(axis, offsets)])
-            assert np.array_equal(calls[0], positions[coarse])
+            assert np.array_equal(hpbw_rounds[0], positions[coarse])
 
 
 @pytest.mark.parametrize(
