@@ -332,15 +332,14 @@ def _powered_rows(scenario: Scenario, rows: np.ndarray, on: np.ndarray):
         yield phasors
 
 
+# an overflow is rejected below, and log10(0) is floored
+@np.errstate(over="ignore", divide="ignore")
 def dbm_from_sums(scenario: Scenario, sums: np.ndarray) -> np.ndarray:
     """Received power in dBm of coherent element sums; -inf at or below -250 dBm."""
-    with np.errstate(over="ignore"):
-        p_mw = prefactor_mw(scenario) * (sums.real**2 + sums.imag**2)
+    p_mw = prefactor_mw(scenario) * (sums.real**2 + sums.imag**2)
     if not np.isfinite(p_mw).all():  # max is NaN if any is, else inf
         raise GeometryError(f"received power {p_mw.max()} mW: a distance or magnitude overflows")
-    with np.errstate(divide="ignore"):
-        dbm = 10.0 * np.log10(p_mw)
-    return np.where(p_mw <= _BELOW_FLOOR_MW, BELOW_FLOOR_DBM, dbm)
+    return np.where(p_mw <= _BELOW_FLOOR_MW, BELOW_FLOOR_DBM, 10.0 * np.log10(p_mw))
 
 
 def received_power(scenario: Scenario, config: RisConfig, ue_position: Vec3) -> float:

@@ -82,7 +82,9 @@ def optimize_config(
     arc between its own K(K-1) tie angles. The per-element state changes,
     merged by angle, give the coherent sum on every arc of the circle. Ties
     (e.g. a reflective configuration and its complement) resolve to the
-    lexicographically smallest state-index vector, as in exhaustive search.
+    lexicographically smallest state-index vector, as in exhaustive search;
+    a field that is zero at every element ties every configuration, so the
+    result is the first state everywhere.
     """
     if len(alphabet.states) == 1:
         return uniform_config(scenario.layout, alphabet.states[0], alphabet.name)
@@ -111,9 +113,7 @@ def optimize_config(
     deltas = delta.ravel()[order]
     sums = picked[-1].sum() + np.cumsum(deltas)
     objs = sums.real**2 + sums.imag**2
-    near = np.flatnonzero((objs >= objs.max() * (1.0 - _CANDIDATE_RTOL)) & (deltas != 0))
-    if len(near) == 0:  # all phasors zero: every configuration ties
-        return uniform_config(scenario.layout, alphabet.states[0], alphabet.name)
+    near = np.flatnonzero(objs >= objs.max() * (1.0 - _CANDIDATE_RTOL))
 
     # After global event i, an element that has seen n of its events sits in own arc n-1.
     entered = np.array([np.bincount(order[: i + 1] % m_count, minlength=m_count) for i in near])

@@ -14,6 +14,7 @@ from rissim.linkbudget import (
     RisConfig,
     Scenario,
     complex_values,
+    config_fingerprint,
     element_phasor_matrix,
 )
 from rissim.optimizer import (
@@ -142,11 +143,19 @@ class TestOptimize:
     def test_target_behind_surface_takes_first_state(self):
         # every phasor is zero behind the surface, so every configuration ties
         rng = np.random.default_rng(14)
-        scenario, _ = make_random_scenario(rng, 6)
-        behind = Vec3(-1.0, 0.2, 0.1)
-        for alphabet in (REFLECTIVE, ACTIVE):
-            config = optimize_config(scenario, behind, alphabet)
-            assert config.coefficients == (alphabet.states[0],) * 6
+        small, _ = make_random_scenario(rng, 6)
+        full = resolve_scenario({"bs": {"azimuth_deg": 180.0}})  # 127 elements lit from behind
+        cases = (
+            (small, Vec3(-1.0, 0.2, 0.1)),
+            (full.scenario, spherical_to_cartesian(full.targets["P1"])),
+        )
+        for scenario, target in cases:
+            assert not element_phasor_matrix(scenario, target.as_array()[None, :]).any()
+            for alphabet in (REFLECTIVE, ACTIVE):
+                config = optimize_config(scenario, target, alphabet)
+                uniform = uniform_config(scenario.layout, alphabet.states[0], alphabet.name)
+                assert config.coefficients == uniform.coefficients
+                assert config_fingerprint(config) == config_fingerprint(uniform)
 
     def test_single_element_matches_brute_force(self):
         rng = np.random.default_rng(5)
