@@ -113,7 +113,11 @@ def optimize_config(
     deltas = delta.ravel()[order]
     sums = picked[-1].sum() + np.cumsum(deltas)
     objs = sums.real**2 + sums.imag**2
-    near = np.flatnonzero(objs >= objs.max() * (1.0 - _CANDIDATE_RTOL))
+    near = np.flatnonzero((objs >= objs.max() * (1.0 - _CANDIDATE_RTOL)) & (deltas != 0))
+    # All phasors zero: every configuration ties. Without the filter every event
+    # would be a candidate, K(K-1)M rows of M states each.
+    if len(near) == 0:
+        return uniform_config(scenario.layout, alphabet.states[0], alphabet.name)
 
     # After global event i, an element that has seen n of its events sits in own arc n-1.
     entered = np.array([np.bincount(order[: i + 1] % m_count, minlength=m_count) for i in near])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,21 +142,31 @@ class TestOptimize:
             assert config.coefficients[0] == REFLECTIVE.states[0]
 
     def test_target_behind_surface_takes_first_state(self):
-        # every phasor is zero behind the surface, so every configuration ties
+        # every phasor is zero behind the surface, so every configuration ties; the
+        # tie rule alone would re-evaluate all K(K-1)M events at M states each, about
+        # 21 MB at 469 elements and growing as M^2, so memory is held near linear
         rng = np.random.default_rng(14)
         small, _ = make_random_scenario(rng, 6)
         full = resolve_scenario({"bs": {"azimuth_deg": 180.0}})  # 127 elements lit from behind
+        large = resolve_scenario({"bs": {"azimuth_deg": 180.0}, "ris": {"rings": 12}})  # 469
         cases = (
             (small, Vec3(-1.0, 0.2, 0.1)),
             (full.scenario, spherical_to_cartesian(full.targets["P1"])),
+            (large.scenario, spherical_to_cartesian(large.targets["P1"])),
         )
         for scenario, target in cases:
             assert not element_phasor_matrix(scenario, target.as_array()[None, :]).any()
             for alphabet in (REFLECTIVE, ACTIVE):
-                config = optimize_config(scenario, target, alphabet)
+                tracemalloc.start()
+                try:
+                    config = optimize_config(scenario, target, alphabet)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
                 uniform = uniform_config(scenario.layout, alphabet.states[0], alphabet.name)
                 assert config.coefficients == uniform.coefficients
                 assert config_fingerprint(config) == config_fingerprint(uniform)
+                assert peak < 2_000_000
 
     def test_single_element_matches_brute_force(self):
         rng = np.random.default_rng(5)

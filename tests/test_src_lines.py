@@ -8,7 +8,7 @@ import rissim
 
 TOOL = Path(__file__).parents[1] / "tools" / "src_lines.py"
 # code lines of src/rissim; raising it is a deliberate act, noted in CHANGES.md
-CODE_LINES = 1548
+CODE_LINES = 1550
 
 SAMPLE = '''"""Module docstring
 over two lines."""
@@ -38,6 +38,10 @@ def test_totals_match_a_direct_count():
     assert total[0] == sum(len(path.read_text().splitlines()) for path in modules)
     assert total[1] == sum(code for _, code in rows.values())
     assert all(0 < code < lines for lines, code in rows.values())
+    assert total[1] <= CODE_LINES, (
+        f"src/rissim has {total[1]} code lines, more than the pinned {CODE_LINES}; "
+        "if the growth is meant, raise CODE_LINES and say why in CHANGES.md"
+    )
 
 
 def test_code_lines_skip_docstrings_comments_and_blanks(tmp_path):
@@ -46,11 +50,3 @@ def test_code_lines_skip_docstrings_comments_and_blanks(tmp_path):
     # code: the import, the def, both lines of the string and both of the return
     assert runpy.run_path(str(TOOL))["count"](path) == (13, 6)
 
-
-def test_code_lines_stay_within_the_pin():
-    cp = subprocess.run([sys.executable, str(TOOL)], capture_output=True, text=True, check=True)
-    total = int(cp.stdout.splitlines()[-1].split()[2])
-    assert total <= CODE_LINES, (
-        f"src/rissim has {total} code lines, more than the pinned {CODE_LINES}; "
-        "if the growth is meant, raise CODE_LINES and say why in CHANGES.md"
-    )
