@@ -27,7 +27,6 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,9 +35,6 @@ from .geom import RisLayout, SphericalCoord, hex_layout, spherical_to_cartesian
 from .linkbudget import AntennaPattern, ReflectionCoefficient, RisConfig, Scenario
 from .optimizer import ACTIVE, REFLECTIVE, ReflectionAlphabet
 from .sweep import GridSpec, PowerGrid, SounderParams
-
-if TYPE_CHECKING:  # annotation only: io_cli writes schedules without loading the planner
-    from .planner import UpdateSchedule
 
 # Horn exponent q solving 2*(q+1) = linear gain of the 19 dBi feed.
 _BS_DEFAULT_EXPONENT = 10.0**1.9 / 2.0 - 1.0
@@ -499,7 +495,8 @@ def read_power_grid_csv(stream) -> PowerGrid:
     return PowerGrid(spec, values, label=fields[7])
 
 
-def write_schedule_csv(schedule: UpdateSchedule, stream) -> None:
+def write_schedule_csv(schedule, stream) -> None:
+    """Write a planner.UpdateSchedule's events, one row each (io_cli does not load the planner)."""
     stream.write("t_s,x,y,z,config_hash,rho_a,rho_r\n")
     for e in schedule.events:
         stream.write(

@@ -231,13 +231,13 @@ def _hpbw_window(target: SphericalCoord, axis: str) -> tuple[np.ndarray, ...]:
     """hpbw's fine samples on the cut's window and their coarse intervals, read-only.
 
     The window is +/-45 degrees at 0.1, elevation kept within +/-90. Returns
-    (offsets, coarse, widths, j, a, b, since, until): the offsets in
-    degrees, the coarse samples (every 1 degree within +/-6 of the target,
-    3 beyond, and both ends), each coarse interval's width in radians and,
-    per fine sample t, its interval j[t] between the coarse samples a[t] and
-    b[t], since[t] = theta(t) - theta(a) and until[t] = theta(b) - theta(t)
-    in radians. They depend only on where elevation clips the window, so
-    every cut on the same window shares them.
+    (offsets, coarse, widths, j, since, until): the offsets in degrees, the
+    coarse samples (every 1 degree within +/-6 of the target, 3 beyond, and
+    both ends), each coarse interval's width in radians and, per fine sample
+    t, its interval j[t] between the coarse samples a = coarse[j[t]] and
+    b = coarse[j[t] + 1], and the distances since[t] = theta(t) - theta(a)
+    and until[t] = theta(b) - theta(t) in radians. They depend only on where
+    elevation clips the window, so every cut on the same window shares them.
     """
     if axis == "azimuth" or abs(target.elevation_deg) <= _HPBW_WINDOW_DEG:  # offsets end at +/-45
         return _window_arrays(0, len(_HPBW_OFFSETS))
@@ -251,11 +251,10 @@ def _window_arrays(lo: int, hi: int) -> tuple[np.ndarray, ...]:
     offsets, steps = _HPBW_OFFSETS[lo:hi], np.arange(lo, hi) - _HPBW_HALF_STEPS
     on = steps % np.where(np.abs(steps) <= _HPBW_NEAR_STEPS, *_HPBW_COARSE_STEPS) == 0
     on[[0, -1]] = True
-    coarse = np.flatnonzero(on)
-    theta = np.radians(offsets)
+    coarse, theta = np.flatnonzero(on), np.radians(offsets)
     j = np.clip(np.searchsorted(coarse, np.arange(len(offsets))), 1, len(coarse) - 1) - 1
     a, b = coarse[j], coarse[j + 1]
-    arrays = (coarse, np.diff(theta[coarse]), j, a, b, theta - theta[a], theta[b] - theta)
+    arrays = (coarse, np.diff(theta[coarse]), j, theta - theta[a], theta[b] - theta)
     return offsets, *map(read_only, arrays)
 
 
@@ -449,13 +448,13 @@ def hpbw(
        two.
 
     The arrays that depend only on the window are shared: the offsets, the
-    coarse samples and, per fine sample, its coarse interval, the interval's
-    ends and the distances to them (_hpbw_window) are built once per elevation
-    clip and kept read-only; every cut within +/-45 degrees elevation uses
-    the same ones. Per call (a focus ellipse's two cuts make one) the part
-    of the bound M2 (below) that depends only on the scenario, the
-    configuration and the range, one element summary, and the taper bounds
-    and B are formed in one _interval_bounds call over every cut's
+    coarse samples and, per fine sample, its coarse interval and the
+    distances to the interval's ends (_hpbw_window) are built once per
+    elevation clip and kept read-only; every cut within +/-45 degrees
+    elevation uses the same ones. Per call (a focus ellipse's two cuts make
+    one) the part of the bound M2 (below) that depends only on the scenario,
+    the configuration and the range, one element summary, and the taper
+    bounds and B are formed in one _interval_bounds call over every cut's
     intervals; per cut only v, |u_m x n|, Q and q. Per round,
     the samples every cut still pending asks for are one block: one
     _arc_positions, coherent_sums and dbm_from_sums call, with arc
@@ -599,16 +598,16 @@ def _cut(scenario: Scenario, axis: str, window: tuple) -> Generator[tuple, tuple
 
     It yields (axis, offsets) for the samples it needs evaluated, none of
     them evaluated yet, and is sent their coherent sums, their dBm and the
-    cut's (curve, incoherent) interval bounds, which it reads from the first
-    reply, the coarse samples'. It returns the width.
+    cut's (curve, incoherent) interval bounds. It reads the sums and the
+    bounds of the first reply only, the coarse samples', and the dBm of
+    every reply. It returns the width.
     """
-    offsets, coarse, widths, j, a, b, since, until = window
-    n, level = len(offsets), 10.0 ** (-_HALF_POWER_DB / 20.0)
-    powers, sums = np.full(n, np.nan), np.zeros(n, dtype=complex)  # NaN: not evaluated
-    # 1. coarse pass
-    sums[coarse], powers[coarse], (curve, incoherent) = yield axis, offsets[coarse]
+    offsets, coarse, widths, j, since, until = window
+    level, powers = 10.0 ** (-_HALF_POWER_DB / 20.0), np.full(len(offsets), np.nan)
+    # 1. coarse pass: ends holds the sums at the coarse samples, the ends of the intervals
+    ends, powers[coarse], (curve, incoherent) = yield axis, offsets[coarse]
     # 2. the certificates, then the rounds that evaluate what the current peak needs
-    amps = np.abs(sums[coarse])
+    amps = np.abs(ends)
     best = amps.max()
     slack = _CERTIFICATE_RTOL * (best + incoherent)  # per interval
     # U_j >= every sample's upper bound on interval j; the span runs from the first to the last
@@ -617,13 +616,14 @@ def _cut(scenario: Scenario, axis: str, window: tuple) -> Generator[tuple, tuple
     lit = (top >= level * best - slack).nonzero()[0]
     span = slice(coarse[lit[0]], coarse[lit[-1] + 1] + 1)
     with np.errstate(invalid="ignore"):  # inf * 0 at an end of an interval with no bound
-        mid = np.abs(sums[a[span]] * until[span] + sums[b[span]] * since[span]) / widths[j[span]]
-        err = 0.5 * since[span] * until[span] * curve[j[span]]
-    upper, lower, slack = mid + err, mid - err, slack[j[span]]
+        i = j[span]
+        mid = np.abs(ends[i] * until[span] + ends[i + 1] * since[span]) / widths[i]
+        err = 0.5 * since[span] * until[span] * curve[i]
+    upper, lower, slack = mid + err, mid - err, slack[i]
     want = upper >= best - slack  # NaN compares False
     above = lower >= max(level * upper[want].max(initial=best), floor_amplitude(scenario)) + slack
     under = upper < level * best - slack
-    pw = powers[span]  # a view that each reply fills in
+    pw = powers[span]  # a view that each reply fills in; NaN where not evaluated
 
     def peak() -> int:
         """The evaluated peak's span index, the first on ties."""
@@ -649,7 +649,7 @@ def _cut(scenario: Scenario, axis: str, window: tuple) -> Generator[tuple, tuple
     k = None  # the coarse peak, then the final one if it moved (step 2)
     while k != (k := peak()):
         if (idx := span.start + ((want | needed(k)) & np.isnan(pw)).nonzero()[0]).size:
-            sums[idx], powers[idx], _ = yield axis, offsets[idx]
+            _, powers[idx], _ = yield axis, offsets[idx]
     ref, (lo, hi) = pw[k] - _HALF_POWER_DB, crossings(k)
     if not (pw[lo] < ref and pw[hi] < ref):  # NaN compares False
         raise BeamNotResolvedError(

@@ -1,12 +1,15 @@
 """Every name in a src/rissim annotation is bound in its module or is a builtin.
 
 With `from __future__ import annotations` an unbound name costs nothing at
-import, but typing.get_type_hints raises NameError on it. This walks each
-module's syntax tree instead of importing it, so an import made only under
-`if TYPE_CHECKING:` counts as binding its name.
+import, but typing.get_type_hints raises NameError on it. One test walks each
+module's syntax tree, so it also reaches nested functions; the other imports
+each module and resolves the hints of what it defines at module level.
 """
 import ast
 import builtins
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import pytest
@@ -81,3 +84,31 @@ def test_a_name_only_under_type_checking_counts_and_a_missing_one_does_not():
     bound = _module_names(tree) | set(dir(builtins))
     names = [name for annotation in _annotations(tree) for name, _ in _names_in(annotation)]
     assert [n for n in names if n not in bound] == ["Missing", "np"]
+
+
+def _defined_at_module_level(module):
+    """The module's own functions and classes, and the classes' methods and properties."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield obj
+            for member in vars(obj).values():
+                member = member.fget if isinstance(member, property) else member
+                member = getattr(member, "__func__", member)  # staticmethod, classmethod
+                if inspect.isfunction(member):
+                    yield member
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_type_hints_resolve_at_run_time(path):
+    module = importlib.import_module(f"rissim.{path.stem}")
+    failed = []
+    for obj in _defined_at_module_level(module):
+        try:
+            typing.get_type_hints(obj)
+        except NameError as error:
+            failed.append((obj.__qualname__, str(error)))
+    assert failed == [], f"{path.name}: typing.get_type_hints fails"

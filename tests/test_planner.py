@@ -436,3 +436,32 @@ class TestBlockedPlannerMatchesStepwise:
         assert plan_updates(scenario, trajectory, ACTIVE) == plan_updates_stepwise(
             scenario, trajectory, ACTIVE
         )
+
+
+@st.composite
+def _table_polylines(draw):
+    """2-5 waypoints on the table plane (z = -0.39 m), drawn from 2-4 distinct points, so that
+    zero-length and back-tracking segments occur."""
+    xy = st.tuples(st.floats(0.92, 1.52), st.floats(0.02, 0.92))
+    points = draw(st.lists(xy, min_size=2, max_size=4, unique=True))
+    picks = draw(st.lists(st.integers(0, len(points) - 1), min_size=2, max_size=5))
+    return tuple(Vec3(*points[i], -0.39) for i in picks)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    waypoints=_table_polylines(),
+    speed=st.floats(0.5, 3.0),
+    alphabet=st.sampled_from([REFLECTIVE, ACTIVE]),
+    block=st.sampled_from([7, 64, 1024]),
+)
+def test_blocked_planner_matches_stepwise_on_drawn_polylines(
+    scenario, waypoints, speed, alphabet, block
+):
+    trajectory = Trajectory(waypoints, speed)
+    saved, planner._BLOCK_STEPS = planner._BLOCK_STEPS, block  # not monkeypatch: one per example
+    try:
+        schedule = plan_updates(scenario, trajectory, alphabet)
+    finally:
+        planner._BLOCK_STEPS = saved
+    assert schedule == plan_updates_stepwise(scenario, trajectory, alphabet)

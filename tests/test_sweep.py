@@ -603,7 +603,7 @@ class TestHpbwMatchesFullScan:
             pair = (Vec3(0.0, 0.0, -d), Vec3(0.0, 0.0, d))
         fringes = replace(scenario, layout=replace(scenario.layout, elements=pair))
         config = RisConfig((REFLECTIVE.states[0], REFLECTIVE.states[second]), REFLECTIVE.name)
-        offsets, coarse, widths, j, a, b, since, until = rissim.sweep._hpbw_window(target, axis)
+        offsets, coarse, widths, j, since, until = rissim.sweep._hpbw_window(target, axis)
         positions = rissim.sweep._arc_positions(target, [(axis, offsets)])
         sums = coherent_sums(fringes, config, positions)
         powers = dbm_from_sums(fringes, sums)
@@ -611,7 +611,7 @@ class TestHpbwMatchesFullScan:
         below = np.flatnonzero(powers < powers[k] - 3.0)
         dips = [below[below < k].max(), below[below > k].min()]
         for t in dips:
-            line = (sums[a[t]] * until[t] + sums[b[t]] * since[t]) / widths[j[t]]
+            line = (sums[coarse[j[t]]] * until[t] + sums[coarse[j[t] + 1]] * since[t]) / widths[j[t]]
             assert abs(line) > 10.0 ** (-3.0 / 20.0) * np.abs(sums).max(), t
         got = _hpbw_or_error(hpbw, fringes, config, target, axis)
         assert got == _hpbw_or_error(hpbw_full_scan, fringes, config, target, axis)
@@ -849,8 +849,6 @@ class TestHpbwWindow:
             "coarse": coarse,
             "widths": np.diff(theta[coarse]),
             "j": j,
-            "a": a,
-            "b": b,
             "since": theta - theta[a],
             "until": theta[b] - theta,
         }
@@ -948,7 +946,7 @@ def _assert_interpolation_error_bounded(sums, curve, window):
     within (t - a)(b - t) M2 / 2 of the line p(t) through S(a) and S(b), as hpbw takes it,
     and hpbw's interval bound U = max(|S(a)|, |S(b)|) + (b - a)^2 M2 / 8 is at least every
     sample's upper bound |p(t)| + (t - a)(b - t) M2 / 2."""
-    _, coarse, widths, _, _, _, since, until = window
+    _, coarse, widths, _, since, until = window
     for j, (a, b) in enumerate(zip(coarse[:-1], coarse[1:])):
         t = np.arange(a + 1, b)
         line = (sums[a] * until[t] + sums[b] * since[t]) / widths[j]
