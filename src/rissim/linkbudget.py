@@ -198,8 +198,9 @@ def element_phasor_matrix(
     """(N, M) complex phasors sqrt(F)*exp(-j2pi(d1+d2)/lambda)/(d1*d2).
 
     positions: (N, 3) user positions in meters. elements, an optional index
-    array, selects the columns to compute, each with the full matrix's bits.
-    Raises GeometryError when a position coincides with any element center.
+    array, selects the columns to compute, each with the full matrix's bits;
+    every other column is 0. Raises GeometryError when a position coincides
+    with any element center, listed or not.
 
     The element-to-user offsets are three (N, M) arrays, one per axis, summed
     in the order a reduction over a length-3 axis uses, and the phase is
@@ -246,7 +247,11 @@ def element_phasor_matrix(
     np.exp(phasors, out=phasors)
     phasors.real *= amp
     phasors.imag *= amp
-    return phasors
+    if elements is None:
+        return phasors
+    full = np.zeros((len(pos), len(u)), dtype=complex)
+    full[:, elements] = phasors
+    return full
 
 
 def apply_config(phasors: np.ndarray, config: RisConfig) -> np.ndarray:
@@ -287,11 +292,12 @@ def coherent_sums(scenario: Scenario, config: RisConfig, positions: np.ndarray) 
     vector's bytes. A repeat returns a writable copy of those sums and skips
     apply_config, so a grid's sweep_power and emulate_measurement_grid apply
     each configuration once; a newly kept block starts with no sums. A miss
-    with Gamma_m == 0 somewhere computes only the powered columns, one row
-    at a time, and keeps nothing; the rest stay 0, so apply_config gives the
-    full kernel's bits, bar an exact zero's sign. One set of sums, 16 bytes
-    per position (23 KB on the default grid), serves that pair; more would
-    hold configurations no caller repeats.
+    with Gamma_m == 0 somewhere asks the kernel for the powered columns
+    only, one row at a time, and keeps nothing; each row's unpowered
+    columns are 0, so apply_config gives the full kernel's bits, bar an
+    exact zero's sign. One set of sums, 16 bytes per position (23 KB on the
+    default grid), serves that pair; more would hold configurations no
+    caller repeats.
     """
     global _block
     if len(config) != len(scenario.layout):
@@ -306,7 +312,7 @@ def coherent_sums(scenario: Scenario, config: RisConfig, positions: np.ndarray) 
         if _block[3] == gamma:
             return _block[4].reshape(pos.shape[:-1]).copy()
     elif (on := np.flatnonzero(config.as_complex_array)).size < len(config):
-        block = _powered_rows(scenario, rows, on)
+        block = (element_phasor_matrix(scenario, row, on) for row in rows)
     else:
         if len(rows) == 1:  # the kernel's own output, not a copy
             block = element_phasor_matrix(scenario, rows[0])[None]
@@ -322,14 +328,6 @@ def coherent_sums(scenario: Scenario, config: RisConfig, positions: np.ndarray) 
     if block is _block[2]:
         _block = (*_block[:3], gamma, read_only(sums.copy()))
     return sums.reshape(pos.shape[:-1])
-
-
-def _powered_rows(scenario: Scenario, rows: np.ndarray, on: np.ndarray):
-    """Each row's (N, M) phasors with the columns in on computed and the rest 0, one buffer."""
-    phasors = np.zeros((*rows.shape[-2:-1], len(scenario.layout)), dtype=complex)
-    for row in rows:
-        phasors[:, on] = element_phasor_matrix(scenario, row, on)
-        yield phasors
 
 
 # an overflow is rejected below, and log10(0) is floored

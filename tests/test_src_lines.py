@@ -8,7 +8,7 @@ import rissim
 
 TOOL = Path(__file__).parents[1] / "tools" / "src_lines.py"
 # code lines of src/rissim; raising it is a deliberate act, noted in CHANGES.md
-CODE_LINES = 1546
+CODE_LINES = 1545
 
 SAMPLE = '''"""Module docstring
 over two lines."""
