@@ -1,11 +1,16 @@
+import cmath
+import hashlib
 import itertools
+import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import as_complex, brute_force_config, make_random_scenario
+from helpers import as_complex, brute_force_config, child_env, make_random_scenario
 from rissim.errors import ValidationError
 from rissim.geom import RisLayout, Vec3, spherical_to_cartesian
 from rissim.io_cli import resolve_scenario
@@ -30,6 +35,20 @@ from rissim.optimizer import (
 THREE_STATE = ReflectionAlphabet(
     "three", tuple(ReflectionCoefficient(1.0, p) for p in (0.0, 120.0, -120.0))
 )
+# an irregular 4-state alphabet with an off state
+FOUR_STATE = ReflectionAlphabet(
+    "four",
+    (
+        ReflectionCoefficient(0.5, 0.0),
+        ReflectionCoefficient(0.7, 90.0),
+        ReflectionCoefficient(0.9, 180.0),
+        ReflectionCoefficient(0.0, 0.0),
+    ),
+)
+ALPHABETS = [REFLECTIVE, ACTIVE, THREE_STATE, FOUR_STATE]
+# sha256 of the state indices optimize_config returns on _pinned_cases(); a change to it
+# is a deliberate act, noted in CHANGES.md
+CONFIGS_SHA256 = "18cb93a2dc4ca4e2955230ee0e2e448f347ad1aa6b22d4463008d94dffe2a2bc"
 
 
 def _objective_dbm_free(scenario, config, target):
@@ -82,6 +101,34 @@ class TestAlphabets:
         assert alphabet.values is alphabet.values
         assert not alphabet.values.flags.writeable
         assert alphabet.values.tobytes() == complex_values(alphabet.states).tobytes()
+
+    @pytest.mark.parametrize("alphabet", ALPHABETS, ids=lambda a: a.name)
+    def test_each_arc_holds_the_greedy_state_of_unit_gain(self, alphabet):
+        starts, states, jumps = alphabet.arcs
+        k = len(alphabet.states)
+        assert len(starts) == len(states) == len(jumps) == k * (k - 1)
+        assert 0.0 <= starts[0] and starts[-1] < 2 * math.pi and (np.diff(starts) >= 0).all()
+        values = [as_complex(state) for state in alphabet.states]
+        psi = np.arange(3600) * (2 * math.pi / 3600)
+        psi = psi[np.abs(np.angle(np.exp(1j * (psi[:, None] - starts)))).min(axis=1) > 1e-6]
+        assert len(psi) > 3500
+        # arc -1, before the first start, is the last arc wrapping through 2 pi
+        arc = np.searchsorted(starts, psi, side="right") - 1
+        for t, angle in zip(arc, psi.tolist()):
+            scores = [(v * cmath.exp(-1j * angle)).real for v in values]
+            assert states[t] == scores.index(max(scores)), (t, angle)
+
+    @pytest.mark.parametrize("alphabet", ALPHABETS, ids=lambda a: a.name)
+    def test_arc_jumps_are_the_state_changes_and_sum_to_zero(self, alphabet):
+        _, states, jumps = alphabet.arcs
+        values = alphabet.values
+        assert jumps.tobytes() == (values[states] - values[np.roll(states, 1)]).tobytes()
+        assert abs(jumps.sum()) <= 1e-15 * len(jumps) * np.abs(values).max()
+
+    @pytest.mark.parametrize("alphabet", ALPHABETS, ids=lambda a: a.name)
+    def test_arcs_are_computed_once_and_read_only(self, alphabet):
+        assert alphabet.arcs is alphabet.arcs
+        assert not any(array.flags.writeable for array in alphabet.arcs)
 
     def test_index_of(self):
         assert REFLECTIVE.index_of(ReflectionCoefficient(0.3, 165.0)) == 1
@@ -167,6 +214,29 @@ class TestOptimize:
                 assert config.coefficients == uniform.coefficients
                 assert config_fingerprint(config) == config_fingerprint(uniform)
                 assert peak < 2_000_000
+
+    def test_arc_tables_and_first_calls_load_no_module(self):
+        # a module loaded on first use (np.unique loads numpy.ma, for one) costs peak memory
+        # on every workload; importing the optimizer builds the built-in arc tables
+        code = (
+            "import json, sys\n"
+            "import rissim.linkbudget\n"
+            "before = set(sys.modules) | {'rissim.optimizer'}\n"
+            "from rissim.optimizer import ACTIVE, REFLECTIVE, ReflectionAlphabet, optimize_config\n"
+            "loaded = set(sys.modules) - before\n"
+            "from rissim.geom import Vec3\n"
+            "from rissim.io_cli import resolve_scenario\n"
+            "from rissim.linkbudget import ReflectionCoefficient\n"
+            "scenario = resolve_scenario({}).scenario\n"
+            "before = set(sys.modules)\n"
+            "three = tuple(ReflectionCoefficient(1.0, p) for p in (0.0, 120.0, -120.0))\n"
+            "for alphabet in (REFLECTIVE, ACTIVE, ReflectionAlphabet('three', three)):\n"
+            "    optimize_config(scenario, Vec3(1.2, 0.4, -0.39), alphabet)\n"
+            "print(json.dumps(sorted(loaded | set(sys.modules) - before)))\n"
+        )
+        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+        assert cp.returncode == 0, cp.stderr
+        assert json.loads(cp.stdout) == []
 
     def test_single_element_matches_brute_force(self):
         rng = np.random.default_rng(5)
@@ -304,17 +374,40 @@ class TestBruteForce:
     def test_matches_brute_force_objective_multistate(self):
         # the sweep is general in the alphabet size: a symmetric 3-state
         # phase alphabet and an irregular 4-state one
-        four = ReflectionAlphabet(
-            "four",
-            (
-                ReflectionCoefficient(0.5, 0.0),
-                ReflectionCoefficient(0.7, 90.0),
-                ReflectionCoefficient(0.9, 180.0),
-                ReflectionCoefficient(0.0, 0.0),
-            ),
-        )
         rng = np.random.default_rng(13)
         for _ in range(20):
-            for alphabet, m_max in ((THREE_STATE, 9), (four, 7)):
+            for alphabet, m_max in ((THREE_STATE, 9), (FOUR_STATE, 7)):
                 scenario, target = make_random_scenario(rng, int(rng.integers(1, m_max + 1)))
                 _assert_matches_brute_force(scenario, target, alphabet)
+
+
+def _pinned_targets():
+    """64 seeded targets on the table plane, then 16 others: on the axis plane y = 0
+    (a field symmetric in z), off the table, and behind the surface (a zero field)."""
+    rng = np.random.default_rng(40)
+    table = zip(rng.uniform(0.92, 1.52, 64), rng.uniform(0.02, 0.92, 64), [-0.39] * 64)
+    axis = [(x, 0.0, z) for x in (0.5, 1.0, 1.86) for z in (0.0, -0.39)]
+    off = zip(rng.uniform(2.0, 4.0, 5), rng.uniform(-2.0, 2.0, 5), rng.uniform(-1.0, 1.0, 5))
+    behind = zip(rng.uniform(-1.5, -0.3, 5), rng.uniform(-0.9, 0.9, 5), [-0.39] * 5)
+    return [Vec3(*map(float, xyz)) for part in (table, axis, off, behind) for xyz in part]
+
+
+def _pinned_cases():
+    targets = _pinned_targets()
+    for rings in (1, 6, 12):
+        scenario = resolve_scenario({"ris": {"rings": rings}}).scenario
+        for alphabet in ALPHABETS:
+            for target in targets:
+                yield scenario, target, alphabet
+
+
+def test_the_returned_state_indices_are_pinned():
+    digest = hashlib.sha256()
+    for scenario, target, alphabet in _pinned_cases():
+        index = {state: k for k, state in enumerate(alphabet.states)}
+        config = optimize_config(scenario, target, alphabet)
+        digest.update(bytes([index[state] for state in config.coefficients]))
+    assert digest.hexdigest() == CONFIGS_SHA256, (
+        "optimize_config returned other configurations on the pinned targets; list them by\n"
+        "comparing _pinned_cases() on a checkout of the commit that last set CONFIGS_SHA256"
+    )
